@@ -1,6 +1,5 @@
 """Lets the suite run from a fresh checkout: src/ is importable directly,
-with the numpy kernel fallback covering an unbuilt extension. An editable
-install that built the extension in place takes precedence naturally."""
+without installing the package."""
 
 import sys
 from pathlib import Path

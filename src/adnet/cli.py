@@ -30,15 +30,24 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-MODEL_KEYS = ("window_width", "num_stages", "num_layers", "kernel_size",
-              "hidden_channels", "input_dim", "threshold")
-TRAIN_KEYS = ("learning_rate", "lambda", "alpha", "epochs", "seed", "use_ad_loss",
-              "clip_label_fraction")
-SYNTH_KEYS = ("num_videos", "clips_min", "clips_max", "abnormal_segment_count_range",
-              "input_dim", "class_mean_separation", "noise_std", "frames_per_clip", "seed")
-PATH_KEYS = ("features_dir", "annotations_dir", "checkpoint", "out_dir")
-SECTIONS = {"model": MODEL_KEYS, "train": TRAIN_KEYS, "synth": SYNTH_KEYS,
-            "paths": PATH_KEYS}
+# The JSON type of every run-config key, by section. A number field also
+# takes an integer, no numeric field takes a bool, and a tuple is a list
+# holding one value of each listed type.
+CONFIG_TYPES = {
+    "model": {"window_width": int, "num_stages": int, "num_layers": int,
+              "kernel_size": int, "hidden_channels": int, "input_dim": int,
+              "threshold": float},
+    "train": {"learning_rate": float, "lambda": float, "alpha": float, "epochs": int,
+              "seed": int, "use_ad_loss": bool, "clip_label_fraction": float},
+    "synth": {"num_videos": int, "clips_min": int, "clips_max": int,
+              "abnormal_segment_count_range": (int, int), "input_dim": int,
+              "class_mean_separation": float, "noise_std": float,
+              "frames_per_clip": int, "seed": int},
+    "paths": {"features_dir": str, "annotations_dir": str, "checkpoint": str,
+              "out_dir": str},
+}
+TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
+              str: "a string", (int, int): "a list of two integers"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,14 +72,29 @@ def load_run_config(path) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     for section, content in doc.items():
-        if section not in SECTIONS:
+        if section not in CONFIG_TYPES:
             raise ConfigError(f"{path}: unknown config section {section!r}")
         if not isinstance(content, dict):
             raise ConfigError(f"{path}: section {section!r} must be an object")
-        for key in content:
-            if key not in SECTIONS[section]:
+        for key, value in content.items():
+            if key not in CONFIG_TYPES[section]:
                 raise ConfigError(f"{path}: unknown config key {section}.{key!r}")
+            kind = CONFIG_TYPES[section][key]
+            if not _has_type(value, kind):
+                raise ConfigError(f"{path}: {section}.{key} must be "
+                                  f"{TYPE_NAMES[kind]}, got {json.dumps(value)}")
     return doc
+
+
+def _has_type(value, kind) -> bool:
+    if isinstance(kind, tuple):
+        return (isinstance(value, list) and len(value) == len(kind)
+                and all(map(_has_type, value, kind)))
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
 
 
 def _model_config(doc: dict, input_dim: int) -> ADNetConfig:
@@ -284,6 +308,17 @@ def _parse_ks(text: str) -> tuple[int, ...]:
     return ks
 
 
+def _clip_scores(path, value) -> np.ndarray:
+    """A prediction document's clip_scores: a non-empty flat list of numbers."""
+    if not (isinstance(value, list) and value
+            and {type(item) for item in value} <= {int, float}):
+        raise FormatError(path, "clip_scores must be a non-empty list of numbers")
+    try:
+        return np.array(value, dtype=np.float64)
+    except OverflowError as exc:  # an integer beyond float64
+        raise FormatError(path, f"clip_scores: {exc}") from exc
+
+
 def cmd_eval(args) -> int:
     pred_dir = Path(args.pred)
     gt_dir = Path(args.gt)
@@ -291,18 +326,29 @@ def cmd_eval(args) -> int:
     if not pred_paths:
         raise InputError(f"no prediction documents in {pred_dir}")
     pred_scores: dict[str, np.ndarray] = {}
+    sources: dict[str, Path] = {}
     frames_per_clip = None
     threshold = None
     for path in pred_paths:
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except OSError as exc:
+            raise FormatError(path, f"cannot read prediction: {exc}") from exc
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise FormatError(path, f"invalid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise FormatError(path, "prediction document must be a JSON object")
         for key in ("video_id", "clip_scores", "frames_per_clip"):
             if key not in doc:
                 raise FormatError(path, f"missing field {key!r}")
         video_id = doc["video_id"]
-        pred_scores[video_id] = np.asarray(doc["clip_scores"], dtype=np.float64)
+        if not isinstance(video_id, str):
+            raise FormatError(path, f"video_id must be a string, got {video_id!r}")
+        if video_id in sources:
+            raise InputError(f"{path}: video_id {video_id!r} is also in {sources[video_id]}")
+        sources[video_id] = path
+        pred_scores[video_id] = evaluation.check_scores(
+            _clip_scores(path, doc["clip_scores"]), str(path))
         if frames_per_clip is None:
             frames_per_clip = doc["frames_per_clip"]
         elif doc["frames_per_clip"] != frames_per_clip:

@@ -39,9 +39,14 @@ class TemporalSegment:
         if self.label not in (0, 1):
             raise InputError(f"segment label must be 0 or 1, got {self.label}")
 
-    @property
-    def length(self) -> int:
-        return self.end_frame - self.start_frame
+
+def check_scores(scores, source: str) -> np.ndarray:
+    """Scores as a float64 array; raises InputError naming the source
+    unless every score is finite and lies in [0, 1]."""
+    values = np.asarray(scores, dtype=np.float64)
+    if not np.all((values >= 0.0) & (values <= 1.0)):  # NaN fails both bounds
+        raise InputError(f"{source}: scores must be finite and lie in [0, 1]")
+    return values
 
 
 def expand_to_frames(clip_values, frames_per_clip: int, total_frames: int) -> np.ndarray:
@@ -208,9 +213,10 @@ def evaluate(pred_clip_scores: Mapping[str, np.ndarray],
              threshold: float = 0.5) -> EvalReport:
     """Corpus-level report over matching video id sets.
 
-    Clip scores are expanded to frames against each video's ground-truth
-    frame count, thresholded into segments, and counted into pooled
-    TP/FP/FN per scope and k; AUC runs over all frames concatenated.
+    Clip scores must be finite and in [0, 1]. They are expanded to frames
+    against each video's ground-truth frame count, thresholded into
+    segments, and counted into pooled TP/FP/FN per scope and k; AUC runs
+    over all frames concatenated.
     """
     ks = tuple(int(k) for k in ks)
     for k in ks:
@@ -226,7 +232,8 @@ def evaluate(pred_clip_scores: Mapping[str, np.ndarray],
     labels_parts = []
     for video_id in sorted(gt_ids):
         labels = np.asarray(gt_frame_labels[video_id]).reshape(-1)
-        scores = expand_to_frames(pred_clip_scores[video_id], frames_per_clip, labels.size)
+        clip_scores = check_scores(pred_clip_scores[video_id], f"video {video_id!r}")
+        scores = expand_to_frames(clip_scores, frames_per_clip, labels.size)
         pred_segments = segments_from_labels((scores >= threshold).astype(np.int64))
         gt_segments = segments_from_labels(labels)
         for scope in SCOPES:

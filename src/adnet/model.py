@@ -12,12 +12,12 @@ after each head, so padded positions can never influence real ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics, windowing
-from .errors import ConfigError, InputError
+from . import evaluation, numerics, windowing
+from .errors import ConfigError
 from .numerics import Tape, Tensor
 from .windowing import Window
 
@@ -38,18 +38,6 @@ def max_layers(window_width: int, kernel_size: int) -> int:
     while (1 << layers) * half < window_width:
         layers += 1
     return layers
-
-
-def receptive_field(layer_index: int) -> int:
-    """Nominal receptive field 2**(l+1) - 1 after block l.
-
-    This is the growth rule the layer bound is derived from. The symmetric
-    K-tap stack actually reaches locality_radius() per side, which the
-    perturbation tests measure; both numbers are reported in diagnostics.
-    """
-    if layer_index < 0:
-        raise ConfigError(f"layer index must be >= 0, got {layer_index}")
-    return 2 ** (layer_index + 1) - 1
 
 
 def locality_radius(num_stages: int, num_layers: int, kernel_size: int) -> int:
@@ -168,9 +156,7 @@ def forward(params: ModelParams, window: Window,
 def predict_labels(scores, threshold: float) -> np.ndarray:
     """Binary labels from scores; a score equal to the threshold counts as
     abnormal (closed upper set)."""
-    values = np.asarray(scores, dtype=np.float64)
-    if values.size and (values.min() < 0.0 or values.max() > 1.0):
-        raise InputError("scores must lie in [0, 1]")
+    values = evaluation.check_scores(scores, "predict_labels")
     return (values >= threshold).astype(np.int64)
 
 
@@ -185,12 +171,3 @@ def score_sequence(params: ModelParams, features: np.ndarray) -> np.ndarray:
         outputs = forward(params, window)
         scored.append((window.start_clip, window.mask, outputs[-1].value.ravel()))
     return windowing.merge_scores(scored, total)
-
-
-def truncate_stages(params: ModelParams, num_stages: int) -> ModelParams:
-    """A view of the first num_stages stages; tensors are shared, not copied."""
-    if not 1 <= num_stages <= params.config.num_stages:
-        raise ConfigError(
-            f"cannot keep {num_stages} of {params.config.num_stages} stages")
-    cfg = replace(params.config, num_stages=num_stages)
-    return ModelParams(cfg, {name: params.tensors[name] for name in parameter_shapes(cfg)})

@@ -3,8 +3,8 @@
 Values are numpy arrays shaped (channels, length), plus 0-d scalars for
 losses. A Tensor pairs a value with a lazily allocated gradient buffer
 that backward passes accumulate into with +=. Each operation validates
-shapes eagerly, computes its forward result through the selected kernel
-backend where relevant, and, when given a Tape, records a pullback
+shapes eagerly, computes its forward result (through adnet.kernels for
+the dilated convolution), and, when given a Tape, records a pullback
 closure. With tape=None the same functions run as plain forward
 evaluation, which is all inference needs.
 
@@ -105,6 +105,7 @@ def conv1d_dilated(x: Tensor, kernel: Tensor, bias: Tensor, dilation: int,
     _require(k % 2 == 1, f"kernel width must be odd to preserve length, got {k}")
     _require(dilation >= 1 and dilation & (dilation - 1) == 0,
              f"dilation must be a power of two, got {dilation}")
+    # looked up on the module at call time so perfbench/layers.py can wrap them
     out = Tensor(kernels.conv1d_dilated_fwd(xv, wv, bv, dilation))
     if tape is not None:
         def pullback():

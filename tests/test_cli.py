@@ -75,6 +75,29 @@ class TestSynth:
         assert "bogus" in err
 
 
+WRONG_VALUES = {int: [1.5, True, "64"], float: ["0.5", False], bool: [1, "true"],
+                str: [3, None], (int, int): [[1], [1, 2.5], [True, 2], "1,2"]}
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("section,key", [
+        (section, key) for section, keys in cli.CONFIG_TYPES.items() for key in keys])
+    def test_wrong_value_type_names_the_key(self, section, key, tmp_path, capsys):
+        for value in WRONG_VALUES[cli.CONFIG_TYPES[section][key]]:
+            config = write_config(tmp_path / "c.json", {section: {key: value}})
+            code, _, err = run(capsys, ["synth", "--config", config,
+                                        "--out", str(tmp_path / "corpus")])
+            assert code == 2, value
+            assert err.startswith(f"adnet: error: {config}: {section}.{key} must be ")
+
+    def test_integers_accepted_for_number_fields(self, tmp_path):
+        config = write_config(tmp_path / "c.json", {
+            "train": {"learning_rate": 1, "alpha": 0, "use_ad_loss": False},
+            "synth": {"class_mean_separation": 2, "abnormal_segment_count_range": [0, 3]}})
+        doc = cli.load_run_config(config)
+        assert doc["train"]["learning_rate"] == 1
+
+
 class TestTrain:
     def test_checkpoint_and_log_lines(self, pipeline):
         root, _, _ = pipeline
@@ -293,6 +316,70 @@ class TestEval:
         assert code == 0
         doc = json.loads(out)
         assert set(doc["segmental"]["all"]) == {"f1@20", "f1@80"}
+
+
+    @pytest.fixture
+    def eval_dirs(self, tmp_path):
+        """A one-video ground truth and a writer for prediction documents."""
+        gt_dir = tmp_path / "gt"
+        pred_dir = tmp_path / "pred"
+        gt_dir.mkdir()
+        pred_dir.mkdir()
+        manifest = {"video_id": "v", "frames_per_clip": 1, "total_frames": 4,
+                    "segments": [{"start_frame": 0, "end_frame": 2, "label": 0},
+                                 {"start_frame": 2, "end_frame": 4, "label": 1}]}
+        (gt_dir / "v.json").write_text(json.dumps(manifest))
+
+        def write(name, **fields):
+            doc = {"video_id": "v", "frames_per_clip": 1,
+                   "clip_scores": [0.0, 0.0, 1.0, 1.0], **fields}
+            (pred_dir / name).write_text(json.dumps(doc))
+            return pred_dir / name
+
+        return ["eval", "--pred", str(pred_dir), "--gt", str(gt_dir)], write
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 7.0, -0.1])
+    def test_scores_outside_unit_interval_name_the_file(self, eval_dirs, capsys, bad):
+        argv, write = eval_dirs
+        path = write("v.json", clip_scores=[0.0, bad, 1.0, 1.0])
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"adnet: error: {path}: scores must be finite and lie in [0, 1]\n"
+
+    @pytest.mark.parametrize("scores", [[0.0, "x", 1.0, 1.0], [[0.0], [0.0], [1.0], [1.0]],
+                                        [], [0.0, None, 1.0, 1.0], [0.0, True, 1.0, 1.0],
+                                        "0.0,0.0,1.0,1.0", [0.0, 10 ** 400, 1.0, 1.0]])
+    def test_malformed_clip_scores_rejected(self, eval_dirs, capsys, scores):
+        argv, write = eval_dirs
+        path = write("v.json", clip_scores=scores)
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert err.startswith(f"adnet: error: {path}: clip_scores")
+
+    def test_duplicate_video_id_rejected(self, eval_dirs, capsys):
+        argv, write = eval_dirs
+        first = write("a.json")
+        second = write("b.json")
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert err == (f"adnet: error: {second}: video_id 'v' is also in {first}\n")
+
+    @pytest.mark.parametrize("data", [b"[0.5]", b"\xff{", b'{"video_id": 1, '
+                                      b'"frames_per_clip": 1, "clip_scores": [0.5]}'])
+    def test_malformed_document_rejected(self, eval_dirs, capsys, data):
+        argv, write = eval_dirs
+        path = write("v.json")
+        path.write_bytes(data)
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert err.startswith(f"adnet: error: {path}: ")
+
+    def test_unreadable_document_rejected(self, eval_dirs, capsys):
+        argv, write = eval_dirs
+        (write("v.json").parent / "w.json").mkdir()
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert "w.json: cannot read prediction" in err
 
 
 class TestUsageErrors:

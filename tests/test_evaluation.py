@@ -203,6 +203,18 @@ class TestEvaluate:
         with pytest.raises(InputError):
             evaluation.evaluate({"a": np.zeros(2)}, {"b": np.zeros(4)}, 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 7.0, -0.1])
+    def test_scores_outside_unit_interval_rejected(self, bad):
+        gt = {"a": np.array([0, 1]), "b": np.array([0, 1])}
+        pred = {"a": np.array([0.1, 0.9]), "b": np.array([0.1, bad])}
+        with pytest.raises(InputError, match="video 'b'"):
+            evaluation.evaluate(pred, gt, frames_per_clip=1)
+
+    def test_unit_interval_endpoints_accepted(self):
+        report = evaluation.evaluate({"a": np.array([0.0, 1.0])}, {"a": np.array([0, 1])},
+                                     frames_per_clip=1)
+        assert report.frame_auc == 1.0
+
     def test_pooled_normal_recall_across_videos(self):
         # second video is all normal and predicted perfectly; its normal
         # segment joins the corpus pool

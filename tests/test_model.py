@@ -41,16 +41,6 @@ class TestMaxLayers:
             model.max_layers(64, 4)
 
 
-class TestReceptiveField:
-    @pytest.mark.parametrize("layer,expected", [(0, 1), (5, 63), (6, 127)])
-    def test_formula(self, layer, expected):
-        assert model.receptive_field(layer) == expected
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigError):
-            model.receptive_field(-1)
-
-
 class TestConfig:
     def test_too_many_layers_rejected(self):
         with pytest.raises(ConfigError, match="max_layers"):
@@ -142,7 +132,9 @@ class TestForward:
         rng = np.random.default_rng(4)
         window = random_window(rng, cfg, real=7)
         full = model.forward(params, window)
-        short = model.forward(model.truncate_stages(params, 2), window)
+        short_cfg = small_config(num_stages=2)
+        shared = {name: params.tensors[name] for name in model.parameter_shapes(short_cfg)}
+        short = model.forward(model.ModelParams(short_cfg, shared), window)
         assert len(full) == 3 and len(short) == 2
         for a, b in zip(full, short):
             assert np.array_equal(a.value, b.value)
@@ -181,7 +173,7 @@ class TestForward:
 class TestGolden:
     def test_forward_matches_recorded_scores(self):
         # frozen from the first build that passed the gradient and masking
-        # suites (seed 42, python backend, see GOLDEN_* below)
+        # suites (seed 42, see GOLDEN_* below)
         cfg = small_config()
         params = model.build(cfg, seed=42)
         rng = np.random.default_rng(42)
@@ -205,6 +197,10 @@ class TestPredictLabels:
     def test_out_of_range_scores_rejected(self):
         with pytest.raises(InputError):
             model.predict_labels([1.2], 0.5)
+
+    def test_nan_scores_rejected(self):
+        with pytest.raises(InputError):
+            model.predict_labels([0.2, np.nan], 0.5)
 
 
 class TestScoreSequence:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -30,24 +31,14 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-# The JSON type of every run-config key, by section. A number field also
-# takes an integer, no numeric field takes a bool, and a tuple is a list
-# holding one value of each listed type.
-CONFIG_TYPES = {
-    "model": {"window_width": int, "num_stages": int, "num_layers": int,
-              "kernel_size": int, "hidden_channels": int, "input_dim": int,
-              "threshold": float},
-    "train": {"learning_rate": float, "lambda": float, "alpha": float, "epochs": int,
-              "seed": int, "use_ad_loss": bool, "clip_label_fraction": float},
-    "synth": {"num_videos": int, "clips_min": int, "clips_max": int,
-              "abnormal_segment_count_range": (int, int), "input_dim": int,
-              "class_mean_separation": float, "noise_std": float,
-              "frames_per_clip": int, "seed": int},
-    "paths": {"features_dir": str, "annotations_dir": str, "checkpoint": str,
-              "out_dir": str},
+# The JSON type of every run-config key, by section. The model, train and
+# synth sections are the fields of their config dataclasses.
+CONFIG_SCHEMA = {
+    "model": storage.config_types(ADNetConfig),
+    "train": storage.config_types(TrainConfig),
+    "synth": storage.config_types(generator.SynthConfig),
+    "paths": dict.fromkeys(("features_dir", "annotations_dir", "checkpoint", "out_dir"), str),
 }
-TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
-              str: "a string", (int, int): "a list of two integers"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,63 +51,28 @@ class _Parser(argparse.ArgumentParser):
 
 
 def load_run_config(path) -> dict:
-    """Parse and validate a run-config document; unknown keys are rejected."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FormatError(path, f"cannot read config: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(path, f"invalid JSON: {exc}") from exc
+    """Parse a run-config document and check every key and value type
+    against CONFIG_SCHEMA; unknown keys are rejected."""
+    doc = storage.read_json(path, "config")
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     for section, content in doc.items():
-        if section not in CONFIG_TYPES:
+        if section not in CONFIG_SCHEMA:
             raise ConfigError(f"{path}: unknown config section {section!r}")
-        if not isinstance(content, dict):
-            raise ConfigError(f"{path}: section {section!r} must be an object")
-        for key, value in content.items():
-            if key not in CONFIG_TYPES[section]:
-                raise ConfigError(f"{path}: unknown config key {section}.{key!r}")
-            kind = CONFIG_TYPES[section][key]
-            if not _has_type(value, kind):
-                raise ConfigError(f"{path}: {section}.{key} must be "
-                                  f"{TYPE_NAMES[kind]}, got {json.dumps(value)}")
+        try:
+            storage.check_types(CONFIG_SCHEMA[section], content, section)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     return doc
 
 
-def _has_type(value, kind) -> bool:
-    if isinstance(kind, tuple):
-        return (isinstance(value, list) and len(value) == len(kind)
-                and all(map(_has_type, value, kind)))
-    if isinstance(value, bool):
-        return kind is bool
-    if kind is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, kind)
-
-
 def _model_config(doc: dict, input_dim: int) -> ADNetConfig:
-    section = dict(doc.get("model", {}))
-    configured_dim = section.pop("input_dim", None)
-    if configured_dim is not None and configured_dim != input_dim:
-        raise InputError(
-            f"config says input_dim={configured_dim} but feature files carry {input_dim}")
-    defaults = {"window_width": 64, "num_stages": 5, "num_layers": 6}
-    return ADNetConfig(input_dim=input_dim, **{**defaults, **section})
-
-
-def _train_config(doc: dict) -> TrainConfig:
-    return storage.train_config_from_dict(doc.get("train", {}))
-
-
-def _synth_config(doc: dict) -> generator.SynthConfig:
-    section = dict(doc.get("synth", {}))
-    if "abnormal_segment_count_range" in section:
-        section["abnormal_segment_count_range"] = tuple(
-            section["abnormal_segment_count_range"])
-    return generator.SynthConfig(**section)
+    config = storage.config_from_dict(ADNetConfig, doc.get("model", {}), "model",
+                                      input_dim=input_dim)
+    if config.input_dim != input_dim:
+        raise InputError(f"config says input_dim={config.input_dim} "
+                         f"but feature files carry {input_dim}")
+    return config
 
 
 def _resolve_path(doc: dict, key: str, flag_value, required: bool = True):
@@ -136,7 +92,7 @@ def _write_json(path, doc: dict) -> None:
 
 def cmd_synth(args) -> int:
     doc = load_run_config(args.config)
-    config = _synth_config(doc)
+    config = storage.config_from_dict(generator.SynthConfig, doc.get("synth", {}), "synth")
     out_dir = Path(args.out)
     features_dir = out_dir / "features"
     annotations_dir = out_dir / "annotations"
@@ -147,30 +103,16 @@ def cmd_synth(args) -> int:
         storage.write_features(video.features, features_dir / f"{video.features.video_id}.adnf")
         storage.write_annotations(video.manifest,
                                   annotations_dir / f"{video.manifest.video_id}.json")
-    summary = _document_header({"synth": _synth_dict(config), "out": str(out_dir)})
+    summary = _document_header({"synth": storage.config_to_dict(config), "out": str(out_dir)})
     summary["videos"] = [v.features.video_id for v in videos]
     _write_json(out_dir / "corpus.json", summary)
     print(f"wrote {len(videos)} videos to {out_dir}")
     return EXIT_OK
 
 
-def _synth_dict(config: generator.SynthConfig) -> dict:
-    return {
-        "num_videos": config.num_videos,
-        "clips_min": config.clips_min,
-        "clips_max": config.clips_max,
-        "abnormal_segment_count_range": list(config.abnormal_segment_count_range),
-        "input_dim": config.input_dim,
-        "class_mean_separation": config.class_mean_separation,
-        "noise_std": config.noise_std,
-        "frames_per_clip": config.frames_per_clip,
-        "seed": config.seed,
-    }
-
-
 def _load_corpus(features_dir: Path, annotations_dir: Path, fraction: float):
-    """Matching feature/annotation pairs; returns (ids, sequences, manifests,
-    clip label arrays, frames_per_clip)."""
+    """Matching feature/annotation pairs; returns (sequences, clip label
+    arrays, frames_per_clip)."""
     feature_files = sorted(features_dir.glob("*.adnf"))
     if not feature_files:
         raise InputError(f"no .adnf feature files in {features_dir}")
@@ -182,13 +124,11 @@ def _load_corpus(features_dir: Path, annotations_dir: Path, fraction: float):
             f"feature/annotation mismatch for video ids: {unmatched} "
             f"(features in {features_dir}, annotations in {annotations_dir})")
     sequences = []
-    manifests = []
     labels = []
     frames_per_clip = None
     for path in feature_files:
         seq = storage.read_features(path)
-        manifest, clip_labels = storage.read_annotations(
-            annotations_dir / f"{path.stem}.json", clip_label_fraction=fraction)
+        manifest = storage.read_annotations(annotations_dir / f"{path.stem}.json")
         if manifest.video_id != path.stem:
             raise InputError(
                 f"{annotations_dir / (path.stem + '.json')}: manifest video_id "
@@ -199,24 +139,25 @@ def _load_corpus(features_dir: Path, annotations_dir: Path, fraction: float):
             raise InputError(
                 f"inconsistent frames_per_clip: {manifest.frames_per_clip} in "
                 f"{manifest.video_id}, {frames_per_clip} elsewhere")
+        clip_labels = training.clip_labels_from_frames(
+            storage.frame_labels(manifest), frames_per_clip, fraction)
         if clip_labels.shape[0] != seq.num_clips:
             raise InputError(
                 f"{manifest.video_id}: {seq.num_clips} feature clips but annotations "
                 f"imply {clip_labels.shape[0]} clips")
         sequences.append(seq)
-        manifests.append(manifest)
         labels.append(clip_labels)
-    return feature_ids, sequences, manifests, labels, frames_per_clip
+    return sequences, labels, frames_per_clip
 
 
 def cmd_train(args) -> int:
     doc = load_run_config(args.config)
-    train_config = _train_config(doc)
+    train_config = storage.config_from_dict(TrainConfig, doc.get("train", {}), "train")
     features_dir = _resolve_path(doc, "features_dir", None)
     annotations_dir = _resolve_path(doc, "annotations_dir", None)
     checkpoint_path = _resolve_path(doc, "checkpoint", None)
     out_dir = _resolve_path(doc, "out_dir", None, required=False)
-    ids, sequences, _, labels, frames_per_clip = _load_corpus(
+    sequences, labels, frames_per_clip = _load_corpus(
         features_dir, annotations_dir, train_config.clip_label_fraction)
     input_dim = sequences[0].dim
     for seq in sequences:
@@ -241,8 +182,6 @@ def cmd_train(args) -> int:
     lines = [json.dumps({"epoch": entry.epoch, "mean_mse": entry.mean_mse,
                          "mean_ad": entry.mean_ad, "mean_total": entry.mean_total})
              for entry in result.log]
-    for line in lines:
-        print(line)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         log_path = out_dir / "train_log.jsonl"
@@ -251,6 +190,8 @@ def cmd_train(args) -> int:
             storage.atomic_write_text(log_path, existing + "\n".join(lines) + "\n")
         else:
             storage.atomic_write_text(log_path, "\n".join(lines) + "\n")
+    for line in lines:  # after the log is written, so a closed stdout cannot lose it
+        print(line)
     print(f"checkpoint written to {checkpoint_path} "
           f"({result.epochs_completed} epochs completed)")
     return EXIT_OK
@@ -271,7 +212,7 @@ def cmd_infer(args) -> int:
     # different directories emit identical documents
     resolved = {
         "threshold": threshold,
-        "model": storage.model_config_to_dict(ckpt.model_config),
+        "model": storage.config_to_dict(ckpt.model_config),
         "train_seed": ckpt.seed,
         "epochs_completed": ckpt.epochs_completed,
         "frames_per_clip": ckpt.frames_per_clip,
@@ -330,12 +271,7 @@ def cmd_eval(args) -> int:
     frames_per_clip = None
     threshold = None
     for path in pred_paths:
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise FormatError(path, f"cannot read prediction: {exc}") from exc
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise FormatError(path, f"invalid JSON: {exc}") from exc
+        doc = storage.read_json(path, "prediction")
         if not isinstance(doc, dict):
             raise FormatError(path, "prediction document must be a JSON object")
         for key in ("video_id", "clip_scores", "frames_per_clip"):
@@ -362,7 +298,7 @@ def cmd_eval(args) -> int:
                              f"{threshold} elsewhere")
     gt_labels: dict[str, np.ndarray] = {}
     for path in sorted(gt_dir.glob("*.json")):
-        manifest, _ = storage.read_annotations(path)
+        manifest = storage.read_annotations(path)
         gt_labels[manifest.video_id] = storage.frame_labels(manifest)
         if manifest.frames_per_clip != frames_per_clip:
             raise InputError(
@@ -418,7 +354,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout goes to devnull so that the interpreter's last flush does not fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("adnet: error: standard output closed", file=sys.stderr)
+        return EXIT_DATA
     except NumericError as exc:
         print(f"adnet: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

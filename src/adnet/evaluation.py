@@ -170,6 +170,8 @@ def frame_auc(frame_scores, frame_labels) -> float:
             f"scores ({scores.shape[0]}) and labels ({labels.shape[0]}) differ in length")
     if not np.all((labels == 0) | (labels == 1)):
         raise InputError("labels must be 0 or 1")
+    if not np.all(np.isfinite(scores)):  # NaN would sort last and rank as a high score
+        raise InputError("scores must be finite")
     num_pos = int((labels == 1).sum())
     num_neg = labels.size - num_pos
     if num_pos == 0 or num_neg == 0:

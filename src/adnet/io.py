@@ -21,13 +21,13 @@ import json
 import os
 import struct
 import tempfile
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import model as architecture
-from . import training
 from .errors import CheckpointError, ConfigError, FormatError, InputError
 from .evaluation import TemporalSegment
 from .model import ADNetConfig, ModelParams
@@ -151,17 +151,24 @@ def write_annotations(manifest: AnnotationManifest, path) -> None:
     atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
-def read_annotations(path, clip_label_fraction: float = 0.5
-                     ) -> tuple[AnnotationManifest, np.ndarray]:
-    """Parse a manifest and derive its per-clip label timeline."""
+def read_json(path, what: str):
+    """Parse a JSON file; a file that cannot be read, is not UTF-8 or is
+    not JSON raises FormatError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise FormatError(path, f"cannot read annotation file: {exc}") from exc
+        raise FormatError(path, f"cannot read {what}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(path, f"not UTF-8: {exc}") from exc
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(path, f"invalid JSON: {exc}") from exc
+
+
+def read_annotations(path) -> AnnotationManifest:
+    """Parse and validate a manifest."""
+    doc = read_json(path, "annotation file")
     if not isinstance(doc, dict):
         raise FormatError(path, "annotation document must be a JSON object")
     unknown = sorted(set(doc) - MANIFEST_KEYS)
@@ -212,40 +219,73 @@ def read_annotations(path, clip_label_fraction: float = 0.5
             f"last segment ends at {segments[-1].end_frame}, total_frames is {total_frames}")
     if problems:
         raise FormatError(path, "segments do not partition the video: " + "; ".join(problems))
-    manifest = AnnotationManifest(video_id=video_id, frames_per_clip=frames_per_clip,
-                                  total_frames=total_frames, segments=tuple(segments))
-    clip_labels = training.clip_labels_from_frames(frame_labels(manifest), frames_per_clip,
-                                                   clip_label_fraction)
-    return manifest, clip_labels
+    return AnnotationManifest(video_id=video_id, frames_per_clip=frames_per_clip,
+                              total_frames=total_frames, segments=tuple(segments))
 
 
-def model_config_to_dict(config: ADNetConfig) -> dict:
-    return {
-        "window_width": config.window_width,
-        "num_stages": config.num_stages,
-        "num_layers": config.num_layers,
-        "input_dim": config.input_dim,
-        "kernel_size": config.kernel_size,
-        "hidden_channels": config.hidden_channels,
-        "threshold": config.threshold,
-    }
+# Config dataclasses (ADNetConfig, TrainConfig, SynthConfig) are the schema
+# of their JSON objects: one key per field, of the field's type. A field
+# named after a Python keyword ends in an underscore that its key drops
+# (TrainConfig.lambda_ is "lambda"), and a tuple field is a JSON list.
+TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
+              str: "a string", tuple[int, int]: "a list of two integers"}
 
 
-def model_config_from_dict(doc: dict) -> ADNetConfig:
-    return ADNetConfig(**doc)
+def config_types(cls) -> dict:
+    """JSON key -> type of every field of a config dataclass, in field order."""
+    hints = typing.get_type_hints(cls)
+    return {field.name.rstrip("_"): hints[field.name] for field in dataclasses.fields(cls)}
 
 
-def train_config_to_dict(config: TrainConfig) -> dict:
-    doc = dataclasses.asdict(config)
-    doc["lambda"] = doc.pop("lambda_")
+def _has_type(value, kind) -> bool:
+    """Whether a JSON value has a field's type: a number field also takes
+    an integer, no numeric field takes a bool, and a tuple field takes a
+    list holding one value of each element type."""
+    if typing.get_origin(kind) is tuple:
+        kinds = typing.get_args(kind)
+        return (isinstance(value, list) and len(value) == len(kinds)
+                and all(map(_has_type, value, kinds)))
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
+
+
+def check_types(types: dict, doc, section: str = "") -> None:
+    """Raise ConfigError naming section.key unless doc is a JSON object
+    whose every key is in types and holds a value of that type."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"section {section!r} must be an object")
+    for key, value in doc.items():
+        if key not in types:
+            raise ConfigError(f"unknown config key {section}.{key!r}")
+        if not _has_type(value, types[key]):
+            name = f"{section}.{key}" if section else key
+            raise ConfigError(
+                f"{name} must be {TYPE_NAMES[types[key]]}, got {json.dumps(value)}")
+
+
+def config_to_dict(config) -> dict:
+    """A config dataclass as its JSON object. Keys follow the fields,
+    except that a renamed key (lambda) goes last, where the checkpoint
+    header has always had it."""
+    doc = {name: list(value) if isinstance(value, tuple) else value
+           for name, value in dataclasses.asdict(config).items()}
+    for name in [name for name in doc if name.endswith("_")]:
+        doc[name[:-1]] = doc.pop(name)
     return doc
 
 
-def train_config_from_dict(doc: dict) -> TrainConfig:
-    doc = dict(doc)
-    if "lambda" in doc:
-        doc["lambda_"] = doc.pop("lambda")
-    return TrainConfig(**doc)
+def config_from_dict(cls, doc, section: str, **given):
+    """Decode a config dataclass from a JSON object, type-checked as
+    check_types does; a key the object leaves out takes its value from
+    given, else the field's default."""
+    check_types(config_types(cls), doc, section)
+    names = {field.name.rstrip("_"): field.name for field in dataclasses.fields(cls)}
+    values = {names[key]: tuple(value) if isinstance(value, list) else value
+              for key, value in doc.items()}
+    return cls(**{**given, **values})
 
 
 @dataclass
@@ -259,6 +299,14 @@ class Checkpoint:
     epochs_completed: int
     params: ModelParams
     adam: AdamState | None = None
+
+
+# The checkpoint header's scalars are the integer fields of a Checkpoint,
+# and its optimizer metadata the number fields of an AdamState.
+HEADER_SCALARS = {name: kind for name, kind in typing.get_type_hints(Checkpoint).items()
+                  if kind is int}
+ADAM_SCALARS = {name: kind for name, kind in typing.get_type_hints(AdamState).items()
+                if kind in (int, float)}
 
 
 def _checkpoint_blobs(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:
@@ -275,18 +323,11 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     blobs = _checkpoint_blobs(ckpt)
     header = {
         "format_version": CHECKPOINT_VERSION,
-        "model": model_config_to_dict(ckpt.model_config),
-        "train": train_config_to_dict(ckpt.train_config),
-        "seed": ckpt.seed,
-        "frames_per_clip": ckpt.frames_per_clip,
-        "epochs_completed": ckpt.epochs_completed,
+        "model": config_to_dict(ckpt.model_config),
+        "train": config_to_dict(ckpt.train_config),
+        **{name: getattr(ckpt, name) for name in HEADER_SCALARS},
         "adam": None if ckpt.adam is None else {
-            "lr": ckpt.adam.lr,
-            "beta1": ckpt.adam.beta1,
-            "beta2": ckpt.adam.beta2,
-            "epsilon": ckpt.adam.epsilon,
-            "step_count": ckpt.adam.step_count,
-        },
+            name: getattr(ckpt.adam, name) for name in ADAM_SCALARS},
         "tensors": [{"name": name, "shape": list(arr.shape)} for name, arr in blobs],
     }
     header_bytes = json.dumps(header).encode("utf-8")
@@ -306,6 +347,16 @@ def _expected_tensor_shapes(model_config: ADNetConfig, with_adam: bool) -> dict[
             for name, shape in architecture.parameter_shapes(model_config).items():
                 shapes[prefix + name] = shape
     return shapes
+
+
+def _header_config(cls, header: dict, section: str):
+    """A config section of a checkpoint header, which save_checkpoint
+    writes whole: a key left out is an error, not a default."""
+    config = config_from_dict(cls, header[section], section)
+    absent = [key for key in config_types(cls) if key not in header[section]]
+    if absent:
+        raise ConfigError(f"{section}.{absent[0]} is missing")
+    return config
 
 
 def load_checkpoint(path, expect_model_config: ADNetConfig | None = None) -> Checkpoint:
@@ -329,13 +380,18 @@ def load_checkpoint(path, expect_model_config: ADNetConfig | None = None) -> Che
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(path, f"invalid header JSON: {exc}", offset=12) from exc
     try:
-        model_config = model_config_from_dict(header["model"])
-        train_config = train_config_from_dict(header["train"])
+        model_config = _header_config(ADNetConfig, header, "model")
+        train_config = _header_config(TrainConfig, header, "train")
+        scalars = {name: header[name] for name in HEADER_SCALARS}
+        check_types(HEADER_SCALARS, scalars)
+        adam_meta = header.get("adam")
+        if adam_meta is not None:
+            adam_meta = {name: adam_meta[name] for name in ADAM_SCALARS}
+            check_types(ADAM_SCALARS, adam_meta, "adam")
         stored = {entry["name"]: tuple(entry["shape"]) for entry in header["tensors"]}
     except (KeyError, TypeError, ConfigError) as exc:
         raise FormatError(path, f"malformed header: {exc}", offset=12) from exc
-    has_adam = header.get("adam") is not None
-    expected = _expected_tensor_shapes(model_config, has_adam)
+    expected = _expected_tensor_shapes(model_config, adam_meta is not None)
     missing = sorted(set(expected) - set(stored))
     if missing:
         raise CheckpointError(f"{path}: missing tensor {missing[0]!r}")
@@ -348,8 +404,8 @@ def load_checkpoint(path, expect_model_config: ADNetConfig | None = None) -> Che
                 f"{path}: tensor {name!r} has shape {stored[name]}, expected {shape}")
     if expect_model_config is not None and model_config != expect_model_config:
         raise CheckpointError(
-            f"{path}: checkpoint model config {model_config_to_dict(model_config)} is "
-            f"incompatible with requested {model_config_to_dict(expect_model_config)}")
+            f"{path}: checkpoint model config {config_to_dict(model_config)} is "
+            f"incompatible with requested {config_to_dict(expect_model_config)}")
     offset = 12 + header_len
     arrays: dict[str, np.ndarray] = {}
     for entry in header["tensors"]:
@@ -368,16 +424,12 @@ def load_checkpoint(path, expect_model_config: ADNetConfig | None = None) -> Che
     params = ModelParams(model_config, {
         name: Tensor(arrays[name]) for name in architecture.parameter_shapes(model_config)})
     adam = None
-    if has_adam:
-        meta = header["adam"]
+    if adam_meta is not None:
         names = list(architecture.parameter_shapes(model_config))
         adam = AdamState(
-            lr=meta["lr"], beta1=meta["beta1"], beta2=meta["beta2"],
-            epsilon=meta["epsilon"], step_count=meta["step_count"],
+            **adam_meta,
             first_moment=[np.array(arrays["optimizer.m." + n]) for n in names],
             second_moment=[np.array(arrays["optimizer.v." + n]) for n in names],
         )
-    return Checkpoint(
-        model_config=model_config, train_config=train_config, seed=header["seed"],
-        frames_per_clip=header["frames_per_clip"],
-        epochs_completed=header["epochs_completed"], params=params, adam=adam)
+    return Checkpoint(model_config=model_config, train_config=train_config, **scalars,
+                      params=params, adam=adam)

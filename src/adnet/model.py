@@ -12,7 +12,7 @@ after each head, so padded positions can never influence real ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,12 +49,13 @@ def locality_radius(num_stages: int, num_layers: int, kernel_size: int) -> int:
 
 @dataclass(frozen=True)
 class ADNetConfig:
-    """Architecture hyperparameters (window width in clips)."""
+    """Architecture hyperparameters (window width in clips). input_dim has
+    no default: it must match the feature files."""
 
-    window_width: int
-    num_stages: int
-    num_layers: int
-    input_dim: int
+    window_width: int = 64
+    num_stages: int = 5
+    num_layers: int = 6
+    input_dim: int = field(kw_only=True)
     kernel_size: int = 3
     hidden_channels: int = 64
     threshold: float = 0.5

@@ -301,7 +301,9 @@ def test_criterion_7_learnability(tmp_path):
     dataset = []
     for video_id in train_ids:
         seq = storage.read_features(features_dir / f"{video_id}.adnf")
-        _, clip_labels = storage.read_annotations(annotations_dir / f"{video_id}.json")
+        manifest = storage.read_annotations(annotations_dir / f"{video_id}.json")
+        clip_labels = training.clip_labels_from_frames(storage.frame_labels(manifest),
+                                                       manifest.frames_per_clip)
         dataset.append((seq.features, clip_labels))
     model_cfg = model.ADNetConfig(window_width=64, num_stages=2, num_layers=6,
                                   input_dim=16, hidden_channels=64)
@@ -310,7 +312,7 @@ def test_criterion_7_learnability(tmp_path):
     gts = {}
     for video_id in test_ids:
         seq = storage.read_features(features_dir / f"{video_id}.adnf")
-        manifest, _ = storage.read_annotations(annotations_dir / f"{video_id}.json")
+        manifest = storage.read_annotations(annotations_dir / f"{video_id}.json")
         preds[video_id] = model.score_sequence(result.params, seq.features)
         gts[video_id] = storage.frame_labels(manifest)
     report_card = evaluation.evaluate(preds, gts, frames_per_clip=16)
@@ -368,7 +370,7 @@ def test_criterion_9_determinism(tmp_path):
             doc = json.loads(doc_path.read_text())
             preds[doc["video_id"]] = np.asarray(doc["clip_scores"])
         for manifest_path in sorted((corpus / "annotations").glob("*.json")):
-            manifest, _ = storage.read_annotations(manifest_path)
+            manifest = storage.read_annotations(manifest_path)
             gts[manifest.video_id] = storage.frame_labels(manifest)
         report_card = evaluation.evaluate(preds, gts, frames_per_clip=16)
         outputs.append({

@@ -1,4 +1,10 @@
+import fcntl
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +13,7 @@ from adnet import cli, io as storage, model, numerics
 from adnet.io import Checkpoint, ClipFeatureSequence
 from adnet.model import ADNetConfig
 from adnet.training import TrainConfig
+from test_io import rewrite_header
 
 
 def run(capsys, argv):
@@ -76,14 +83,14 @@ class TestSynth:
 
 
 WRONG_VALUES = {int: [1.5, True, "64"], float: ["0.5", False], bool: [1, "true"],
-                str: [3, None], (int, int): [[1], [1, 2.5], [True, 2], "1,2"]}
+                str: [3, None], tuple[int, int]: [[1], [1, 2.5], [True, 2], "1,2"]}
 
 
 class TestRunConfig:
     @pytest.mark.parametrize("section,key", [
-        (section, key) for section, keys in cli.CONFIG_TYPES.items() for key in keys])
+        (section, key) for section, keys in cli.CONFIG_SCHEMA.items() for key in keys])
     def test_wrong_value_type_names_the_key(self, section, key, tmp_path, capsys):
-        for value in WRONG_VALUES[cli.CONFIG_TYPES[section][key]]:
+        for value in WRONG_VALUES[cli.CONFIG_SCHEMA[section][key]]:
             config = write_config(tmp_path / "c.json", {section: {key: value}})
             code, _, err = run(capsys, ["synth", "--config", config,
                                         "--out", str(tmp_path / "corpus")])
@@ -96,6 +103,19 @@ class TestRunConfig:
             "synth": {"class_mean_separation": 2, "abnormal_segment_count_range": [0, 3]}})
         doc = cli.load_run_config(config)
         assert doc["train"]["learning_rate"] == 1
+
+    def test_non_utf8_config_is_a_format_error(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_bytes(b"\xff{")
+        code, _, err = run(capsys, ["train", "--config", str(config)])
+        assert code == 2
+        assert err.startswith(f"adnet: error: {config}: not UTF-8")
+
+    def test_readme_config_reference_lists_the_schema(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| (\w+)\.(\w+) \|", readme, flags=re.MULTILINE)
+        assert {row for row in rows if row[0] in cli.CONFIG_SCHEMA} == {
+            (section, key) for section, keys in cli.CONFIG_SCHEMA.items() for key in keys}
 
 
 class TestTrain:
@@ -243,6 +263,40 @@ class TestInfer:
         assert "numeric" in err
 
 
+def set_field(header, field, value):
+    *sections, key = field.split(".")
+    for section in sections:
+        header = header[section]
+    header[key] = value
+
+
+class TestCheckpointHeader:
+    @pytest.mark.parametrize("command,field,value", [
+        ("infer", "model.num_stages", 2.0), ("infer", "model.window_width", 8.0),
+        ("infer", "frames_per_clip", "16"), ("train", "epochs_completed", "1"),
+        ("infer", "train.epochs", 1.5), ("infer", "train.seed", True),
+        ("train", "adam.step_count", 1.5)])
+    def test_wrong_type_names_the_field(self, pipeline, tmp_path, capsys,
+                                        command, field, value):
+        root, corpus, _ = pipeline
+        checkpoint = tmp_path / "m.adnc"
+        checkpoint.write_bytes((root / "model.adnc").read_bytes())
+        rewrite_header(checkpoint, lambda header: set_field(header, field, value))
+        if command == "infer":
+            argv = ["infer", "--checkpoint", str(checkpoint),
+                    "--features", str(corpus / "features"), "--out", str(tmp_path / "pred")]
+        else:
+            argv = ["train", "--resume", "--config", write_config(tmp_path / "c.json", {
+                "model": SMALL_MODEL, "train": {"epochs": 1, "seed": 3},
+                "paths": {"features_dir": str(corpus / "features"),
+                          "annotations_dir": str(corpus / "annotations"),
+                          "checkpoint": str(checkpoint)}})]
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert err.startswith("adnet: error: ") and err.count("\n") == 1
+        assert f"{field} must be " in err
+
+
 class TestEval:
     def test_end_to_end_report(self, pipeline, capsys):
         root, corpus, _ = pipeline
@@ -380,6 +434,24 @@ class TestEval:
         code, _, err = run(capsys, argv)
         assert code == 2
         assert "w.json: cannot read prediction" in err
+
+
+def test_closed_stdout_is_one_error_line(pipeline):
+    root, corpus, _ = pipeline
+    read_end, write_end = os.pipe()
+    # a one-page pipe holds a fraction of the report, so eval is still
+    # writing when the reader closes it after the first line
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    argv = [sys.executable, "-m", "adnet.cli", "eval", "--pred", str(root / "pred"),
+            "--gt", str(corpus / "annotations"), "--k", ",".join(map(str, range(1, 101)))]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.Popen(argv, stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as reader:
+        assert reader.readline() == b"{\n"
+    _, err = proc.communicate(timeout=120)
+    assert "Traceback" not in err.decode()
+    assert (proc.returncode, err) == (2, b"adnet: error: standard output closed\n")
 
 
 class TestUsageErrors:

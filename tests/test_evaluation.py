@@ -148,6 +148,11 @@ class TestFrameAuc:
         with pytest.raises(MetricError):
             evaluation.frame_auc([0.1, 0.9], [1, 1])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            evaluation.frame_auc([0.1, bad, 0.9, 0.2], [0, 1, 1, 0])
+
     @given(st.integers(0, 100_000))
     @settings(max_examples=150)
     def test_matches_pairwise_statistic(self, case_seed):

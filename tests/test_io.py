@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from adnet import io as storage
-from adnet import model, numerics
+from adnet import model, numerics, synth, training
 from adnet.errors import CheckpointError, FormatError
 from adnet.io import AnnotationManifest, Checkpoint, ClipFeatureSequence
 from adnet.evaluation import TemporalSegment
@@ -92,13 +92,18 @@ def manifest_doc(**overrides):
     return doc
 
 
+def clip_labels(manifest):
+    return training.clip_labels_from_frames(storage.frame_labels(manifest),
+                                            manifest.frames_per_clip)
+
+
 class TestAnnotations:
     def test_clip_labels_derived(self, tmp_path):
         path = tmp_path / "vid.json"
         path.write_text(json.dumps(manifest_doc()))
-        manifest, clip_labels = storage.read_annotations(path)
+        manifest = storage.read_annotations(path)
         assert manifest.total_frames == 320
-        np.testing.assert_array_equal(clip_labels, [0] * 10 + [1] * 10)
+        np.testing.assert_array_equal(clip_labels(manifest), [0] * 10 + [1] * 10)
 
     def test_gap_rejected_with_offending_pair(self, tmp_path):
         path = tmp_path / "vid.json"
@@ -124,8 +129,8 @@ class TestAnnotations:
         path = tmp_path / "vid.json"
         doc = manifest_doc(segments=[{"start_frame": 0, "end_frame": 320, "label": 0}])
         path.write_text(json.dumps(doc))
-        _, clip_labels = storage.read_annotations(path)
-        np.testing.assert_array_equal(clip_labels, np.zeros(20, dtype=int))
+        manifest = storage.read_annotations(path)
+        np.testing.assert_array_equal(clip_labels(manifest), np.zeros(20, dtype=int))
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "vid.json"
@@ -145,8 +150,14 @@ class TestAnnotations:
         doc = manifest_doc()
         del doc["frames_per_clip"]
         path.write_text(json.dumps(doc))
-        manifest, _ = storage.read_annotations(path)
+        manifest = storage.read_annotations(path)
         assert manifest.frames_per_clip == 16
+
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "vid.json"
+        path.write_bytes(b"\xff{")
+        with pytest.raises(FormatError, match="not UTF-8"):
+            storage.read_annotations(path)
 
     def test_write_read_round_trip(self, tmp_path):
         manifest = AnnotationManifest(
@@ -154,9 +165,9 @@ class TestAnnotations:
             segments=(TemporalSegment(0, 32, 0), TemporalSegment(32, 64, 1)))
         path = tmp_path / "vid.json"
         storage.write_annotations(manifest, path)
-        back, clip_labels = storage.read_annotations(path)
+        back = storage.read_annotations(path)
         assert back == manifest
-        np.testing.assert_array_equal(clip_labels, [0, 0, 1, 1])
+        np.testing.assert_array_equal(clip_labels(back), [0, 0, 1, 1])
 
 
 def trained_checkpoint(seed=3):
@@ -172,6 +183,17 @@ def trained_checkpoint(seed=3):
     return Checkpoint(model_config=cfg, train_config=TrainConfig(seed=seed),
                       seed=seed, frames_per_clip=16, epochs_completed=4,
                       params=params, adam=adam)
+
+
+def rewrite_header(path, edit):
+    """Rewrite a checkpoint file after edit() has changed its header in place."""
+    raw = path.read_bytes()
+    header_len = struct.unpack_from("<I", raw, 8)[0]
+    header = json.loads(raw[12:12 + header_len])
+    edit(header)
+    new_header = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + struct.pack("<I", len(new_header)) + new_header
+                     + raw[12 + header_len:])
 
 
 class TestCheckpoints:
@@ -202,13 +224,8 @@ class TestCheckpoints:
         ckpt = trained_checkpoint()
         path = tmp_path / "model.adnc"
         storage.save_checkpoint(ckpt, path)
-        raw = path.read_bytes()
-        header_len = struct.unpack_from("<I", raw, 8)[0]
-        header = json.loads(raw[12:12 + header_len])
-        header["tensors"][0]["shape"] = [8, 5]  # stage0.proj.weight is (8, 4)
-        new_header = json.dumps(header).encode()
-        path.write_bytes(raw[:8] + struct.pack("<I", len(new_header)) + new_header
-                         + raw[12 + header_len:])
+        # stage0.proj.weight is (8, 4)
+        rewrite_header(path, lambda header: header["tensors"][0].update(shape=[8, 5]))
         with pytest.raises(CheckpointError, match=r"stage0\.proj\.weight"):
             storage.load_checkpoint(path)
 
@@ -216,14 +233,17 @@ class TestCheckpoints:
         ckpt = trained_checkpoint()
         path = tmp_path / "model.adnc"
         storage.save_checkpoint(ckpt, path)
-        raw = path.read_bytes()
-        header_len = struct.unpack_from("<I", raw, 8)[0]
-        header = json.loads(raw[12:12 + header_len])
-        removed = header["tensors"].pop(0)
-        new_header = json.dumps(header).encode()
-        path.write_bytes(raw[:8] + struct.pack("<I", len(new_header)) + new_header
-                         + raw[12 + header_len:])
-        with pytest.raises(CheckpointError, match=removed["name"]):
+        rewrite_header(path, lambda header: header["tensors"].pop(0))
+        with pytest.raises(CheckpointError, match="stage0.proj.weight"):
+            storage.load_checkpoint(path)
+
+    @pytest.mark.parametrize("section,key", [("model", "window_width"), ("train", "lambda")])
+    def test_missing_config_key_named(self, tmp_path, section, key):
+        # a default would load a model of another geometry or training run
+        path = tmp_path / "model.adnc"
+        storage.save_checkpoint(trained_checkpoint(), path)
+        rewrite_header(path, lambda header: header[section].pop(key))
+        with pytest.raises(FormatError, match=rf"{section}\.{key} is missing"):
             storage.load_checkpoint(path)
 
     def test_incompatible_config_rejected(self, tmp_path):
@@ -252,12 +272,17 @@ class TestCheckpoints:
 
 class TestConfigDicts:
     def test_train_config_lambda_key(self):
-        cfg = TrainConfig(seed=1, lambda_=0.25)
-        doc = storage.train_config_to_dict(cfg)
-        assert doc["lambda"] == 0.25
+        doc = storage.config_to_dict(TrainConfig(seed=1, lambda_=0.25))
         assert "lambda_" not in doc
-        assert storage.train_config_from_dict(doc) == cfg
+        assert list(doc)[-1] == "lambda"  # where checkpoint headers have it
+        assert doc["lambda"] == 0.25
 
-    def test_model_config_round_trip(self):
-        cfg = ADNetConfig(window_width=32, num_stages=3, num_layers=5, input_dim=9)
-        assert storage.model_config_from_dict(storage.model_config_to_dict(cfg)) == cfg
+    @pytest.mark.parametrize("config", [
+        ADNetConfig(window_width=32, num_stages=3, num_layers=5, input_dim=9),
+        TrainConfig(seed=1, lambda_=0.25, use_ad_loss=False),
+        synth.SynthConfig(abnormal_segment_count_range=(0, 3), noise_std=2),
+    ], ids=lambda config: type(config).__name__)
+    def test_round_trip(self, config):
+        doc = storage.config_to_dict(config)
+        assert json.loads(json.dumps(doc)) == doc
+        assert storage.config_from_dict(type(config), doc, "section") == config

@@ -165,13 +165,18 @@ def cmd_train(args) -> int:
             raise InputError(f"{seq.video_id}: feature dim {seq.dim}, others have {input_dim}")
     model_config = _model_config(doc, input_dim)
     dataset = [(seq.features, lab) for seq, lab in zip(sequences, labels)]
+    log_path = None if out_dir is None else out_dir / "train_log.jsonl"
     resume = None
+    previous_log = ""
     if args.resume:
         previous = storage.load_checkpoint(checkpoint_path, expect_model_config=model_config)
         if previous.adam is None:
             raise CheckpointError(f"{checkpoint_path}: no optimizer state to resume from")
         resume = training.TrainResult(params=previous.params, adam=previous.adam,
                                       epochs_completed=previous.epochs_completed, log=[])
+        # read before the checkpoint is overwritten, so a bad log leaves it as it was
+        if log_path is not None and log_path.exists():
+            previous_log = storage.read_text(log_path, "training log")
     result = training.train(dataset, model_config, train_config, resume=resume)
     ckpt = storage.Checkpoint(
         model_config=model_config, train_config=train_config, seed=train_config.seed,
@@ -182,14 +187,9 @@ def cmd_train(args) -> int:
     lines = [json.dumps({"epoch": entry.epoch, "mean_mse": entry.mean_mse,
                          "mean_ad": entry.mean_ad, "mean_total": entry.mean_total})
              for entry in result.log]
-    if out_dir is not None:
+    if log_path is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        log_path = out_dir / "train_log.jsonl"
-        if args.resume and log_path.exists():
-            existing = log_path.read_text(encoding="utf-8")
-            storage.atomic_write_text(log_path, existing + "\n".join(lines) + "\n")
-        else:
-            storage.atomic_write_text(log_path, "\n".join(lines) + "\n")
+        storage.atomic_write_text(log_path, previous_log + "\n".join(lines) + "\n")
     for line in lines:  # after the log is written, so a closed stdout cannot lose it
         print(line)
     print(f"checkpoint written to {checkpoint_path} "
@@ -290,7 +290,13 @@ def cmd_eval(args) -> int:
         elif doc["frames_per_clip"] != frames_per_clip:
             raise InputError(f"{path}: frames_per_clip {doc['frames_per_clip']} "
                              f"disagrees with {frames_per_clip} elsewhere")
-        doc_threshold = doc.get("config", {}).get("threshold", 0.5)
+        config = doc.get("config", {})
+        if not isinstance(config, dict):
+            raise FormatError(path, "config must be a JSON object")
+        doc_threshold = config.get("threshold", 0.5)
+        if type(doc_threshold) not in (int, float) or not 0.0 < doc_threshold < 1.0:
+            raise FormatError(path, f"config.threshold must be a number in (0, 1), "
+                                    f"got {doc_threshold!r}")
         if threshold is None:
             threshold = doc_threshold
         elif doc_threshold != threshold:

@@ -67,8 +67,9 @@ def expand_to_frames(clip_values, frames_per_clip: int, total_frames: int) -> np
     return np.repeat(values, n)[:total_frames]
 
 
-def segments_from_labels(frame_labels) -> list[TemporalSegment]:
-    """Run-length encode a binary timeline; both classes become segments."""
+def _runs(frame_labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Starts, exclusive ends and labels of the maximal constant-label runs
+    of a binary timeline."""
     labels = np.asarray(frame_labels).reshape(-1)
     if labels.size == 0:
         raise InputError("label vector is empty")
@@ -77,7 +78,13 @@ def segments_from_labels(frame_labels) -> list[TemporalSegment]:
     bounds = np.flatnonzero(labels[1:] != labels[:-1]) + 1
     starts = np.concatenate(([0], bounds))
     ends = np.concatenate((bounds, [labels.size]))
-    return [TemporalSegment(int(s), int(e), int(labels[s])) for s, e in zip(starts, ends)]
+    return starts, ends, labels[starts]
+
+
+def segments_from_labels(frame_labels) -> list[TemporalSegment]:
+    """Run-length encode a binary timeline; both classes become segments."""
+    return [TemporalSegment(int(s), int(e), int(label))
+            for s, e, label in zip(*_runs(frame_labels))]
 
 
 def _partition_extent(segments: Sequence[TemporalSegment], what: str) -> int:
@@ -95,12 +102,53 @@ def _partition_extent(segments: Sequence[TemporalSegment], what: str) -> int:
     return position
 
 
-def _iou(a: TemporalSegment, b: TemporalSegment) -> float:
-    inter = min(a.end_frame, b.end_frame) - max(a.start_frame, b.start_frame)
-    if inter <= 0:
-        return 0.0
-    union = max(a.end_frame, b.end_frame) - min(a.start_frame, b.start_frame)
-    return inter / union
+def _claim_iou(pred, gt) -> np.ndarray:
+    """Per ground-truth segment, the highest IoU among the predictions whose
+    best-IoU same-label ground-truth segment it is (the first on ties); 0
+    where no prediction picks it.
+
+    Both run lists, (starts, ends, labels) arrays, partition one timeline,
+    so each prediction overlaps one contiguous range of ground-truth
+    segments and there are at most P + G - 1 overlapping pairs. A
+    prediction that overlaps no same-label segment has best IoU 0, which
+    no k clears.
+    """
+    pred_start, pred_end, pred_label = pred
+    gt_start, gt_end, gt_label = gt
+    first = np.searchsorted(gt_end, pred_start, side="right")
+    stop = np.searchsorted(gt_start, pred_end, side="left")
+    width = stop - first
+    p = np.repeat(np.arange(pred_start.size), width)
+    g = np.arange(p.size) - np.repeat(np.cumsum(width) - width - first, width)
+    same = pred_label[p] == gt_label[g]
+    p, g = p[same], g[same]
+    inter = np.minimum(pred_end[p], gt_end[g]) - np.maximum(pred_start[p], gt_start[g])
+    union = np.maximum(pred_end[p], gt_end[g]) - np.minimum(pred_start[p], gt_start[g])
+    iou = inter / union
+    most = np.zeros(pred_start.size)
+    np.maximum.at(most, p, iou)
+    # pairs are grouped by prediction, candidates in temporal order within
+    top = np.flatnonzero(iou == most[p])
+    best = top[np.diff(p[top], prepend=-1) != 0]
+    claims = np.zeros(gt_start.size)
+    np.maximum.at(claims, g[best], iou[best])
+    return claims
+
+
+def _counts(claims: np.ndarray, pred_label: np.ndarray, gt_label: np.ndarray,
+            k: float, scope: str) -> tuple[int, int, int]:
+    """(TP, FP, FN) at IoU >= k percent within a scope: a ground-truth
+    segment is found when some prediction that picks it clears k."""
+    labels = SCOPES[scope]
+    in_scope = np.isin(gt_label, labels)
+    tp = int(np.count_nonzero(claims[in_scope] >= k / 100.0))
+    predicted = int(np.count_nonzero(np.isin(pred_label, labels)))
+    return tp, predicted - tp, int(np.count_nonzero(in_scope)) - tp
+
+
+def _segment_runs(segments: Sequence[TemporalSegment]):
+    return tuple(np.array([getattr(seg, field) for seg in segments], dtype=np.int64)
+                 for field in ("start_frame", "end_frame", "label"))
 
 
 def match_counts(pred: Sequence[TemporalSegment], gt: Sequence[TemporalSegment],
@@ -109,7 +157,9 @@ def match_counts(pred: Sequence[TemporalSegment], gt: Sequence[TemporalSegment],
 
     Predictions are visited in temporal order; each claims its best-IoU
     same-label ground-truth segment if that segment is unclaimed and the
-    IoU clears the threshold, else it counts as a false positive.
+    IoU clears the threshold, else it counts as a false positive. Computed
+    in one sweep: TP is the number of distinct best segments among the
+    predictions that clear the threshold.
     """
     if scope not in SCOPES:
         raise InputError(f"unknown scope {scope!r}; expected one of {sorted(SCOPES)}")
@@ -120,29 +170,9 @@ def match_counts(pred: Sequence[TemporalSegment], gt: Sequence[TemporalSegment],
     if pred_extent != gt_extent:
         raise InputError(
             f"prediction covers {pred_extent} frames, ground truth {gt_extent}")
-    labels = SCOPES[scope]
-    candidates = [seg for seg in gt if seg.label in labels]
-    claimed = [False] * len(candidates)
-    tp = fp = 0
-    for seg in pred:
-        if seg.label not in labels:
-            continue
-        best_iou = -1.0
-        best = -1
-        for index, cand in enumerate(candidates):
-            if cand.label != seg.label:
-                continue
-            iou = _iou(seg, cand)
-            if iou > best_iou:
-                best_iou = iou
-                best = index
-        if best >= 0 and best_iou >= k / 100.0 and not claimed[best]:
-            claimed[best] = True
-            tp += 1
-        else:
-            fp += 1
-    fn = claimed.count(False)
-    return tp, fp, fn
+    pred_runs = _segment_runs(pred)
+    gt_runs = _segment_runs(gt)
+    return _counts(_claim_iou(pred_runs, gt_runs), pred_runs[2], gt_runs[2], k, scope)
 
 
 def precision_recall_f1(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
@@ -182,8 +212,7 @@ def frame_auc(frame_scores, frame_labels) -> float:
     starts = np.concatenate(([0], bounds))
     ends = np.concatenate((bounds, [scores.size]))
     ranks = np.empty(scores.size)
-    for s, e in zip(starts, ends):
-        ranks[order[s:e]] = 0.5 * (s + 1 + e)  # midrank of the tie run
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)  # tie-run midranks
     u = ranks[labels == 1].sum() - num_pos * (num_pos + 1) / 2.0
     return float(u / (num_pos * num_neg))
 
@@ -236,11 +265,12 @@ def evaluate(pred_clip_scores: Mapping[str, np.ndarray],
         labels = np.asarray(gt_frame_labels[video_id]).reshape(-1)
         clip_scores = check_scores(pred_clip_scores[video_id], f"video {video_id!r}")
         scores = expand_to_frames(clip_scores, frames_per_clip, labels.size)
-        pred_segments = segments_from_labels((scores >= threshold).astype(np.int64))
-        gt_segments = segments_from_labels(labels)
+        pred_runs = _runs((scores >= threshold).astype(np.int64))
+        gt_runs = _runs(labels)
+        claims = _claim_iou(pred_runs, gt_runs)
         for scope in SCOPES:
             for k in ks:
-                tp, fp, fn = match_counts(pred_segments, gt_segments, k, scope)
+                tp, fp, fn = _counts(claims, pred_runs[2], gt_runs[2], k, scope)
                 bucket = counts[scope][k]
                 bucket[0] += tp
                 bucket[1] += fp

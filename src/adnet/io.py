@@ -151,15 +151,21 @@ def write_annotations(manifest: AnnotationManifest, path) -> None:
     atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
-def read_json(path, what: str):
-    """Parse a JSON file; a file that cannot be read, is not UTF-8 or is
-    not JSON raises FormatError."""
+def read_text(path, what: str) -> str:
+    """A UTF-8 text file; one that cannot be read or is not UTF-8 raises
+    FormatError."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise FormatError(path, f"cannot read {what}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise FormatError(path, f"not UTF-8: {exc}") from exc
+
+
+def read_json(path, what: str):
+    """Parse a JSON file; a file that cannot be read, is not UTF-8 or is
+    not JSON raises FormatError."""
+    text = read_text(path, what)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

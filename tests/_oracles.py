@@ -1,14 +1,51 @@
 """Independent oracles for the metric tests.
 
 These deliberately avoid the library's own matching/ranking code paths:
-the matcher below is an exhaustive maximum bipartite matching, and the
-AUC oracle counts every abnormal/normal pair directly.
+`greedy_counts` is the greedy matcher as a double loop over prediction x
+ground-truth pairs, `optimal_counts` an exhaustive maximum bipartite
+matching, and the AUC oracle counts every abnormal/normal pair directly.
 """
 
 import numpy as np
 
 from adnet import evaluation
 from adnet.evaluation import TemporalSegment
+
+
+def _iou(a: TemporalSegment, b: TemporalSegment) -> float:
+    inter = min(a.end_frame, b.end_frame) - max(a.start_frame, b.start_frame)
+    if inter <= 0:
+        return 0.0
+    union = max(a.end_frame, b.end_frame) - min(a.start_frame, b.start_frame)
+    return inter / union
+
+
+def greedy_counts(pred, gt, k, scope):
+    """(TP, FP, FN) of the greedy rule, one prediction at a time in
+    temporal order, each against every ground-truth segment."""
+    labels = evaluation.SCOPES[scope]
+    candidates = [seg for seg in gt if seg.label in labels]
+    claimed = [False] * len(candidates)
+    tp = fp = 0
+    for seg in pred:
+        if seg.label not in labels:
+            continue
+        best_iou = -1.0
+        best = -1
+        for index, cand in enumerate(candidates):
+            if cand.label != seg.label:
+                continue
+            iou = _iou(seg, cand)
+            if iou > best_iou:
+                best_iou = iou
+                best = index
+        if best >= 0 and best_iou >= k / 100.0 and not claimed[best]:
+            claimed[best] = True
+            tp += 1
+        else:
+            fp += 1
+    fn = claimed.count(False)
+    return tp, fp, fn
 
 
 def optimal_counts(pred, gt, k, scope):

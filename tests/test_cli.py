@@ -150,6 +150,27 @@ class TestTrain:
         ckpt = storage.load_checkpoint(tmp_path / "m.adnc")
         assert ckpt.epochs_completed == 6
 
+    def test_undecodable_log_on_resume_leaves_checkpoint_unchanged(self, pipeline, tmp_path,
+                                                                     capsys):
+        _, corpus, _ = pipeline
+        config = write_config(tmp_path / "resume.json", {
+            "model": SMALL_MODEL,
+            "train": {"epochs": 1, "seed": 3},
+            "paths": {"features_dir": str(corpus / "features"),
+                      "annotations_dir": str(corpus / "annotations"),
+                      "checkpoint": str(tmp_path / "m.adnc"),
+                      "out_dir": str(tmp_path / "out")},
+        })
+        assert run(capsys, ["train", "--config", config])[0] == 0
+        checkpoint = (tmp_path / "m.adnc").read_bytes()
+        log_path = tmp_path / "out" / "train_log.jsonl"
+        log_path.write_bytes(b"\xff\n")
+        code, _, err = run(capsys, ["train", "--config", config, "--resume"])
+        assert code == 2
+        assert err.startswith(f"adnet: error: {log_path}: not UTF-8")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert (tmp_path / "m.adnc").read_bytes() == checkpoint
+
     def test_excess_layers_cites_bound(self, pipeline, tmp_path, capsys):
         _, corpus, _ = pipeline
         config = write_config(tmp_path / "deep.json", {
@@ -409,6 +430,18 @@ class TestEval:
         code, _, err = run(capsys, argv)
         assert code == 2
         assert err.startswith(f"adnet: error: {path}: clip_scores")
+
+    @pytest.mark.parametrize("config", [[], "x", {"threshold": "0.5"}, {"threshold": True},
+                                        {"threshold": None}, {"threshold": [0.5]},
+                                        {"threshold": 0}, {"threshold": 1},
+                                        {"threshold": -0.1}, {"threshold": 1.5}])
+    def test_malformed_config_rejected(self, eval_dirs, capsys, config):
+        argv, write = eval_dirs
+        path = write("v.json", config=config)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"adnet: error: {path}: config")
+        assert len(err.splitlines()) == 1
 
     def test_duplicate_video_id_rejected(self, eval_dirs, capsys):
         argv, write = eval_dirs

@@ -1,17 +1,34 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adnet import evaluation
 from adnet.errors import InputError, MetricError
 from adnet.evaluation import TemporalSegment, segments_from_labels
 
-from _oracles import optimal_counts, pairwise_auc, random_partition
+from _oracles import greedy_counts, optimal_counts, pairwise_auc, random_partition
 
 
 def seg(start, end, label):
     return TemporalSegment(start, end, label)
+
+
+@st.composite
+def partitions(draw, frames):
+    """Segments covering [0, frames), labels drawn freely, so neighbours
+    may share a label."""
+    cuts = draw(st.sets(st.integers(1, frames - 1), max_size=8)) if frames > 1 else set()
+    bounds = [0, *sorted(cuts), frames]
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(bounds) - 1,
+                           max_size=len(bounds) - 1))
+    return [seg(a, b, label) for a, b, label in zip(bounds, bounds[1:], labels)]
+
+
+@st.composite
+def timeline_pairs(draw):
+    frames = draw(st.integers(1, 40))
+    return draw(partitions(frames)), draw(partitions(frames))
 
 
 class TestExpandToFrames:
@@ -117,6 +134,24 @@ class TestF1AtK:
             assert f1 <= last + 1e-9
             last = f1
 
+    @given(timeline_pairs())
+    @settings(max_examples=300)
+    # the first prediction has IoU 1/3 with two abnormal segments; taking
+    # the second would leave the last prediction without a match
+    @example(([seg(0, 6, 1), seg(6, 7, 0), seg(7, 9, 1)],
+              [seg(0, 2, 1), seg(2, 3, 0), seg(3, 9, 1)]))
+    @example(([seg(0, 3, 0), seg(3, 6, 1)], [seg(0, 3, 0), seg(3, 6, 1)]))  # exact, k = 100
+    @example(([seg(0, 6, 1)], [seg(0, 6, 1)]))  # single label on both sides
+    @example(([seg(0, 2, 0), seg(2, 6, 1)], [seg(0, 6, 0)]))  # no abnormal candidates
+    # every prediction overlaps only segments of the other label
+    @example(([seg(0, 3, 1), seg(3, 6, 0)], [seg(0, 3, 0), seg(3, 6, 1)]))
+    def test_equals_greedy_double_loop(self, timelines):
+        pred, gt = timelines
+        for scope in evaluation.SCOPES:
+            for k in (1, 10, 25, 33, 50, 75, 100):
+                assert evaluation.match_counts(pred, gt, k, scope) == \
+                    greedy_counts(pred, gt, k, scope)
+
     def test_greedy_rarely_diverges_from_optimal(self):
         rng = np.random.default_rng(0)
         divergences = 0
@@ -164,6 +199,16 @@ class TestFrameAuc:
             labels[0] = 1 - labels[0]
         expected = pairwise_auc(scores, labels)
         assert evaluation.frame_auc(scores, labels) == pytest.approx(expected, abs=1e-12)
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=50)
+    def test_heavy_ties_match_pairwise_statistic_exactly(self, case_seed):
+        rng = np.random.default_rng(case_seed)
+        n = int(rng.integers(2, 2000))
+        scores = rng.choice([0.0, 0.25, 0.5, 1.0], size=n)
+        labels = rng.integers(0, 2, size=n)
+        labels[:2] = (0, 1)
+        assert evaluation.frame_auc(scores, labels) == pairwise_auc(scores, labels)
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=100)
@@ -242,6 +287,28 @@ class TestEvaluate:
         assert report.frame_auc >= 0.70
         _, _, f1_abnormal = report.scopes["abnormal"][25]
         assert f1_abnormal <= 35.0
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=50)
+    def test_pooled_counts_equal_greedy_double_loop(self, case_seed):
+        rng = np.random.default_rng(case_seed)
+        ks = (1, 25, 33, 50, 100)
+        gt, pred = {}, {}
+        pooled = {scope: {k: np.zeros(3, dtype=int) for k in ks} for scope in evaluation.SCOPES}
+        for video in "abc":
+            clips = int(rng.integers(1, 30))
+            gt[video] = rng.integers(0, 2, size=2 * clips)
+            gt[video][:2] = (0, 1)  # both classes, so that AUC is defined
+            pred[video] = np.round(rng.random(clips), 1)
+            pred_segments = segments_from_labels(np.repeat(pred[video] >= 0.5, 2).astype(int))
+            gt_segments = segments_from_labels(gt[video])
+            for scope in evaluation.SCOPES:
+                for k in ks:
+                    pooled[scope][k] += greedy_counts(pred_segments, gt_segments, k, scope)
+        report = evaluation.evaluate(pred, gt, frames_per_clip=2, ks=ks)
+        assert report.scopes == {
+            scope: {k: evaluation.precision_recall_f1(*pooled[scope][k]) for k in ks}
+            for scope in evaluation.SCOPES}
 
     def test_report_dict_field_order(self):
         gt = {"a": np.array([0, 1])}

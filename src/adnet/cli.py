@@ -75,10 +75,10 @@ def _model_config(doc: dict, input_dim: int) -> ADNetConfig:
     return config
 
 
-def _resolve_path(doc: dict, key: str, flag_value, required: bool = True):
-    value = flag_value if flag_value is not None else doc.get("paths", {}).get(key)
+def _resolve_path(doc: dict, key: str, required: bool = True):
+    value = doc.get("paths", {}).get(key)
     if value is None and required:
-        raise ConfigError(f"no {key!r} given (flag or config paths.{key})")
+        raise ConfigError(f"no {key!r} given (config paths.{key})")
     return None if value is None else Path(value)
 
 
@@ -153,10 +153,10 @@ def _load_corpus(features_dir: Path, annotations_dir: Path, fraction: float):
 def cmd_train(args) -> int:
     doc = load_run_config(args.config)
     train_config = storage.config_from_dict(TrainConfig, doc.get("train", {}), "train")
-    features_dir = _resolve_path(doc, "features_dir", None)
-    annotations_dir = _resolve_path(doc, "annotations_dir", None)
-    checkpoint_path = _resolve_path(doc, "checkpoint", None)
-    out_dir = _resolve_path(doc, "out_dir", None, required=False)
+    features_dir = _resolve_path(doc, "features_dir")
+    annotations_dir = _resolve_path(doc, "annotations_dir")
+    checkpoint_path = _resolve_path(doc, "checkpoint")
+    out_dir = _resolve_path(doc, "out_dir", required=False)
     sequences, labels, frames_per_clip = _load_corpus(
         features_dir, annotations_dir, train_config.clip_label_fraction)
     input_dim = sequences[0].dim
@@ -285,16 +285,20 @@ def cmd_eval(args) -> int:
         sources[video_id] = path
         pred_scores[video_id] = evaluation.check_scores(
             _clip_scores(path, doc["clip_scores"]), str(path))
+        doc_frames = doc["frames_per_clip"]
+        if not storage.has_type(doc_frames, int) or doc_frames < 1:
+            raise FormatError(path, f"frames_per_clip must be a positive integer, "
+                                    f"got {json.dumps(doc_frames)}")
         if frames_per_clip is None:
-            frames_per_clip = doc["frames_per_clip"]
-        elif doc["frames_per_clip"] != frames_per_clip:
-            raise InputError(f"{path}: frames_per_clip {doc['frames_per_clip']} "
+            frames_per_clip = doc_frames
+        elif doc_frames != frames_per_clip:
+            raise InputError(f"{path}: frames_per_clip {doc_frames} "
                              f"disagrees with {frames_per_clip} elsewhere")
         config = doc.get("config", {})
         if not isinstance(config, dict):
             raise FormatError(path, "config must be a JSON object")
         doc_threshold = config.get("threshold", 0.5)
-        if type(doc_threshold) not in (int, float) or not 0.0 < doc_threshold < 1.0:
+        if not storage.has_type(doc_threshold, float) or not 0.0 < doc_threshold < 1.0:
             raise FormatError(path, f"config.threshold must be a number in (0, 1), "
                                     f"got {doc_threshold!r}")
         if threshold is None:

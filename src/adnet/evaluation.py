@@ -87,19 +87,20 @@ def segments_from_labels(frame_labels) -> list[TemporalSegment]:
             for s, e, label in zip(*_runs(frame_labels))]
 
 
-def _partition_extent(segments: Sequence[TemporalSegment], what: str) -> int:
+def partition_extent(segments: Sequence[TemporalSegment], what: str) -> int:
+    """Frame count of the timeline that segments, in temporal order,
+    partition; raises InputError naming the first gap or overlap."""
     if not segments:
         raise InputError(f"{what} segment list is empty")
     if segments[0].start_frame != 0:
-        raise InputError(f"{what} segments must start at frame 0")
-    position = 0
-    for seg in segments:
-        if seg.start_frame != position:
+        raise InputError(f"{what} segments start at frame {segments[0].start_frame}, not 0")
+    for prev, cur in zip(segments, segments[1:]):
+        if cur.start_frame != prev.end_frame:
+            kind = "overlap" if cur.start_frame < prev.end_frame else "gap"
             raise InputError(
-                f"{what} segments have a gap or overlap at frame {position} "
-                f"(next segment starts at {seg.start_frame})")
-        position = seg.end_frame
-    return position
+                f"{what} segments have a {kind} between [{prev.start_frame}, "
+                f"{prev.end_frame}) and [{cur.start_frame}, {cur.end_frame})")
+    return segments[-1].end_frame
 
 
 def _claim_iou(pred, gt) -> np.ndarray:
@@ -165,8 +166,8 @@ def match_counts(pred: Sequence[TemporalSegment], gt: Sequence[TemporalSegment],
         raise InputError(f"unknown scope {scope!r}; expected one of {sorted(SCOPES)}")
     if not 0 < k <= 100:
         raise InputError(f"k must lie in (0, 100], got {k}")
-    pred_extent = _partition_extent(pred, "prediction")
-    gt_extent = _partition_extent(gt, "ground truth")
+    pred_extent = partition_extent(pred, "prediction")
+    gt_extent = partition_extent(gt, "ground truth")
     if pred_extent != gt_extent:
         raise InputError(
             f"prediction covers {pred_extent} frames, ground truth {gt_extent}")

@@ -17,7 +17,9 @@ concatenated f64 tensor payloads in header order.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import math
 import os
 import struct
 import tempfile
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import model as architecture
 from .errors import CheckpointError, ConfigError, FormatError, InputError
-from .evaluation import TemporalSegment
+from .evaluation import TemporalSegment, partition_extent
 from .model import ADNetConfig, ModelParams
 from .numerics import AdamState, Tensor
 from .training import TrainConfig
@@ -38,9 +40,6 @@ FEATURE_MAGIC = b"ADNF"
 FEATURE_VERSION = 1
 CHECKPOINT_MAGIC = b"ADNC"
 CHECKPOINT_VERSION = 1
-
-MANIFEST_KEYS = {"video_id", "frames_per_clip", "total_frames", "segments"}
-SEGMENT_KEYS = {"start_frame", "end_frame", "label"}
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
@@ -87,8 +86,7 @@ def write_features(seq: ClipFeatureSequence, path) -> None:
     atomic_write_bytes(path, header + payload)
 
 
-def read_features(path, expect_dim: int | None = None,
-                  video_id: str | None = None) -> ClipFeatureSequence:
+def read_features(path, expect_dim: int | None = None) -> ClipFeatureSequence:
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -118,17 +116,28 @@ def read_features(path, expect_dim: int | None = None,
     if bad.size:
         raise FormatError(path, "non-finite feature value", offset=16 + 4 * int(bad[0]))
     features = raw.reshape(num_clips, dim).T.astype(np.float64)
-    return ClipFeatureSequence(video_id=video_id or Path(path).stem, features=features)
+    return ClipFeatureSequence(video_id=Path(path).stem, features=features)
 
 
 @dataclass(frozen=True)
 class AnnotationManifest:
-    """Frame-level segment annotation for one video."""
+    """Frame-level segment annotation for one video. The segments may come
+    in any order; they are kept in temporal order."""
 
     video_id: str
-    frames_per_clip: int
+    frames_per_clip: int = dataclasses.field(default=16, kw_only=True)
     total_frames: int
     segments: tuple[TemporalSegment, ...]
+
+    def __post_init__(self):
+        if self.frames_per_clip < 1:
+            raise InputError(f"frames_per_clip must be >= 1, got {self.frames_per_clip}")
+        segments = tuple(sorted(self.segments, key=lambda seg: seg.start_frame))
+        object.__setattr__(self, "segments", segments)
+        extent = partition_extent(segments, "annotation")
+        if extent != self.total_frames:
+            raise InputError(
+                f"annotation segments end at frame {extent}, total_frames is {self.total_frames}")
 
 
 def frame_labels(manifest: AnnotationManifest) -> np.ndarray:
@@ -139,16 +148,7 @@ def frame_labels(manifest: AnnotationManifest) -> np.ndarray:
 
 
 def write_annotations(manifest: AnnotationManifest, path) -> None:
-    doc = {
-        "video_id": manifest.video_id,
-        "frames_per_clip": manifest.frames_per_clip,
-        "total_frames": manifest.total_frames,
-        "segments": [
-            {"start_frame": s.start_frame, "end_frame": s.end_frame, "label": s.label}
-            for s in manifest.segments
-        ],
-    }
-    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+    atomic_write_text(path, json.dumps(config_to_dict(manifest), indent=2) + "\n")
 
 
 def read_text(path, what: str) -> str:
@@ -168,114 +168,104 @@ def read_json(path, what: str):
     text = read_text(path, what)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or an integer too long to convert
         raise FormatError(path, f"invalid JSON: {exc}") from exc
 
 
 def read_annotations(path) -> AnnotationManifest:
-    """Parse and validate a manifest."""
+    """Parse and validate a manifest, whose schema is AnnotationManifest."""
     doc = read_json(path, "annotation file")
-    if not isinstance(doc, dict):
-        raise FormatError(path, "annotation document must be a JSON object")
-    unknown = sorted(set(doc) - MANIFEST_KEYS)
-    if unknown:
-        raise FormatError(path, f"unknown field {unknown[0]!r}")
-    missing = sorted(MANIFEST_KEYS - {"frames_per_clip"} - set(doc))
-    if missing:
-        raise FormatError(path, f"missing field {missing[0]!r}")
-    video_id = doc["video_id"]
-    frames_per_clip = doc.get("frames_per_clip", 16)
-    total_frames = doc["total_frames"]
-    if not isinstance(frames_per_clip, int) or frames_per_clip < 1:
-        raise FormatError(path, f"field 'frames_per_clip' must be a positive integer, "
-                                f"got {frames_per_clip!r}")
-    if not isinstance(total_frames, int) or total_frames < 1:
-        raise FormatError(path, f"field 'total_frames' must be a positive integer, "
-                                f"got {total_frames!r}")
-    raw_segments = doc["segments"]
-    if not isinstance(raw_segments, list) or not raw_segments:
-        raise FormatError(path, "field 'segments' must be a non-empty list")
-    segments = []
-    for index, entry in enumerate(raw_segments):
-        if not isinstance(entry, dict):
-            raise FormatError(path, f"segment {index} must be an object")
-        unknown = sorted(set(entry) - SEGMENT_KEYS)
-        if unknown:
-            raise FormatError(path, f"segment {index}: unknown field {unknown[0]!r}")
-        missing = sorted(SEGMENT_KEYS - set(entry))
-        if missing:
-            raise FormatError(path, f"segment {index}: missing field {missing[0]!r}")
-        try:
-            segments.append(TemporalSegment(entry["start_frame"], entry["end_frame"],
-                                            entry["label"]))
-        except InputError as exc:
-            raise FormatError(path, f"segment {index}: {exc}") from exc
-    segments.sort(key=lambda s: s.start_frame)
-    problems = []
-    if segments[0].start_frame != 0:
-        problems.append(f"first segment starts at {segments[0].start_frame}, not 0")
-    for prev, cur in zip(segments, segments[1:]):
-        if cur.start_frame != prev.end_frame:
-            kind = "overlap" if cur.start_frame < prev.end_frame else "gap"
-            problems.append(
-                f"{kind} between [{prev.start_frame}, {prev.end_frame}) and "
-                f"[{cur.start_frame}, {cur.end_frame})")
-    if segments[-1].end_frame != total_frames:
-        problems.append(
-            f"last segment ends at {segments[-1].end_frame}, total_frames is {total_frames}")
-    if problems:
-        raise FormatError(path, "segments do not partition the video: " + "; ".join(problems))
-    return AnnotationManifest(video_id=video_id, frames_per_clip=frames_per_clip,
-                              total_frames=total_frames, segments=tuple(segments))
+    try:
+        return config_from_dict(AnnotationManifest, doc, "")
+    except (ConfigError, InputError) as exc:
+        raise FormatError(path, str(exc)) from exc
 
 
-# Config dataclasses (ADNetConfig, TrainConfig, SynthConfig) are the schema
-# of their JSON objects: one key per field, of the field's type. A field
-# named after a Python keyword ends in an underscore that its key drops
-# (TrainConfig.lambda_ is "lambda"), and a tuple field is a JSON list.
+@dataclass(frozen=True)
+class TensorEntry:
+    """One entry of a checkpoint header's tensor roster, in payload order."""
+
+    name: str
+    shape: tuple[int, ...]
+
+
+# Dataclasses are the schema of the JSON objects they are read from: run
+# configs (ADNetConfig, TrainConfig, SynthConfig), annotation manifests
+# and the checkpoint header's tensor roster. Each field is one key of the
+# field's type. A field named after a Python keyword ends in an underscore
+# that its key drops (TrainConfig.lambda_ is "lambda"), a tuple field is a
+# JSON list, and a dataclass field is an object.
 TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
-              str: "a string", tuple[int, int]: "a list of two integers"}
+              str: "a string", tuple[int, int]: "a list of two integers",
+              tuple[int, ...]: "a non-empty list of integers",
+              tuple[TemporalSegment, ...]: "a non-empty list of objects",
+              tuple[TensorEntry, ...]: "a non-empty list of objects"}
 
 
+@functools.cache  # get_type_hints is slow, and a manifest decodes one class per segment
 def config_types(cls) -> dict:
     """JSON key -> type of every field of a config dataclass, in field order."""
     hints = typing.get_type_hints(cls)
     return {field.name.rstrip("_"): hints[field.name] for field in dataclasses.fields(cls)}
 
 
-def _has_type(value, kind) -> bool:
+def has_type(value, kind) -> bool:
     """Whether a JSON value has a field's type: a number field also takes
-    an integer, no numeric field takes a bool, and a tuple field takes a
-    list holding one value of each element type."""
-    if typing.get_origin(kind) is tuple:
+    an integer, no numeric field takes a bool, a dataclass field takes an
+    object, a tuple[X, Y] field a list of one X and one Y, and a
+    tuple[X, ...] field a non-empty list of X."""
+    if isinstance(value, dict):
+        return dataclasses.is_dataclass(kind)
+    if isinstance(value, list):
+        if typing.get_origin(kind) is not tuple:
+            return False
         kinds = typing.get_args(kind)
-        return (isinstance(value, list) and len(value) == len(kinds)
-                and all(map(_has_type, value, kinds)))
+        if kinds[1:] == (Ellipsis,):
+            kinds = kinds[:1] * len(value)
+        return len(value) == len(kinds) > 0 and all(map(has_type, value, kinds))
     if isinstance(value, bool):
         return kind is bool
     if kind is float:
         return isinstance(value, (int, float))
-    return isinstance(value, kind)
+    return isinstance(kind, type) and isinstance(value, kind)
 
 
-def check_types(types: dict, doc, section: str = "") -> None:
-    """Raise ConfigError naming section.key unless doc is a JSON object
-    whose every key is in types and holds a value of that type."""
+def _decode(value, kind, name: str):
+    """A JSON value as a value of a field's type, or ConfigError naming the
+    field: a list becomes a tuple and an object the dataclass it holds."""
+    if not has_type(value, kind):
+        what = "an object" if dataclasses.is_dataclass(kind) else TYPE_NAMES[kind]
+        raise ConfigError(f"{name} must be {what}, got {json.dumps(value)}")
+    if isinstance(value, dict):
+        return config_from_dict(kind, value, name)
+    if isinstance(value, list):
+        item = typing.get_args(kind)[0]
+        if dataclasses.is_dataclass(item):
+            return tuple(config_from_dict(item, entry, f"{name}[{index}]")
+                         for index, entry in enumerate(value))
+        return tuple(value)
+    return value
+
+
+def check_types(types: dict, doc, section: str = "") -> dict:
+    """The values of doc decoded as _decode does; raises ConfigError naming
+    section.key unless doc is a JSON object whose every key is in types and
+    holds a value of that type."""
     if not isinstance(doc, dict):
-        raise ConfigError(f"section {section!r} must be an object")
+        raise ConfigError(f"{section or 'document'} must be an object")
+    values = {}
     for key, value in doc.items():
+        name = f"{section}.{key}" if section else key
         if key not in types:
-            raise ConfigError(f"unknown config key {section}.{key!r}")
-        if not _has_type(value, types[key]):
-            name = f"{section}.{key}" if section else key
-            raise ConfigError(
-                f"{name} must be {TYPE_NAMES[types[key]]}, got {json.dumps(value)}")
+            raise ConfigError(f"unknown key {name!r}")
+        values[key] = _decode(value, types[key], name)
+    return values
 
 
 def config_to_dict(config) -> dict:
-    """A config dataclass as its JSON object. Keys follow the fields,
-    except that a renamed key (lambda) goes last, where the checkpoint
-    header has always had it."""
+    """A config dataclass as its JSON object, a nested dataclass as an
+    object. Keys follow the fields, except that a renamed key (lambda) goes
+    last, where the checkpoint header has always had it."""
     doc = {name: list(value) if isinstance(value, tuple) else value
            for name, value in dataclasses.asdict(config).items()}
     for name in [name for name in doc if name.endswith("_")]:
@@ -285,13 +275,21 @@ def config_to_dict(config) -> dict:
 
 def config_from_dict(cls, doc, section: str, **given):
     """Decode a config dataclass from a JSON object, type-checked as
-    check_types does; a key the object leaves out takes its value from
-    given, else the field's default."""
-    check_types(config_types(cls), doc, section)
-    names = {field.name.rstrip("_"): field.name for field in dataclasses.fields(cls)}
-    values = {names[key]: tuple(value) if isinstance(value, list) else value
-              for key, value in doc.items()}
-    return cls(**{**given, **values})
+    check_types does. A key the object leaves out takes its value from
+    given, else the field's default; a field with neither is an error."""
+    values = check_types(config_types(cls), doc, section)
+    for field in dataclasses.fields(cls):
+        key = field.name.rstrip("_")
+        if key in values:
+            given[field.name] = values[key]
+        elif field.name not in given and field.default is dataclasses.MISSING:
+            raise ConfigError(f"{section}.{key} is missing" if section else f"{key} is missing")
+    try:
+        return cls(**given)
+    except (ConfigError, InputError) as exc:  # a value rule of __post_init__
+        if not section:
+            raise
+        raise type(exc)(f"{section}: {exc}") from exc
 
 
 @dataclass
@@ -347,12 +345,9 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def _expected_tensor_shapes(model_config: ADNetConfig, with_adam: bool) -> dict[str, tuple]:
-    shapes = dict(architecture.parameter_shapes(model_config))
-    if with_adam:
-        for prefix in ("optimizer.m.", "optimizer.v."):
-            for name, shape in architecture.parameter_shapes(model_config).items():
-                shapes[prefix + name] = shape
-    return shapes
+    prefixes = ("", "optimizer.m.", "optimizer.v.") if with_adam else ("",)
+    return {prefix + name: shape for prefix in prefixes
+            for name, shape in architecture.parameter_shapes(model_config).items()}
 
 
 def _header_config(cls, header: dict, section: str):
@@ -383,21 +378,27 @@ def load_checkpoint(path, expect_model_config: ADNetConfig | None = None) -> Che
         raise FormatError(path, "truncated header JSON", offset=len(data))
     try:
         header = json.loads(data[12:12 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to convert
         raise FormatError(path, f"invalid header JSON: {exc}", offset=12) from exc
     try:
         model_config = _header_config(ADNetConfig, header, "model")
         train_config = _header_config(TrainConfig, header, "train")
-        scalars = {name: header[name] for name in HEADER_SCALARS}
-        check_types(HEADER_SCALARS, scalars)
+        scalars = check_types(HEADER_SCALARS, {name: header[name] for name in HEADER_SCALARS})
         adam_meta = header.get("adam")
         if adam_meta is not None:
-            adam_meta = {name: adam_meta[name] for name in ADAM_SCALARS}
-            check_types(ADAM_SCALARS, adam_meta, "adam")
-        stored = {entry["name"]: tuple(entry["shape"]) for entry in header["tensors"]}
+            adam_meta = check_types(ADAM_SCALARS, {name: adam_meta[name] for name in ADAM_SCALARS},
+                                    "adam")
+        roster = _decode(header["tensors"], tuple[TensorEntry, ...], "tensors")
     except (KeyError, TypeError, ConfigError) as exc:
         raise FormatError(path, f"malformed header: {exc}", offset=12) from exc
+    # every stage stores a projection and a tensor per block, so a corrupt
+    # stage or layer count is caught before it sizes the expected roster
+    if model_config.num_stages * (model_config.num_layers + 1) > len(roster):
+        raise CheckpointError(f"{path}: {len(roster)} tensors cannot hold "
+                              f"{model_config.num_stages} stages of "
+                              f"{model_config.num_layers} layers")
     expected = _expected_tensor_shapes(model_config, adam_meta is not None)
+    stored = {entry.name: entry.shape for entry in roster}
     missing = sorted(set(expected) - set(stored))
     if missing:
         raise CheckpointError(f"{path}: missing tensor {missing[0]!r}")
@@ -414,15 +415,14 @@ def load_checkpoint(path, expect_model_config: ADNetConfig | None = None) -> Che
             f"incompatible with requested {config_to_dict(expect_model_config)}")
     offset = 12 + header_len
     arrays: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        name = entry["name"]
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    for entry in roster:
+        count = math.prod(entry.shape)
         nbytes = 8 * count
         if offset + nbytes > len(data):
-            raise FormatError(path, f"truncated payload for tensor {name!r}", offset=offset)
-        arrays[name] = np.frombuffer(data, dtype="<f8", count=count,
-                                     offset=offset).reshape(shape).astype(np.float64)
+            raise FormatError(path, f"truncated payload for tensor {entry.name!r}",
+                              offset=offset)
+        arrays[entry.name] = np.frombuffer(data, dtype="<f8", count=count,
+                                           offset=offset).reshape(entry.shape).astype(np.float64)
         offset += nbytes
     if offset != len(data):
         raise FormatError(path, f"{len(data) - offset} trailing bytes after last tensor",

@@ -59,14 +59,12 @@ class Tape:
     def __init__(self):
         self._steps: list[tuple[Tensor, Callable[[], None]]] = []
 
-    def __len__(self):
-        return len(self._steps)
-
     def record(self, output: Tensor, pullback: Callable[[], None]) -> None:
         self._steps.append((output, pullback))
 
     def backward(self, root: Tensor) -> None:
-        """Seed d(root)/d(root) = 1 and run pullbacks in reverse order.
+        """Seed d(root)/d(root) = 1 and run pullbacks in reverse order,
+        skipping those whose output no gradient reached.
 
         Leaf tensors (parameters, inputs) accumulate gradients across
         calls, so backward twice without zeroing doubles them. Op outputs
@@ -79,8 +77,9 @@ class Tape:
         for output, _ in self._steps:
             output.grad = None
         root.accumulate_grad(np.float64(1.0))
-        for _, pullback in reversed(self._steps):
-            pullback()
+        for output, pullback in reversed(self._steps):
+            if output.grad is not None:
+                pullback()
 
 
 def _require(condition: bool, message: str) -> None:
@@ -110,8 +109,6 @@ def conv1d_dilated(x: Tensor, kernel: Tensor, bias: Tensor, dilation: int,
     if tape is not None:
         def pullback():
             g = out.grad
-            if g is None:
-                return
             gx, gw, gb = kernels.conv1d_dilated_bwd(xv, wv, g, dilation)
             x.accumulate_grad(gx)
             kernel.accumulate_grad(gw)
@@ -134,8 +131,6 @@ def pointwise_conv(x: Tensor, kernel: Tensor, bias: Tensor,
     if tape is not None:
         def pullback():
             g = out.grad
-            if g is None:
-                return
             x.accumulate_grad(wv.T @ g)
             kernel.accumulate_grad(g @ xv.T)
             bias.accumulate_grad(g.sum(axis=1))
@@ -148,8 +143,6 @@ def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
     if tape is not None:
         def pullback():
             g = out.grad
-            if g is None:
-                return
             x.accumulate_grad(g * (x.value > 0.0))
         tape.record(out, pullback)
     return out
@@ -167,8 +160,6 @@ def sigmoid(x: Tensor, tape: Tape | None = None) -> Tensor:
     if tape is not None:
         def pullback():
             g = out.grad
-            if g is None:
-                return
             x.accumulate_grad(g * y * (1.0 - y))
         tape.record(out, pullback)
     return out
@@ -181,8 +172,6 @@ def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     if tape is not None:
         def pullback():
             g = out.grad
-            if g is None:
-                return
             a.accumulate_grad(g)
             b.accumulate_grad(g)
         tape.record(out, pullback)
@@ -199,8 +188,6 @@ def mask_mul(x: Tensor, mask, tape: Tape | None = None) -> Tensor:
     if tape is not None:
         def pullback():
             g = out.grad
-            if g is None:
-                return
             x.accumulate_grad(g * m)
         tape.record(out, pullback)
     return out
@@ -212,8 +199,6 @@ def scalar_scale(x: Tensor, factor: float, tape: Tape | None = None) -> Tensor:
     if tape is not None:
         def pullback():
             g = out.grad
-            if g is None:
-                return
             x.accumulate_grad(g * factor)
         tape.record(out, pullback)
     return out
@@ -230,8 +215,6 @@ def scalar_sum(terms: Sequence[Tensor], tape: Tape | None = None) -> Tensor:
     if tape is not None:
         def pullback():
             g = out.grad
-            if g is None:
-                return
             for term in terms:
                 term.accumulate_grad(g)
         tape.record(out, pullback)

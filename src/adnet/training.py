@@ -100,8 +100,6 @@ def mse_loss(scores: Tensor, targets, mask, tape: Tape | None = None) -> Tensor:
     if tape is not None:
         def pullback():
             g = out.grad
-            if g is None:
-                return
             scores.accumulate_grad(((2.0 / n) * g * diff).reshape(scores.value.shape))
         tape.record(out, pullback)
     return out
@@ -133,8 +131,6 @@ def ad_loss(scores: Tensor, targets, mask, alpha: float,
         na, nn = abnormal.size, normal.size
         def pullback():
             g = out.grad
-            if g is None:
-                return
             gy = np.zeros_like(y)
             gy[abnormal] -= g / na
             np.add.at(gy, normal[hard_normal], g / na)
@@ -212,7 +208,8 @@ def train(dataset: Sequence[tuple[np.ndarray, np.ndarray]],
     """Window-batched optimization: every epoch shuffles all windows of all
     videos and takes one Adam step per window. Deterministic for a fixed
     seed; resuming continues the epoch numbering and the per-epoch shuffle
-    streams, so an interrupted run matches an uninterrupted one.
+    streams, so an interrupted run matches an uninterrupted one, and steps
+    at train_config's learning rate.
     """
     if len(dataset) == 0:
         raise InputError("training dataset is empty")
@@ -228,6 +225,7 @@ def train(dataset: Sequence[tuple[np.ndarray, np.ndarray]],
             raise ConfigError("resume parameters were built for a different model config")
         params = resume.params
         adam = resume.adam
+        adam.lr = train_config.learning_rate
         start_epoch = resume.epochs_completed
         log = list(resume.log)
     else:

@@ -13,7 +13,7 @@ from adnet import cli, io as storage, model, numerics
 from adnet.io import Checkpoint, ClipFeatureSequence
 from adnet.model import ADNetConfig
 from adnet.training import TrainConfig
-from test_io import rewrite_header
+from test_io import rewrite_header, set_at
 
 
 def run(capsys, argv):
@@ -171,6 +171,29 @@ class TestTrain:
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert (tmp_path / "m.adnc").read_bytes() == checkpoint
 
+    def test_resume_steps_at_the_configured_learning_rate(self, pipeline, tmp_path, capsys):
+        _, corpus, _ = pipeline
+        paths = {"features_dir": str(corpus / "features"),
+                 "annotations_dir": str(corpus / "annotations")}
+        start = tmp_path / "start.adnc"
+        config = write_config(tmp_path / "start.json", {
+            "model": SMALL_MODEL, "train": {"epochs": 1, "seed": 3},
+            "paths": {**paths, "checkpoint": str(start)}})
+        assert run(capsys, ["train", "--config", config])[0] == 0
+        resumed = []
+        for rate in (5e-4, 0.5):
+            checkpoint = tmp_path / f"{rate}.adnc"
+            checkpoint.write_bytes(start.read_bytes())
+            config = write_config(tmp_path / f"{rate}.json", {
+                "model": SMALL_MODEL, "train": {"epochs": 1, "seed": 3, "learning_rate": rate},
+                "paths": {**paths, "checkpoint": str(checkpoint)}})
+            assert run(capsys, ["train", "--config", config, "--resume"])[0] == 0
+            ckpt = storage.load_checkpoint(checkpoint)
+            assert ckpt.adam.lr == ckpt.train_config.learning_rate == rate
+            resumed.append(ckpt.params.tensors)
+        slow, fast = resumed
+        assert any(not np.array_equal(slow[name].value, fast[name].value) for name in slow)
+
     def test_excess_layers_cites_bound(self, pipeline, tmp_path, capsys):
         _, corpus, _ = pipeline
         config = write_config(tmp_path / "deep.json", {
@@ -318,6 +341,20 @@ class TestCheckpointHeader:
         assert f"{field} must be " in err
 
 
+    def test_roster_shape_of_floats_names_the_entry(self, pipeline, tmp_path, capsys):
+        root, corpus, _ = pipeline
+        checkpoint = tmp_path / "m.adnc"
+        checkpoint.write_bytes((root / "model.adnc").read_bytes())
+        rewrite_header(checkpoint, lambda header: header["tensors"][0].update(
+            shape=[float(size) for size in header["tensors"][0]["shape"]]))
+        code, _, err = run(capsys, ["infer", "--checkpoint", str(checkpoint),
+                                    "--features", str(corpus / "features"),
+                                    "--out", str(tmp_path / "pred")])
+        assert code == 2
+        assert err.startswith(f"adnet: error: {checkpoint}") and err.count("\n") == 1
+        assert "tensors[0].shape must be " in err
+
+
 class TestEval:
     def test_end_to_end_report(self, pipeline, capsys):
         root, corpus, _ = pipeline
@@ -442,6 +479,32 @@ class TestEval:
         assert (code, out) == (2, "")
         assert err.startswith(f"adnet: error: {path}: config")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("path,value", [
+        (("segments", 0, "end_frame"), 2.5), (("segments", 0, "start_frame"), None),
+        (("video_id",), 5), (("video_id",), ["a"]), (("segments", 1, "label"), True),
+        (("frames_per_clip",), True)])
+    def test_mistyped_annotation_names_the_field(self, eval_dirs, capsys, path, value):
+        argv, write = eval_dirs
+        write("v.json")
+        gt = Path(argv[4]) / "v.json"
+        manifest = json.loads(gt.read_text())
+        set_at(manifest, path, value)
+        gt.write_text(json.dumps(manifest))
+        field = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"adnet: error: {gt}: {field.lstrip('.')} must be ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("frames", [1.0, 16.0, True, 0, "16", None])
+    def test_mistyped_frames_per_clip_rejected(self, eval_dirs, capsys, frames):
+        argv, write = eval_dirs
+        path = write("v.json", frames_per_clip=frames)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == (f"adnet: error: {path}: frames_per_clip must be a positive integer, "
+                       f"got {json.dumps(frames)}\n")
 
     def test_duplicate_video_id_rejected(self, eval_dirs, capsys):
         argv, write = eval_dirs

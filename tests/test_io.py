@@ -1,8 +1,11 @@
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adnet import io as storage
 from adnet import model, numerics, synth, training
@@ -92,6 +95,54 @@ def manifest_doc(**overrides):
     return doc
 
 
+JSON_VALUES = {
+    int: st.integers(), float: st.floats(allow_nan=False, allow_infinity=False),
+    bool: st.booleans(), type(None): st.none(), str: st.text(max_size=6),
+    list: st.lists(st.integers() | st.text(max_size=3), max_size=3),
+    dict: st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+
+
+def json_nodes(node, path=()):
+    """(path, value) of every value in a JSON document, the root first."""
+    yield path, node
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from json_nodes(child, path + (key,))
+
+
+def set_at(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+def mutate(draw, doc) -> None:
+    """One drawn mutation of a JSON document, in place: a leaf replaced by a
+    value of another JSON type, a key deleted, an unknown key added, or a
+    list reordered."""
+    nodes = list(json_nodes(doc))
+    objects = [node for _, node in nodes if isinstance(node, dict)]
+    action = draw(st.sampled_from(["replace", "delete", "add", "reorder"]))
+    if action == "replace":
+        path, leaf = draw(st.sampled_from([(path, node) for path, node in nodes
+                                           if not isinstance(node, (dict, list))]))
+        kind = draw(st.sampled_from([kind for kind in JSON_VALUES if kind is not type(leaf)]))
+        set_at(doc, path, draw(JSON_VALUES[kind]))
+    elif action == "delete":
+        obj = draw(st.sampled_from([obj for obj in objects if obj]))
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    elif action == "add":
+        obj = draw(st.sampled_from(objects))
+        obj["unknown_key"] = draw(st.one_of(*JSON_VALUES.values()))
+    else:
+        items = draw(st.sampled_from([node for _, node in nodes
+                                      if isinstance(node, list) and len(node) > 1]))
+        items[:] = draw(st.permutations(items))
+
+
 def clip_labels(manifest):
     return training.clip_labels_from_frames(storage.frame_labels(manifest),
                                             manifest.frames_per_clip)
@@ -159,6 +210,57 @@ class TestAnnotations:
         with pytest.raises(FormatError, match="not UTF-8"):
             storage.read_annotations(path)
 
+    def test_segments_in_any_order(self, tmp_path):
+        path = tmp_path / "vid.json"
+        doc = manifest_doc()
+        doc["segments"].reverse()
+        path.write_text(json.dumps(doc))
+        assert storage.read_annotations(path).segments == (TemporalSegment(0, 160, 0),
+                                                           TemporalSegment(160, 320, 1))
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["segments"][1].update(end_frame=320.0),
+         "segments[1].end_frame must be an integer, got 320.0"),
+        (lambda doc: doc["segments"][0].update(label=False),
+         "segments[0].label must be an integer, got false"),
+        (lambda doc: doc.update(segments=[]), "segments must be a non-empty list"),
+        (lambda doc: doc.update(segments=[5]), "segments must be a non-empty list of objects"),
+        (lambda doc: doc["segments"][0].pop("label"), "segments[0].label is missing"),
+        (lambda doc: doc.pop("video_id"), "video_id is missing"),
+        (lambda doc: doc["segments"][1].update(label=2),
+         "segments[1]: segment label must be 0 or 1, got 2"),
+        (lambda doc: doc.update(frames_per_clip=0), "frames_per_clip must be >= 1, got 0"),
+        (lambda doc: doc.update(total_frames=321), "total_frames is 321"),
+    ])
+    def test_decoder_names_the_field(self, tmp_path, edit, message):
+        path = tmp_path / "vid.json"
+        doc = manifest_doc()
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError) as excinfo:
+            storage.read_annotations(path)
+        assert str(excinfo.value).startswith(f"{path}: ")
+        assert message in str(excinfo.value)
+
+    def test_integer_too_long_to_convert_is_a_format_error(self, tmp_path):
+        path = tmp_path / "vid.json"
+        path.write_text(json.dumps(manifest_doc()).replace("320", "1" * 5000))
+        with pytest.raises(FormatError, match="invalid JSON"):
+            storage.read_annotations(path)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_manifest_reads_or_raises_format_error(self, data):
+        doc = manifest_doc()
+        mutate(data.draw, doc)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "vid.json"
+            path.write_text(json.dumps(doc))
+            try:
+                storage.read_annotations(path)
+            except FormatError:
+                pass
+
     def test_write_read_round_trip(self, tmp_path):
         manifest = AnnotationManifest(
             video_id="vid", frames_per_clip=16, total_frames=64,
@@ -194,6 +296,13 @@ def rewrite_header(path, edit):
     new_header = json.dumps(header).encode()
     path.write_bytes(raw[:8] + struct.pack("<I", len(new_header)) + new_header
                      + raw[12 + header_len:])
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("checkpoint") / "model.adnc"
+    storage.save_checkpoint(trained_checkpoint(), path)
+    return path.read_bytes()
 
 
 class TestCheckpoints:
@@ -268,6 +377,44 @@ class TestCheckpoints:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError, match="cannot read"):
             storage.load_checkpoint(tmp_path / "absent.adnc")
+
+    def test_roster_shape_of_floats_names_the_entry(self, tmp_path):
+        path = tmp_path / "model.adnc"
+        storage.save_checkpoint(trained_checkpoint(), path)
+        rewrite_header(path, lambda header: header["tensors"][0].update(shape=[8.0, 4.0]))
+        with pytest.raises(FormatError, match=r"tensors\[0\]\.shape must be a non-empty "
+                                              r"list of integers, got \[8\.0, 4\.0\]"):
+            storage.load_checkpoint(path)
+
+    def test_stage_count_beyond_roster_rejected_before_sizing_it(self, tmp_path):
+        path = tmp_path / "model.adnc"
+        storage.save_checkpoint(trained_checkpoint(), path)
+        rewrite_header(path, lambda header: header["model"].update(num_stages=10 ** 4))
+        with pytest.raises(CheckpointError, match="96 tensors cannot hold 10000 stages"):
+            storage.load_checkpoint(path)
+
+    def test_integer_too_long_to_convert_is_a_format_error(self, tmp_path):
+        path = tmp_path / "model.adnc"
+        storage.save_checkpoint(trained_checkpoint(), path)
+        raw = path.read_bytes()
+        header_len = struct.unpack_from("<I", raw, 8)[0]
+        header = raw[12:12 + header_len].replace(b'"seed": 3', b'"seed": ' + b"1" * 5000)
+        path.write_bytes(raw[:8] + struct.pack("<I", len(header)) + header
+                         + raw[12 + header_len:])
+        with pytest.raises(FormatError, match="invalid header JSON"):
+            storage.load_checkpoint(path)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_header_loads_or_raises(self, checkpoint_bytes, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.adnc"
+            path.write_bytes(checkpoint_bytes)
+            rewrite_header(path, lambda header: mutate(data.draw, header))
+            try:
+                storage.load_checkpoint(path)
+            except (FormatError, CheckpointError):
+                pass
 
 
 class TestConfigDicts:

@@ -168,6 +168,17 @@ class TestBackward:
         tape.backward(loss)  # no zeroing in between: gradients sum
         np.testing.assert_allclose(x.grad, 4.0)
 
+    def test_pullbacks_run_only_where_a_gradient_arrived(self):
+        x = Tensor(np.float64(3.0))
+        tape = Tape()
+        numerics.scalar_scale(x, 5.0, tape)  # its output never reaches the loss
+        calls = []
+        tape.record(Tensor(0.0), lambda: calls.append("unreached"))
+        loss = numerics.scalar_scale(x, 2.0, tape)
+        tape.backward(loss)
+        np.testing.assert_allclose(x.grad, 2.0)
+        assert calls == []
+
     def test_masked_column_gradient_is_zero(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(2, 4)))

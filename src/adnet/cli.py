@@ -90,6 +90,23 @@ def _write_json(path, doc: dict) -> None:
     storage.atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
+def prediction_text(doc: dict, clip_scores: list, clip_labels: list,
+                    frames_per_clip: int) -> str:
+    """The text of json.dumps(doc, indent=2) + "\n" once the keys
+    clip_scores, clip_labels and frame_scores (every clip score repeated
+    frames_per_clip times) follow those of doc. Each score is formatted
+    once, as json formats a finite float, and the three lists are spliced
+    in after json formats the rest."""
+    separator = ",\n    "
+    scores = list(map(float.__repr__, clip_scores))
+    frames = [text for text in scores for _ in range(frames_per_clip)]
+    lists = {"clip_scores": scores, "clip_labels": list(map(int.__repr__, clip_labels)),
+             "frame_scores": frames}
+    head = json.dumps(doc, indent=2)[:-2]  # without the closing "\n}"
+    return head + "".join(f',\n  "{key}": [\n    {separator.join(items)}\n  ]'
+                          for key, items in lists.items()) + "\n}\n"
+
+
 def cmd_synth(args) -> int:
     doc = load_run_config(args.config)
     config = storage.config_from_dict(generator.SynthConfig, doc.get("synth", {}), "synth")
@@ -110,6 +127,16 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _frame_labels(path, manifest: storage.AnnotationManifest, num_clips: int) -> np.ndarray:
+    """A manifest's frame labels, allocated only once its total_frames is
+    known to fit num_clips clips (the last may be short)."""
+    n = manifest.frames_per_clip
+    if not n * (num_clips - 1) < manifest.total_frames <= n * num_clips:
+        raise InputError(f"{path}: total_frames {manifest.total_frames} does not fit "
+                         f"{num_clips} clips at {n} frames per clip")
+    return storage.frame_labels(manifest)
+
+
 def _load_corpus(features_dir: Path, annotations_dir: Path, fraction: float):
     """Matching feature/annotation pairs; returns (sequences, clip label
     arrays, frames_per_clip)."""
@@ -128,25 +155,20 @@ def _load_corpus(features_dir: Path, annotations_dir: Path, fraction: float):
     frames_per_clip = None
     for path in feature_files:
         seq = storage.read_features(path)
-        manifest = storage.read_annotations(annotations_dir / f"{path.stem}.json")
+        annotation_path = annotations_dir / f"{path.stem}.json"
+        manifest = storage.read_annotations(annotation_path)
         if manifest.video_id != path.stem:
-            raise InputError(
-                f"{annotations_dir / (path.stem + '.json')}: manifest video_id "
-                f"{manifest.video_id!r} does not match file name")
+            raise InputError(f"{annotation_path}: manifest video_id "
+                             f"{manifest.video_id!r} does not match file name")
         if frames_per_clip is None:
             frames_per_clip = manifest.frames_per_clip
         elif manifest.frames_per_clip != frames_per_clip:
             raise InputError(
                 f"inconsistent frames_per_clip: {manifest.frames_per_clip} in "
                 f"{manifest.video_id}, {frames_per_clip} elsewhere")
-        clip_labels = training.clip_labels_from_frames(
-            storage.frame_labels(manifest), frames_per_clip, fraction)
-        if clip_labels.shape[0] != seq.num_clips:
-            raise InputError(
-                f"{manifest.video_id}: {seq.num_clips} feature clips but annotations "
-                f"imply {clip_labels.shape[0]} clips")
         sequences.append(seq)
-        labels.append(clip_labels)
+        labels.append(training.clip_labels_from_frames(
+            _frame_labels(annotation_path, manifest, seq.num_clips), frames_per_clip, fraction))
     return sequences, labels, frames_per_clip
 
 
@@ -198,7 +220,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    ckpt = storage.load_checkpoint(args.checkpoint)
+    ckpt = storage.load_checkpoint(args.checkpoint, params_only=True)
     threshold = args.threshold if args.threshold is not None else ckpt.model_config.threshold
     if not 0.0 < threshold < 1.0:
         raise ConfigError(f"threshold must lie in (0, 1), got {threshold}")
@@ -223,18 +245,14 @@ def cmd_infer(args) -> int:
         if not np.all(np.isfinite(scores)):
             raise NumericError(f"non-finite score for video {seq.video_id}")
         labels = architecture.predict_labels(scores, threshold)
-        frame_scores = evaluation.expand_to_frames(
-            scores, ckpt.frames_per_clip, ckpt.frames_per_clip * seq.num_clips)
         doc = _document_header(resolved)
         doc.update({
             "video_id": seq.video_id,
             "num_clips": seq.num_clips,
             "frames_per_clip": ckpt.frames_per_clip,
-            "clip_scores": scores.tolist(),
-            "clip_labels": labels.tolist(),
-            "frame_scores": frame_scores.tolist(),
         })
-        _write_json(out_dir / f"{seq.video_id}.json", doc)
+        storage.atomic_write_text(out_dir / f"{seq.video_id}.json", prediction_text(
+            doc, scores.tolist(), labels.tolist(), ckpt.frames_per_clip))
     print(f"scored {len(paths)} videos into {out_dir}")
     return EXIT_OK
 
@@ -306,14 +324,19 @@ def cmd_eval(args) -> int:
         elif doc_threshold != threshold:
             raise InputError(f"{path}: threshold {doc_threshold} disagrees with "
                              f"{threshold} elsewhere")
-    gt_labels: dict[str, np.ndarray] = {}
+    manifests = {}
     for path in sorted(gt_dir.glob("*.json")):
         manifest = storage.read_annotations(path)
-        gt_labels[manifest.video_id] = storage.frame_labels(manifest)
+        manifests[manifest.video_id] = path, manifest
         if manifest.frames_per_clip != frames_per_clip:
             raise InputError(
                 f"{path}: frames_per_clip {manifest.frames_per_clip} does not match "
                 f"predictions ({frames_per_clip})")
+    if set(manifests) != set(pred_scores):
+        raise InputError(f"prediction and ground-truth video sets differ: "
+                         f"{sorted(set(manifests) ^ set(pred_scores))}")
+    gt_labels = {video_id: _frame_labels(path, manifest, pred_scores[video_id].size)
+                 for video_id, (path, manifest) in manifests.items()}
     report = evaluation.evaluate(pred_scores, gt_labels, frames_per_clip,
                                  ks=args.k, threshold=threshold)
     doc = _document_header({

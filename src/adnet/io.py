@@ -195,7 +195,7 @@ class TensorEntry:
 # field's type. A field named after a Python keyword ends in an underscore
 # that its key drops (TrainConfig.lambda_ is "lambda"), a tuple field is a
 # JSON list, and a dataclass field is an object.
-TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
+TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
               str: "a string", tuple[int, int]: "a list of two integers",
               tuple[int, ...]: "a non-empty list of integers",
               tuple[TemporalSegment, ...]: "a non-empty list of objects",
@@ -210,10 +210,10 @@ def config_types(cls) -> dict:
 
 
 def has_type(value, kind) -> bool:
-    """Whether a JSON value has a field's type: a number field also takes
-    an integer, no numeric field takes a bool, a dataclass field takes an
-    object, a tuple[X, Y] field a list of one X and one Y, and a
-    tuple[X, ...] field a non-empty list of X."""
+    """Whether a JSON value has a field's type: a number field takes a
+    finite float or an integer within float range, no numeric field takes
+    a bool, a dataclass field takes an object, a tuple[X, Y] field a list
+    of one X and one Y, and a tuple[X, ...] field a non-empty list of X."""
     if isinstance(value, dict):
         return dataclasses.is_dataclass(kind)
     if isinstance(value, list):
@@ -226,7 +226,10 @@ def has_type(value, kind) -> bool:
     if isinstance(value, bool):
         return kind is bool
     if kind is float:
-        return isinstance(value, (int, float))
+        try:
+            return isinstance(value, (int, float)) and math.isfinite(value)
+        except OverflowError:  # an integer beyond float range
+            return False
     return isinstance(kind, type) and isinstance(value, kind)
 
 
@@ -360,24 +363,32 @@ def _header_config(cls, header: dict, section: str):
     return config
 
 
-def load_checkpoint(path, expect_model_config: ADNetConfig | None = None) -> Checkpoint:
+def load_checkpoint(path, expect_model_config: ADNetConfig | None = None,
+                    params_only: bool = False) -> Checkpoint:
+    """Read and check a checkpoint. With params_only the optimizer moments
+    are checked against the file size but not read, and adam is None."""
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as handle:
+            return _read_checkpoint(path, handle, expect_model_config, params_only)
     except OSError as exc:
         raise FormatError(path, f"cannot read checkpoint: {exc}") from exc
-    if len(data) < 12:
-        raise FormatError(path, f"truncated header: {len(data)} bytes, need 12",
-                          offset=len(data))
-    if data[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(path, f"bad magic {data[:4]!r}, expected {CHECKPOINT_MAGIC!r}",
+
+
+def _read_checkpoint(path, handle, expect_model_config, params_only) -> Checkpoint:
+    size = os.fstat(handle.fileno()).st_size
+    if size < 12:
+        raise FormatError(path, f"truncated header: {size} bytes, need 12", offset=size)
+    head = handle.read(12)
+    if head[:4] != CHECKPOINT_MAGIC:
+        raise FormatError(path, f"bad magic {head[:4]!r}, expected {CHECKPOINT_MAGIC!r}",
                           offset=0)
-    version, header_len = struct.unpack_from("<II", data, 4)
+    version, header_len = struct.unpack_from("<II", head, 4)
     if version != CHECKPOINT_VERSION:
         raise FormatError(path, f"unsupported version {version}", offset=4)
-    if len(data) < 12 + header_len:
-        raise FormatError(path, "truncated header JSON", offset=len(data))
+    if size < 12 + header_len:
+        raise FormatError(path, "truncated header JSON", offset=size)
     try:
-        header = json.loads(data[12:12 + header_len].decode("utf-8"))
+        header = json.loads(handle.read(header_len).decode("utf-8"))
     except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to convert
         raise FormatError(path, f"invalid header JSON: {exc}", offset=12) from exc
     try:
@@ -413,29 +424,35 @@ def load_checkpoint(path, expect_model_config: ADNetConfig | None = None) -> Che
         raise CheckpointError(
             f"{path}: checkpoint model config {config_to_dict(model_config)} is "
             f"incompatible with requested {config_to_dict(expect_model_config)}")
-    offset = 12 + header_len
-    arrays: dict[str, np.ndarray] = {}
+    start = offset = 12 + header_len
+    spans: dict[str, tuple[int, int]] = {}  # tensor name -> (offset, element count)
     for entry in roster:
         count = math.prod(entry.shape)
         nbytes = 8 * count
-        if offset + nbytes > len(data):
+        if offset + nbytes > size:
             raise FormatError(path, f"truncated payload for tensor {entry.name!r}",
                               offset=offset)
-        arrays[entry.name] = np.frombuffer(data, dtype="<f8", count=count,
-                                           offset=offset).reshape(entry.shape).astype(np.float64)
+        spans[entry.name] = (offset, count)
         offset += nbytes
-    if offset != len(data):
-        raise FormatError(path, f"{len(data) - offset} trailing bytes after last tensor",
+    if offset != size:
+        raise FormatError(path, f"{size - offset} trailing bytes after last tensor",
                           offset=offset)
-    params = ModelParams(model_config, {
-        name: Tensor(arrays[name]) for name in architecture.parameter_shapes(model_config)})
+    names = list(architecture.parameter_shapes(model_config))
+    wanted = names if params_only else list(stored)
+    end = max(spans[name][0] + 8 * spans[name][1] for name in wanted)
+    data = handle.read(end - start)
+    if len(data) != end - start:
+        raise FormatError(path, "file shrank while being read", offset=start + len(data))
+    arrays = {name: np.frombuffer(data, dtype="<f8", count=spans[name][1],
+                                  offset=spans[name][0] - start)
+              .reshape(stored[name]).astype(np.float64) for name in wanted}
+    params = ModelParams(model_config, {name: Tensor(arrays[name]) for name in names})
     adam = None
-    if adam_meta is not None:
-        names = list(architecture.parameter_shapes(model_config))
+    if adam_meta is not None and not params_only:
         adam = AdamState(
             **adam_meta,
-            first_moment=[np.array(arrays["optimizer.m." + n]) for n in names],
-            second_moment=[np.array(arrays["optimizer.v." + n]) for n in names],
+            first_moment=[arrays["optimizer.m." + n] for n in names],
+            second_moment=[arrays["optimizer.v." + n] for n in names],
         )
     return Checkpoint(model_config=model_config, train_config=train_config, **scalars,
                       params=params, adam=adam)

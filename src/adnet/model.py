@@ -132,12 +132,17 @@ def forward(params: ModelParams, window: Window,
             f"window mask has shape {window.mask.shape}, model expects ({cfg.window_width},)")
     t = params.tensors
     mask = window.mask
+    # x * 1.0 is x bit for bit, so a window without padding skips the masking
+    unpadded = bool(np.all(mask == 1.0))
+
+    def masked(x: Tensor) -> Tensor:
+        return x if unpadded else numerics.mask_mul(x, mask, tape)
+
     current = Tensor(window.features)
     outputs: list[Tensor] = []
     for s in range(cfg.num_stages):
-        v = numerics.pointwise_conv(current, t[f"stage{s}.proj.weight"],
-                                    t[f"stage{s}.proj.bias"], tape)
-        v = numerics.mask_mul(v, mask, tape)
+        v = masked(numerics.pointwise_conv(current, t[f"stage{s}.proj.weight"],
+                                           t[f"stage{s}.proj.bias"], tape))
         for layer in range(cfg.num_layers):
             h = numerics.conv1d_dilated(v, t[f"stage{s}.block{layer}.dilated.weight"],
                                         t[f"stage{s}.block{layer}.dilated.bias"],
@@ -145,10 +150,10 @@ def forward(params: ModelParams, window: Window,
             h = numerics.relu(h, tape)
             h = numerics.pointwise_conv(h, t[f"stage{s}.block{layer}.pointwise.weight"],
                                         t[f"stage{s}.block{layer}.pointwise.bias"], tape)
-            v = numerics.mask_mul(numerics.add(v, h, tape), mask, tape)
+            v = masked(numerics.add(v, h, tape))
         scores = numerics.pointwise_conv(v, t[f"stage{s}.head.weight"],
                                          t[f"stage{s}.head.bias"], tape)
-        scores = numerics.mask_mul(numerics.sigmoid(scores, tape), mask, tape)
+        scores = masked(numerics.sigmoid(scores, tape))
         outputs.append(scores)
         current = scores
     return outputs

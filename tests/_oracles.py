@@ -1,15 +1,18 @@
-"""Independent oracles for the metric tests.
+"""Independent oracles for the metric and model tests.
 
 These deliberately avoid the library's own matching/ranking code paths:
 `greedy_counts` is the greedy matcher as a double loop over prediction x
 ground-truth pairs, `optimal_counts` an exhaustive maximum bipartite
 matching, and the AUC oracle counts every abnormal/normal pair directly.
+`masked_forward` is the model's forward pass masking every window, padded
+or not.
 """
 
 import numpy as np
 
-from adnet import evaluation
+from adnet import evaluation, numerics
 from adnet.evaluation import TemporalSegment
+from adnet.numerics import Tensor
 
 
 def _iou(a: TemporalSegment, b: TemporalSegment) -> float:
@@ -101,3 +104,31 @@ def pairwise_auc(scores, labels):
     wins = (pos[:, None] > neg[None, :]).sum()
     ties = (pos[:, None] == neg[None, :]).sum()
     return (wins + 0.5 * ties) / (pos.size * neg.size)
+
+
+def masked_forward(params, window, tape=None):
+    """Per-stage score sequences, with the mask applied after the
+    projection, after every block and after each head of every window."""
+    cfg = params.config
+    t = params.tensors
+    mask = window.mask
+    current = Tensor(window.features)
+    outputs = []
+    for s in range(cfg.num_stages):
+        v = numerics.pointwise_conv(current, t[f"stage{s}.proj.weight"],
+                                    t[f"stage{s}.proj.bias"], tape)
+        v = numerics.mask_mul(v, mask, tape)
+        for layer in range(cfg.num_layers):
+            h = numerics.conv1d_dilated(v, t[f"stage{s}.block{layer}.dilated.weight"],
+                                        t[f"stage{s}.block{layer}.dilated.bias"],
+                                        1 << layer, tape)
+            h = numerics.relu(h, tape)
+            h = numerics.pointwise_conv(h, t[f"stage{s}.block{layer}.pointwise.weight"],
+                                        t[f"stage{s}.block{layer}.pointwise.bias"], tape)
+            v = numerics.mask_mul(numerics.add(v, h, tape), mask, tape)
+        scores = numerics.pointwise_conv(v, t[f"stage{s}.head.weight"],
+                                         t[f"stage{s}.head.bias"], tape)
+        scores = numerics.mask_mul(numerics.sigmoid(scores, tape), mask, tape)
+        outputs.append(scores)
+        current = scores
+    return outputs

@@ -1,13 +1,16 @@
 import fcntl
 import json
+import math
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from adnet import cli, io as storage, model, numerics
 from adnet.io import Checkpoint, ClipFeatureSequence
@@ -96,6 +99,22 @@ class TestRunConfig:
                                         "--out", str(tmp_path / "corpus")])
             assert code == 2, value
             assert err.startswith(f"adnet: error: {config}: {section}.{key} must be ")
+
+    @pytest.mark.parametrize("section,key", [
+        (section, key) for section, keys in cli.CONFIG_SCHEMA.items()
+        for key, kind in keys.items() if kind is float])
+    @pytest.mark.parametrize("token,shown", [("NaN", "NaN"), ("Infinity", "Infinity"),
+                                             ("-Infinity", "-Infinity"),
+                                             ("1e999", "Infinity"), ("1" * 400, "1" * 400)])
+    def test_number_beyond_float_range_names_the_key(self, section, key, token, shown,
+                                                     tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(f'{{"{section}": {{"{key}": {token}}}}}')
+        code, out, err = run(capsys, ["synth", "--config", str(config),
+                                      "--out", str(tmp_path / "corpus")])
+        assert (code, out) == (2, "")
+        assert err == (f"adnet: error: {config}: {section}.{key} must be a finite number, "
+                       f"got {shown}\n")
 
     def test_integers_accepted_for_number_fields(self, tmp_path):
         config = write_config(tmp_path / "c.json", {
@@ -207,6 +226,29 @@ class TestTrain:
         assert code == 2
         assert "max_layers" in err
 
+    def test_total_frames_beyond_the_features_names_the_file(self, pipeline, tmp_path,
+                                                              capsys):
+        _, corpus, _ = pipeline
+        annotations = tmp_path / "annotations"
+        annotations.mkdir()
+        for path in (corpus / "annotations").glob("*.json"):
+            (annotations / path.name).write_bytes(path.read_bytes())
+        bad = sorted(annotations.glob("*.json"))[0]
+        manifest = json.loads(bad.read_text())
+        manifest.update(total_frames=10 ** 15,
+                        segments=[{"start_frame": 0, "end_frame": 10 ** 15, "label": 0}])
+        bad.write_text(json.dumps(manifest))
+        clips = storage.read_features(corpus / "features" / f"{bad.stem}.adnf").num_clips
+        config = write_config(tmp_path / "c.json", {
+            "model": SMALL_MODEL, "train": {"epochs": 1, "seed": 3},
+            "paths": {"features_dir": str(corpus / "features"),
+                      "annotations_dir": str(annotations),
+                      "checkpoint": str(tmp_path / "m.adnc")}})
+        code, out, err = run(capsys, ["train", "--config", config])
+        assert (code, out) == (2, "")
+        assert err == (f"adnet: error: {bad}: total_frames {10 ** 15} does not fit "
+                       f"{clips} clips at 16 frames per clip\n")
+
     def test_missing_corpus(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json", {
             "paths": {"features_dir": str(tmp_path / "nowhere"),
@@ -305,6 +347,165 @@ class TestInfer:
                                     "--out", str(tmp_path / "pred")])
         assert code == 3
         assert "numeric" in err
+
+
+def expected_prediction_text(doc, scores, labels, frames_per_clip):
+    full = {**doc, "clip_scores": scores, "clip_labels": labels,
+            "frame_scores": [score for score in scores for _ in range(frames_per_clip)]}
+    return json.dumps(full, indent=2) + "\n"
+
+
+PREDICTION_HEAD = {"tool": "adnet", "version": "0.1.0",
+                   "config": {"threshold": 0.5, "model": {"window_width": 8},
+                              "train_seed": 3, "frames_per_clip": 16},
+                   "video_id": "caf\u00e9 \"1\"", "num_clips": 3, "frames_per_clip": 16}
+
+
+class TestPredictionText:
+    @given(scores=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=1, max_size=300),
+           frames_per_clip=st.integers(1, 32))
+    @example(scores=[5e-324], frames_per_clip=1)
+    @example(scores=[1e-05], frames_per_clip=16)
+    @example(scores=[0.1], frames_per_clip=32)
+    @example(scores=[1 / 3], frames_per_clip=2)
+    @example(scores=[0.0], frames_per_clip=3)
+    @example(scores=[1.0], frames_per_clip=16)
+    @example(scores=[5e-324, 1e-05, 0.1, 1 / 3, 0.0, 1.0, -0.0], frames_per_clip=16)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_json_dumps(self, scores, frames_per_clip):
+        labels = [int(score >= 0.5) for score in scores]
+        text = cli.prediction_text(PREDICTION_HEAD, scores, labels, frames_per_clip)
+        assert text == expected_prediction_text(PREDICTION_HEAD, scores, labels,
+                                                frames_per_clip)
+
+    def test_infer_documents_are_json_dumps_of_themselves(self, pipeline, tmp_path, capsys):
+        root, corpus, _ = pipeline
+        features = tmp_path / "features"
+        features.mkdir()
+        for path in (corpus / "features").glob("*.adnf"):
+            (features / path.name).write_bytes(path.read_bytes())
+        storage.write_features(ClipFeatureSequence(
+            "tiny", np.random.default_rng(0).normal(size=(5, 1))), features / "tiny.adnf")
+        code, _, _ = run(capsys, ["infer", "--checkpoint", str(root / "model.adnc"),
+                                  "--features", str(features),
+                                  "--out", str(tmp_path / "pred")])
+        assert code == 0
+        docs = sorted((tmp_path / "pred").glob("*.json"))
+        assert len(docs) == 5
+        for path in docs:
+            text = path.read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
+            assert list(json.loads(text))[-3:] == ["clip_scores", "clip_labels",
+                                                   "frame_scores"]
+
+
+def payload_offsets(raw: bytes) -> dict:
+    """Tensor name -> byte offset of its payload, from a checkpoint's header."""
+    header_len = struct.unpack_from("<I", raw, 8)[0]
+    offsets = {}
+    offset = 12 + header_len
+    for entry in json.loads(raw[12:12 + header_len])["tensors"]:
+        offsets[entry["name"]] = offset
+        offset += 8 * math.prod(entry["shape"])
+    return offsets
+
+
+class TestInferCheckpointRead:
+    def run_infer(self, capsys, checkpoint, corpus, tmp_path):
+        return run(capsys, ["infer", "--checkpoint", str(checkpoint),
+                            "--features", str(corpus / "features"),
+                            "--out", str(tmp_path / "pred")])
+
+    def test_truncated_optimizer_payload_rejected(self, pipeline, tmp_path, capsys):
+        root, corpus, _ = pipeline
+        raw = (root / "model.adnc").read_bytes()
+        name = "optimizer.v.stage0.block1.dilated.weight"
+        offset = payload_offsets(raw)[name]
+        checkpoint = tmp_path / "m.adnc"
+        checkpoint.write_bytes(raw[:offset + 8])
+        code, out, err = self.run_infer(capsys, checkpoint, corpus, tmp_path)
+        assert (code, out) == (2, "")
+        assert err == (f"adnet: error: {checkpoint} @ byte {offset}: "
+                       f"truncated payload for tensor {name!r}\n")
+        assert not (tmp_path / "pred").exists()
+
+    def test_trailing_bytes_rejected(self, pipeline, tmp_path, capsys):
+        root, corpus, _ = pipeline
+        raw = (root / "model.adnc").read_bytes()
+        checkpoint = tmp_path / "m.adnc"
+        checkpoint.write_bytes(raw + b"extra")
+        code, out, err = self.run_infer(capsys, checkpoint, corpus, tmp_path)
+        assert (code, out) == (2, "")
+        assert err == (f"adnet: error: {checkpoint} @ byte {len(raw)}: "
+                       f"5 trailing bytes after last tensor\n")
+
+    def test_parameters_equal_a_full_load(self, pipeline):
+        root, _, _ = pipeline
+        full = storage.load_checkpoint(root / "model.adnc")
+        params_only = storage.load_checkpoint(root / "model.adnc", params_only=True)
+        assert full.adam is not None and params_only.adam is None
+        assert list(params_only.params.tensors) == list(full.params.tensors)
+        raw = (root / "model.adnc").read_bytes()
+        offsets = payload_offsets(raw)
+        for name, tensor in params_only.params.tensors.items():
+            stored = raw[offsets[name]:offsets[name] + tensor.value.nbytes]
+            assert tensor.value.tobytes() == full.params.tensors[name].value.tobytes() == stored
+
+    def test_reads_only_the_parameter_payload(self, pipeline, monkeypatch):
+        root, _, _ = pipeline
+        raw = (root / "model.adnc").read_bytes()
+        opened = []
+
+        class CountingFile:
+            def __init__(self, path, mode):
+                self.handle = open(path, mode)
+                self.bytes_read = 0
+                opened.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def fileno(self):
+                return self.handle.fileno()
+
+            def read(self, size):
+                data = self.handle.read(size)
+                self.bytes_read += len(data)
+                return data
+
+        monkeypatch.setattr(storage, "open", CountingFile, raising=False)
+        storage.load_checkpoint(root / "model.adnc", params_only=True)
+        storage.load_checkpoint(root / "model.adnc")
+        first_moment = payload_offsets(raw)["optimizer.m.stage0.proj.weight"]
+        assert [file.bytes_read for file in opened] == [first_moment, len(raw)]
+
+    def test_roster_in_any_order(self, pipeline, tmp_path):
+        # the parameters need not come first in the payload
+        root, _, _ = pipeline
+        raw = (root / "model.adnc").read_bytes()
+        header_len = struct.unpack_from("<I", raw, 8)[0]
+        header = json.loads(raw[12:12 + header_len])
+        offsets = payload_offsets(raw)
+        blobs = {entry["name"]: raw[offsets[entry["name"]]:
+                                    offsets[entry["name"]] + 8 * math.prod(entry["shape"])]
+                 for entry in header["tensors"]}
+        header["tensors"].reverse()
+        new_header = json.dumps(header).encode()
+        checkpoint = tmp_path / "m.adnc"
+        checkpoint.write_bytes(raw[:8] + struct.pack("<I", len(new_header)) + new_header
+                               + b"".join(blobs[entry["name"]] for entry in header["tensors"]))
+        full = storage.load_checkpoint(root / "model.adnc")
+        for params_only in (False, True):
+            back = storage.load_checkpoint(checkpoint, params_only=params_only)
+            for name, tensor in full.params.tensors.items():
+                assert np.array_equal(back.params.tensors[name].value, tensor.value)
+        back = storage.load_checkpoint(checkpoint)
+        for got, want in zip(back.adam.second_moment, full.adam.second_moment):
+            assert np.array_equal(got, want)
 
 
 def set_field(header, field, value):
@@ -496,6 +697,32 @@ class TestEval:
         assert (code, out) == (2, "")
         assert err.startswith(f"adnet: error: {gt}: {field.lstrip('.')} must be ")
         assert len(err.splitlines()) == 1
+
+    def test_total_frames_beyond_the_predictions_names_the_file(self, eval_dirs, capsys):
+        argv, write = eval_dirs
+        write("v.json")
+        gt = Path(argv[4]) / "v.json"
+        manifest = json.loads(gt.read_text())
+        manifest.update(total_frames=10 ** 15,
+                        segments=[{"start_frame": 0, "end_frame": 10 ** 15, "label": 1}])
+        gt.write_text(json.dumps(manifest))
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == (f"adnet: error: {gt}: total_frames {10 ** 15} does not fit "
+                       f"4 clips at 1 frames per clip\n")
+
+    def test_unmatched_video_sets_rejected(self, eval_dirs, capsys):
+        argv, write = eval_dirs
+        write("v.json")
+        gt = Path(argv[4])
+        manifest = json.loads((gt / "v.json").read_text())
+        (gt / "w.json").write_text(json.dumps({**manifest, "video_id": "w",
+                                               "total_frames": 10 ** 15, "segments": [
+                                                   {"start_frame": 0, "end_frame": 10 ** 15,
+                                                    "label": 0}]}))
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "adnet: error: prediction and ground-truth video sets differ: ['w']\n"
 
     @pytest.mark.parametrize("frames", [1.0, 16.0, True, 0, "16", None])
     def test_mistyped_frames_per_clip_rejected(self, eval_dirs, capsys, frames):

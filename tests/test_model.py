@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from adnet import model
+from adnet import model, training
 from adnet.errors import ConfigError, InputError
 from adnet.model import ADNetConfig
+from adnet.numerics import Tape
 from adnet.windowing import Window
+
+from _oracles import masked_forward
 
 
 def small_config(**overrides):
@@ -168,6 +171,44 @@ class TestForward:
             assert not np.array_equal(a.value[:, radius], b.value[:, radius])
         # published bound: at most 2*(2^L - 1)*(K//2) for this two-stage stack
         assert model.locality_radius(2, cfg.num_layers, cfg.kernel_size) == 14
+
+
+class TestForwardOracle:
+    @pytest.mark.parametrize("taped", [False, True])
+    @pytest.mark.parametrize("real", [8, 5])
+    def test_equals_masking_every_window(self, real, taped):
+        # a window without padding skips the mask; scores and parameter
+        # gradients must equal masking it, bit for bit
+        cfg = small_config()
+        rng = np.random.default_rng(12)
+        window = random_window(rng, cfg, real=real)
+        targets = (rng.random(cfg.window_width) < 0.5).astype(float)
+        runs = []
+        for forward in (model.forward, masked_forward):
+            params = model.build(cfg, seed=12)
+            tape = Tape() if taped else None
+            outputs = forward(params, window, tape)
+            grads = []
+            if taped:
+                loss = training.total_loss(outputs, targets, window.mask,
+                                           training.TrainConfig(), tape)
+                tape.backward(loss.total)
+                grads = [tensor.grad for tensor in params.tensor_list()]
+                assert all(grad is not None for grad in grads)
+            runs.append(([stage.value for stage in outputs], grads))
+        (scores, grads), (want_scores, want_grads) = runs
+        assert len(scores) == len(want_scores) == cfg.num_stages
+        assert all(np.array_equal(a, b) for a, b in zip(scores, want_scores))
+        assert len(grads) == len(want_grads)
+        assert all(np.array_equal(a, b) for a, b in zip(grads, want_grads))
+
+    @pytest.mark.parametrize("mask", [np.full(8, 0.5), np.r_[np.ones(7), 2.0],
+                                      np.r_[np.ones(7), np.nan]])
+    def test_mask_that_is_not_binary_rejected(self, mask):
+        cfg = small_config()
+        window = Window(features=np.zeros((4, 8)), mask=mask, video_id="t", start_clip=0)
+        with pytest.raises(ConfigError, match="mask entries must be 0 or 1"):
+            model.forward(model.build(cfg, seed=0), window)
 
 
 class TestGolden:

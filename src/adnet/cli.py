@@ -134,7 +134,11 @@ def _frame_labels(path, manifest: storage.AnnotationManifest, num_clips: int) ->
     if not n * (num_clips - 1) < manifest.total_frames <= n * num_clips:
         raise InputError(f"{path}: total_frames {manifest.total_frames} does not fit "
                          f"{num_clips} clips at {n} frames per clip")
-    return storage.frame_labels(manifest)
+    try:
+        return storage.frame_labels(manifest)
+    except (MemoryError, ValueError) as exc:  # numpy: cannot allocate, or too big to try
+        raise InputError(f"{path}: frame labels for total_frames {manifest.total_frames} "
+                         f"do not fit in memory ({exc})") from exc
 
 
 def _load_corpus(features_dir: Path, annotations_dir: Path, fraction: float):
@@ -278,6 +282,11 @@ def _clip_scores(path, value) -> np.ndarray:
         raise FormatError(path, f"clip_scores: {exc}") from exc
 
 
+# The members of a prediction document that eval reads; the others
+# (frame_scores, clip_labels, ...) are checked as JSON but not built.
+PREDICTION_MEMBERS = frozenset({"video_id", "clip_scores", "frames_per_clip", "config"})
+
+
 def cmd_eval(args) -> int:
     pred_dir = Path(args.pred)
     gt_dir = Path(args.gt)
@@ -289,7 +298,7 @@ def cmd_eval(args) -> int:
     frames_per_clip = None
     threshold = None
     for path in pred_paths:
-        doc = storage.read_json(path, "prediction")
+        doc = storage.read_json(path, "prediction", members=PREDICTION_MEMBERS)
         if not isinstance(doc, dict):
             raise FormatError(path, "prediction document must be a JSON object")
         for key in ("video_id", "clip_scores", "frames_per_clip"):
@@ -327,6 +336,9 @@ def cmd_eval(args) -> int:
     manifests = {}
     for path in sorted(gt_dir.glob("*.json")):
         manifest = storage.read_annotations(path)
+        if manifest.video_id in manifests:
+            raise InputError(f"{path}: video_id {manifest.video_id!r} is also in "
+                             f"{manifests[manifest.video_id][0]}")
         manifests[manifest.video_id] = path, manifest
         if manifest.frames_per_clip != frames_per_clip:
             raise InputError(

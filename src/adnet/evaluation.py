@@ -64,7 +64,9 @@ def expand_to_frames(clip_values, frames_per_clip: int, total_frames: int) -> np
         raise InputError(
             f"{total_frames} frames is inconsistent with {values.size} clips of "
             f"{n} frames (expected {low}..{high})")
-    return np.repeat(values, n)[:total_frames]
+    # n < total_frames unless there is one clip, which may cover far fewer
+    # frames than n: allocate only those
+    return np.repeat(values, min(n, total_frames))[:total_frames]
 
 
 def _runs(frame_labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -21,9 +21,12 @@ import functools
 import json
 import math
 import os
+import re
 import struct
+import sys
 import tempfile
 import typing
+from collections.abc import Collection
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -162,14 +165,72 @@ def read_text(path, what: str) -> str:
         raise FormatError(path, f"not UTF-8: {exc}") from exc
 
 
-def read_json(path, what: str):
+def read_json(path, what: str, members: Collection[str] | None = None):
     """Parse a JSON file; a file that cannot be read, is not UTF-8 or is
-    not JSON raises FormatError."""
+    not JSON raises FormatError. With members, an object comes back with
+    only those of its members: the file is still checked whole as JSON,
+    but the others are not built."""
     text = read_text(path, what)
+    if members is not None:
+        doc = _object_members(text, members)
+        if doc is not None:
+            return doc
     try:
-        return json.loads(text)
-    except ValueError as exc:  # not JSON, or an integer too long to convert
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # not JSON, an integer too long, too deep
         raise FormatError(path, f"invalid JSON: {exc}") from exc
+    if members is not None and isinstance(doc, dict):
+        return {key: value for key, value in doc.items() if key in members}
+    return doc
+
+
+# A JSON array of numbers, matched without building it. The quantifiers
+# are possessive, so a match keeps no backtracking state per element.
+# Whitespace is JSON's, and an integer has at most as many digits as
+# Python converts under its smallest integer-string limit, so every text
+# it matches is one json.loads accepts.
+_WHITESPACE = re.compile(r"[ \t\n\r]*+")
+_NUMBER = (r"-?+(?:0|[1-9][0-9]{0,%d}+)(?:\.[0-9]++)?+(?:[eE][-+]?+[0-9]++)?+"
+           % (sys.int_info.str_digits_check_threshold - 1))
+_NUMBER_ARRAY = re.compile(r"\[{ws}(?:{num}(?:{ws},{ws}{num})*+{ws})?+\]".format(
+    ws=_WHITESPACE.pattern, num=_NUMBER))
+_scan_value = json.JSONDecoder().scan_once
+
+
+def _object_members(text: str, members: Collection[str]) -> dict | None:
+    """The given members of the JSON object text, decoded as json.loads
+    decodes them, the last of duplicate keys winning; a flat number array
+    that is not wanted is only matched. None when text is anything else
+    or any deviation from JSON is seen, for json.loads to decide and
+    report."""
+    index = _WHITESPACE.match(text).end()
+    if not text.startswith("{", index):
+        return None
+    index = _WHITESPACE.match(text, index + 1).end()
+    doc = {}
+    try:
+        while text.startswith('"', index):
+            key, index = json.decoder.scanstring(text, index + 1)
+            index = _WHITESPACE.match(text, index).end()
+            if not text.startswith(":", index):
+                return None
+            index = _WHITESPACE.match(text, index + 1).end()
+            numbers = key not in members and _NUMBER_ARRAY.match(text, index)
+            if numbers:
+                index = numbers.end()
+            else:
+                value, index = _scan_value(text, index)
+                if key in members:
+                    doc[key] = value
+            index = _WHITESPACE.match(text, index).end()
+            if text.startswith("}", index):
+                return doc if _WHITESPACE.match(text, index + 1).end() == len(text) else None
+            if not text.startswith(",", index):
+                return None
+            index = _WHITESPACE.match(text, index + 1).end()
+    except (ValueError, StopIteration, RecursionError):
+        pass
+    return None
 
 
 def read_annotations(path) -> AnnotationManifest:
@@ -389,7 +450,7 @@ def _read_checkpoint(path, handle, expect_model_config, params_only) -> Checkpoi
         raise FormatError(path, "truncated header JSON", offset=size)
     try:
         header = json.loads(handle.read(header_len).decode("utf-8"))
-    except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to convert
+    except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, too long or too deep
         raise FormatError(path, f"invalid header JSON: {exc}", offset=12) from exc
     try:
         model_config = _header_config(ADNetConfig, header, "model")

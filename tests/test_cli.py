@@ -1,4 +1,6 @@
+import contextlib
 import fcntl
+import io
 import json
 import math
 import os
@@ -6,13 +8,16 @@ import re
 import struct
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from adnet import cli, io as storage, model, numerics
+from adnet.errors import FormatError
 from adnet.io import Checkpoint, ClipFeatureSequence
 from adnet.model import ADNetConfig
 from adnet.training import TrainConfig
@@ -34,6 +39,21 @@ SMALL_SYNTH = {"num_videos": 4, "clips_min": 12, "clips_max": 20, "input_dim": 5
                "seed": 3}
 SMALL_MODEL = {"window_width": 8, "num_stages": 1, "num_layers": 3,
                "hidden_channels": 8}
+
+
+# The ground truth of a one-video eval; eval_dirs and the prediction
+# documents drawn below score four clips of one frame against it.
+ONE_VIDEO_MANIFEST = {"video_id": "v", "frames_per_clip": 1, "total_frames": 4,
+                      "segments": [{"start_frame": 0, "end_frame": 2, "label": 0},
+                                   {"start_frame": 2, "end_frame": 4, "label": 1}]}
+
+
+def huge_clip_manifest(frames_per_clip, total_frames):
+    """A one-clip video's manifest: one frame of label 0, the rest label 1.
+    Frame counts of 10**15 and more cannot be allocated on any machine."""
+    return {"video_id": "v", "frames_per_clip": frames_per_clip, "total_frames": total_frames,
+            "segments": [{"start_frame": 0, "end_frame": 1, "label": 0},
+                         {"start_frame": 1, "end_frame": total_frames, "label": 1}]}
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +155,13 @@ class TestRunConfig:
         rows = re.findall(r"^\| (\w+)\.(\w+) \|", readme, flags=re.MULTILINE)
         assert {row for row in rows if row[0] in cli.CONFIG_SCHEMA} == {
             (section, key) for section, keys in cli.CONFIG_SCHEMA.items() for key in keys}
+
+
+def test_readme_states_the_python_floor():
+    root = Path(__file__).resolve().parents[1]
+    floor = tomllib.loads((root / "pyproject.toml").read_text())["project"]["requires-python"]
+    install = (root / "README.md").read_text().split("\n## Install\n", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"Python (\d+\.\d+) or newer", install) == [floor.removeprefix(">=")]
 
 
 class TestTrain:
@@ -248,6 +275,26 @@ class TestTrain:
         assert (code, out) == (2, "")
         assert err == (f"adnet: error: {bad}: total_frames {10 ** 15} does not fit "
                        f"{clips} clips at 16 frames per clip\n")
+
+    @pytest.mark.parametrize("frames", [10 ** 15, 10 ** 20])
+    def test_frame_labels_beyond_memory_name_the_file(self, tmp_path, capsys, frames):
+        corpus = tmp_path / "corpus"
+        (corpus / "annotations").mkdir(parents=True)
+        (corpus / "features").mkdir()
+        storage.write_features(ClipFeatureSequence("v", np.zeros((5, 1))),
+                               corpus / "features" / "v.adnf")
+        annotation = corpus / "annotations" / "v.json"
+        annotation.write_text(json.dumps(huge_clip_manifest(frames, frames)))
+        config = write_config(tmp_path / "c.json", {
+            "model": SMALL_MODEL, "train": {"epochs": 1, "seed": 3},
+            "paths": {"features_dir": str(corpus / "features"),
+                      "annotations_dir": str(corpus / "annotations"),
+                      "checkpoint": str(tmp_path / "m.adnc")}})
+        code, out, err = run(capsys, ["train", "--config", config])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"adnet: error: {annotation}: frame labels for total_frames "
+                              f"{frames} do not fit in memory (")
+        assert len(err.splitlines()) == 1
 
     def test_missing_corpus(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json", {
@@ -638,10 +685,7 @@ class TestEval:
         pred_dir = tmp_path / "pred"
         gt_dir.mkdir()
         pred_dir.mkdir()
-        manifest = {"video_id": "v", "frames_per_clip": 1, "total_frames": 4,
-                    "segments": [{"start_frame": 0, "end_frame": 2, "label": 0},
-                                 {"start_frame": 2, "end_frame": 4, "label": 1}]}
-        (gt_dir / "v.json").write_text(json.dumps(manifest))
+        (gt_dir / "v.json").write_text(json.dumps(ONE_VIDEO_MANIFEST))
 
         def write(name, **fields):
             doc = {"video_id": "v", "frames_per_clip": 1,
@@ -741,6 +785,39 @@ class TestEval:
         assert code == 2
         assert err == (f"adnet: error: {second}: video_id 'v' is also in {first}\n")
 
+    def test_duplicate_ground_truth_video_id_rejected(self, eval_dirs, capsys):
+        argv, write = eval_dirs
+        write("v.json")
+        gt = Path(argv[4])
+        (gt / "zzz.json").write_bytes((gt / "v.json").read_bytes())
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"adnet: error: {gt / 'zzz.json'}: video_id 'v' is also in {gt / 'v.json'}\n"
+
+    @pytest.mark.parametrize("frames", [10 ** 15, 10 ** 20])
+    def test_frame_labels_beyond_memory_name_the_file(self, eval_dirs, capsys, frames):
+        argv, write = eval_dirs
+        write("v.json", frames_per_clip=frames, clip_scores=[0.5])
+        gt = Path(argv[4]) / "v.json"
+        gt.write_text(json.dumps(huge_clip_manifest(frames, frames)))
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"adnet: error: {gt}: frame labels for total_frames {frames} "
+                              f"do not fit in memory (")
+        assert len(err.splitlines()) == 1
+
+    def test_lone_clip_longer_than_its_video(self, eval_dirs, capsys):
+        # a clip of 10**15 frames over a 4-frame video covers 4 frames
+        argv, write = eval_dirs
+        write("v.json", frames_per_clip=10 ** 15, clip_scores=[0.75])
+        (Path(argv[4]) / "v.json").write_text(json.dumps(huge_clip_manifest(10 ** 15, 4)))
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["frame_auc"] == 0.5
+        assert doc["segmental"]["abnormal"]["f1@50"]["f1"] == 100.0
+        assert doc["segmental"]["normal"]["f1@50"]["f1"] == 0.0
+
     @pytest.mark.parametrize("data", [b"[0.5]", b"\xff{", b'{"video_id": 1, '
                                       b'"frames_per_clip": 1, "clip_scores": [0.5]}'])
     def test_malformed_document_rejected(self, eval_dirs, capsys, data):
@@ -757,6 +834,261 @@ class TestEval:
         code, _, err = run(capsys, argv)
         assert code == 2
         assert "w.json: cannot read prediction" in err
+
+
+def in_process(argv, members=cli.PREDICTION_MEMBERS):
+    """Exit code, stdout and stderr of one in-process adnet call in which
+    eval builds the given prediction-document members, None for all."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "PREDICTION_MEMBERS", members), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_members_read_as_json_loads(pred_dir, gt_dir, data: bytes):
+    """The contract of a member-selecting read: read_json with eval's
+    members raises the FormatError that a full read raises, or returns
+    the full read's values of those members, and eval's exit code, stdout
+    and stderr are those of an eval that builds every member."""
+    path = pred_dir / "v.json"
+    path.write_bytes(data)
+    try:
+        doc = storage.read_json(path, "prediction")
+    except FormatError as exc:
+        with pytest.raises(FormatError) as excinfo:
+            storage.read_json(path, "prediction", members=cli.PREDICTION_MEMBERS)
+        assert str(excinfo.value) == str(exc)
+    else:
+        if isinstance(doc, dict):
+            doc = {key: value for key, value in doc.items() if key in cli.PREDICTION_MEMBERS}
+        # repr tells -0.0 from 0.0, 1 from 1.0 and True, and shows NaN as nan
+        assert repr(storage.read_json(path, "prediction", members=cli.PREDICTION_MEMBERS)) \
+            == repr(doc)
+    argv = ["eval", "--pred", str(pred_dir), "--gt", str(gt_dir)]
+    assert in_process(argv) == in_process(argv, members=None)
+
+
+# JSON values as text, at the edges of what json.loads converts: NaN, the
+# infinities, 1e999, -0.0, integers at Python's 640-digit floor of the
+# integer-string limit and beyond it, and values of every other type.
+VALUE_TOKENS = ["NaN", "-Infinity", "Infinity", "1e999", "-1e999", "-0.0", "-0", "0", "1E+2",
+                "2.5e-3", "1" * 640, "-" + "9" * 640, "1" * 641, "1" * 700 + ".5", '"x"',
+                '"0.5"', "[[0.5], [1]]", "[]", "[ ]", "null", "true", "{}",
+                '{"threshold": 0.5}']
+# Text that is not JSON wherever it is inserted into a JSON text, or that
+# makes it so in most places.
+MALFORMED = ["01", "1.", ".5", "+1", "- 1", "1e", "0x10", "\uff11", "1" * 5000, "\x0b", "\xa0",
+             "\x01", ",", "[", "]", "{", "}", ":", '"', "'", "\\", "[1,]", "[,1]"]
+WHITESPACE = st.sampled_from(["", " ", "\n    ", "\t", "\r\n", "\r"])
+
+
+@st.composite
+def number_arrays(draw):
+    """Text of a flat JSON array of numbers or, rarely, other values."""
+    items = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False).map(repr)
+                          | st.integers().map(str) | st.sampled_from(VALUE_TOKENS),
+                          max_size=6))
+    return "[" + ",".join(f"{draw(WHITESPACE)}{item}{draw(WHITESPACE)}" for item in items) + "]"
+
+
+MEMBER_VALUES = number_arrays() | st.sampled_from(VALUE_TOKENS)
+# eval's members and the others infer writes, plainly and with escapes
+MEMBER_KEYS = st.sampled_from(['"frame_scores"', r'"frame\u005fscores"', '"clip_labels"',
+                               '"clip_scores"', r'"clip_\u0073cores"', '"video_id"',
+                               r'"video\u005Fid"', '"config"', '"frames_per_clip"',
+                               '"num_clips"', '"x"', r'"\ud800"', r'"a\"b"'])
+INFER_MEMBERS = [('"tool"', '"adnet"'), ('"config"', '{"threshold": 0.5}'),
+                 ('"video_id"', '"v"'), ('"num_clips"', "4"), ('"frames_per_clip"', "1"),
+                 ('"clip_scores"', "[0.0, 0.0, 1.0, 1.0]"), ('"clip_labels"', "[0, 0, 1, 1]"),
+                 ('"frame_scores"', "[0.0, 0.0, 1.0, 1.0]")]
+
+
+def object_text(members) -> str:
+    return "{" + ", ".join(f"{key}: {value}" for key, value in members) + "}"
+
+
+@st.composite
+def prediction_texts(draw):
+    """A prediction document for the one-video ground truth whose members
+    may be replaced, escaped, repeated or reordered, with text before and
+    after it, and at most one malformed piece inserted anywhere."""
+    members = list(INFER_MEMBERS)
+    for index in draw(st.lists(st.integers(0, len(members) - 1), max_size=3)):
+        members[index] = (members[index][0], draw(MEMBER_VALUES))
+    members += draw(st.lists(st.tuples(MEMBER_KEYS, MEMBER_VALUES), max_size=3))
+    members = draw(st.permutations(members))
+    text = (draw(st.just("") | st.sampled_from([" ", "\n", "\ufeff", "[", '"']))
+            + "{" + ",".join(f"{draw(WHITESPACE)}{key}{draw(WHITESPACE)}:{draw(WHITESPACE)}"
+                             f"{value}{draw(WHITESPACE)}" for key, value in members) + "}"
+            + draw(st.just("") | st.sampled_from(["\n", " \n", "x", "}", ",", "\x00", "[]"])))
+    if draw(st.booleans()):
+        return text
+    index = draw(st.integers(0, len(text)))
+    return text[:index] + draw(st.sampled_from(MALFORMED)) + text[index:]
+
+
+# The inputs a member-selecting read must treat as json.loads does, each
+# named once: values of members that eval does not build, escaped and
+# repeated keys, and documents that are not one JSON object.
+LISTED_DOCUMENTS = [
+    *[object_text(INFER_MEMBERS[:-1] + [('"frame_scores"', value)]) for value in [
+        "[NaN, -Infinity, 1e999, -0.0]", "[" + "1" * 5000 + "]", "[-" + "9" * 4301 + "]",
+        "[" + "1" * 4300 + "]", '["0.5", "x"]', "[[0.5], [1, [2]]]", "[]", "NaN", "1e999",
+        "[1e999, -1e999]", "[0.5,\x0b0.5]", "[0.5\xa0]", "[01]", "[1.]", "[0.5,]"]],
+    object_text(INFER_MEMBERS + [(r'"clip_\u0073cores"', "[0.5, 0.5, 0.5, 0.5]")]),
+    object_text(INFER_MEMBERS + [(r'"frame\u005fscores"', "[1, 2")]),
+    object_text([('"video_id"', '"w"')] + INFER_MEMBERS),
+    object_text(INFER_MEMBERS + [('"video_id"', '"w"')]),
+    object_text(INFER_MEMBERS + [('"frame_scores"', '"x"'), ('"frame_scores"', "[0.5]")]),
+    "[" + object_text(INFER_MEMBERS) + "]", "[0.5]", '"v"', "1", "null", "", " ",
+    "\ufeff" + object_text(INFER_MEMBERS),
+    object_text(INFER_MEMBERS) + " x",
+    object_text(INFER_MEMBERS) + "\x00",
+    object_text(INFER_MEMBERS) + object_text(INFER_MEMBERS),
+    object_text(INFER_MEMBERS)[:-1],
+    "{}", "{ }", '{"video_id"}', '{"video_id": }', '{"video_id" "v"}', '{, "video_id": "v"}',
+]
+
+
+JSON_TEXTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(
+        st.sampled_from(sorted(cli.PREDICTION_MEMBERS) + ["frame_scores", "clip_labels"])
+        | st.text(max_size=4), children, max_size=5),
+    max_leaves=20)
+
+
+class TestPredictionMembers:
+    """eval reads prediction documents through read_json with members:
+    it must accept and reject exactly what json.loads does."""
+
+    @pytest.fixture(scope="class")
+    def one_video(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("members")
+        (root / "pred").mkdir()
+        (root / "gt").mkdir()
+        (root / "gt" / "v.json").write_text(json.dumps(ONE_VIDEO_MANIFEST))
+        return root / "pred", root / "gt"
+
+    @pytest.mark.parametrize("text", LISTED_DOCUMENTS)
+    def test_listed_documents(self, one_video, text):
+        assert_members_read_as_json_loads(*one_video, text.encode("utf-8", "surrogatepass"))
+
+    @given(text=prediction_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_documents(self, one_video, text):
+        assert_members_read_as_json_loads(*one_video, text.encode("utf-8", "surrogatepass"))
+
+    @given(value=JSON_TEXTS, indent=st.sampled_from([None, 0, 2]))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_json(self, one_video, value, indent):
+        assert_members_read_as_json_loads(*one_video, json.dumps(value, indent=indent).encode())
+
+    @given(text=st.text(alphabet='{}[]":,. \n0123456789-+eEINaftrulsx\\', max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_text(self, one_video, text):
+        assert_members_read_as_json_loads(*one_video, text.encode())
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_single_byte_corruptions_of_an_infer_document(self, pipeline, data):
+        root, corpus, _ = pipeline
+        document = sorted((root / "pred").glob("*.json"))[0]
+        pred_dir, gt_dir = root / "corrupt" / "pred", root / "corrupt" / "gt"
+        pred_dir.mkdir(parents=True, exist_ok=True)
+        gt_dir.mkdir(exist_ok=True)
+        (gt_dir / document.name).write_bytes((corpus / "annotations" / document.name).read_bytes())
+        raw = document.read_bytes()
+        index = data.draw(st.integers(0, len(raw) - 1))
+        byte = bytes([data.draw(st.integers(0, 255))])
+        edit = data.draw(st.sampled_from(["replace", "delete", "insert"]))
+        tail = raw[index:] if edit == "insert" else raw[index + 1:]
+        assert_members_read_as_json_loads(
+            pred_dir, gt_dir, raw[:index] + (b"" if edit == "delete" else byte) + tail)
+
+    def test_infer_documents_are_read_without_json_loads(self, pipeline):
+        root, _, _ = pipeline
+        for path in sorted((root / "pred").glob("*.json")):
+            full = json.loads(path.read_text())
+            with mock.patch.object(storage.json, "loads", side_effect=AssertionError):
+                doc = storage.read_json(path, "prediction", members=cli.PREDICTION_MEMBERS)
+            assert doc == {key: full[key] for key in full if key in cli.PREDICTION_MEMBERS}
+
+    def test_deep_nesting_is_a_format_error(self, one_video, capsys):
+        pred_dir, gt_dir = one_video
+        path = pred_dir / "v.json"
+        path.write_text('{"frame_scores": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out, err = run(capsys, ["eval", "--pred", str(pred_dir), "--gt", str(gt_dir)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"adnet: error: {path}: invalid JSON: maximum recursion depth")
+        assert len(err.splitlines()) == 1
+
+
+@st.composite
+def corruptions(draw, raw: bytes) -> bytes:
+    """raw with one byte flipped, cut short, or with bytes appended."""
+    edit = draw(st.sampled_from(["flip", "truncate", "append"]))
+    if edit == "truncate":
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    if edit == "append":
+        return raw + draw(st.binary(min_size=1, max_size=16))
+    index = draw(st.integers(0, len(raw) - 1))
+    return raw[:index] + bytes([raw[index] ^ draw(st.integers(1, 255))]) + raw[index + 1:]
+
+
+def assert_clean_exit(outcome):
+    """Exit 0, or one adnet: line: exit 2 for a malformed file, or exit 3,
+    the numeric failure, when a changed payload byte leaves a parameter
+    or Adam moment (NaN, a magnitude that overflows, a negative second
+    moment) that makes a score or loss non-finite."""
+    code, _, err = outcome
+    if code != 0:
+        prefix = {2: "adnet: error: ", 3: "adnet: numeric failure: "}[code]
+        assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+class TestCorruptBinaryFiles:
+    """Byte-level corruption of real .adnf and .adnc files ends in a clean
+    exit, never a traceback (which would propagate out of cli.main)."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_features_under_infer(self, pipeline, data):
+        root, corpus, _ = pipeline
+        source = sorted((corpus / "features").glob("*.adnf"))[0]
+        features = root / "corrupt_features" / source.name
+        features.parent.mkdir(exist_ok=True)
+        features.write_bytes(data.draw(corruptions(source.read_bytes())))
+        assert_clean_exit(in_process(["infer", "--checkpoint", str(root / "model.adnc"),
+                                      "--features", str(features),
+                                      "--out", str(features.parent / "pred")]))
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_checkpoint_under_infer(self, pipeline, data):
+        root, corpus, _ = pipeline
+        checkpoint = root / "corrupt_infer" / "model.adnc"
+        checkpoint.parent.mkdir(exist_ok=True)
+        checkpoint.write_bytes(data.draw(corruptions((root / "model.adnc").read_bytes())))
+        features = sorted((corpus / "features").glob("*.adnf"))[0]
+        assert_clean_exit(in_process(["infer", "--checkpoint", str(checkpoint),
+                                      "--features", str(features),
+                                      "--out", str(checkpoint.parent / "pred")]))
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_checkpoint_under_train_resume(self, pipeline, data):
+        root, corpus, _ = pipeline
+        checkpoint = root / "corrupt_resume" / "model.adnc"
+        checkpoint.parent.mkdir(exist_ok=True)
+        checkpoint.write_bytes(data.draw(corruptions((root / "model.adnc").read_bytes())))
+        config = write_config(checkpoint.parent / "c.json", {
+            "model": SMALL_MODEL, "train": {"epochs": 1, "seed": 3},
+            "paths": {"features_dir": str(corpus / "features"),
+                      "annotations_dir": str(corpus / "annotations"),
+                      "checkpoint": str(checkpoint)}})
+        assert_clean_exit(in_process(["train", "--resume", "--config", config]))
 
 
 def test_closed_stdout_is_one_error_line(pipeline):

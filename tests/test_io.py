@@ -404,6 +404,13 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match="invalid header JSON"):
             storage.load_checkpoint(path)
 
+    def test_deeply_nested_header_is_a_format_error(self, tmp_path):
+        path = tmp_path / "model.adnc"
+        header = b"[" * 100_000 + b"]" * 100_000
+        path.write_bytes(storage.CHECKPOINT_MAGIC + struct.pack("<II", 1, len(header)) + header)
+        with pytest.raises(FormatError, match="invalid header JSON: maximum recursion depth"):
+            storage.load_checkpoint(path)
+
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_mutated_header_loads_or_raises(self, checkpoint_bytes, data):

@@ -1,8 +1,10 @@
 """Command-line entry point: synth, train, infer, and eval subcommands.
 
-Values resolve with precedence flag > config file > default. Every output
-document embeds the tool version and the resolved configuration. Exit
-codes: 0 success, 1 usage, 2 data or format error, 3 numeric failure.
+Run-config fields override the defaults of the config dataclasses; the
+one flag that overrides a stored value, infer --threshold, overrides the
+checkpoint's model.threshold. Every output document embeds the tool
+version and the resolved configuration. Exit codes: 0 success, 1 usage,
+2 data or format error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -141,39 +144,31 @@ def _frame_labels(path, manifest: storage.AnnotationManifest, num_clips: int) ->
                          f"do not fit in memory ({exc})") from exc
 
 
-def _load_corpus(features_dir: Path, annotations_dir: Path, fraction: float):
-    """Matching feature/annotation pairs; returns (sequences, clip label
-    arrays, frames_per_clip)."""
-    feature_files = sorted(features_dir.glob("*.adnf"))
-    if not feature_files:
-        raise InputError(f"no .adnf feature files in {features_dir}")
-    feature_ids = [p.stem for p in feature_files]
-    annotation_ids = {p.stem for p in annotations_dir.glob("*.json")}
-    unmatched = sorted(set(feature_ids) ^ annotation_ids)
-    if unmatched:
-        raise InputError(
-            f"feature/annotation mismatch for video ids: {unmatched} "
-            f"(features in {features_dir}, annotations in {annotations_dir})")
-    sequences = []
-    labels = []
-    frames_per_clip = None
-    for path in feature_files:
-        seq = storage.read_features(path)
-        annotation_path = annotations_dir / f"{path.stem}.json"
-        manifest = storage.read_annotations(annotation_path)
-        if manifest.video_id != path.stem:
-            raise InputError(f"{annotation_path}: manifest video_id "
-                             f"{manifest.video_id!r} does not match file name")
-        if frames_per_clip is None:
-            frames_per_clip = manifest.frames_per_clip
-        elif manifest.frames_per_clip != frames_per_clip:
-            raise InputError(
-                f"inconsistent frames_per_clip: {manifest.frames_per_clip} in "
-                f"{manifest.video_id}, {frames_per_clip} elsewhere")
-        sequences.append(seq)
-        labels.append(training.clip_labels_from_frames(
-            _frame_labels(annotation_path, manifest, seq.num_clips), frames_per_clip, fraction))
-    return sequences, labels, frames_per_clip
+def _read_manifests(gt_dir: Path, video_ids, source: str) -> dict:
+    """Every manifest in gt_dir as (path, manifest), keyed by its video_id.
+    Two manifests with one video_id are rejected naming both files, and
+    so is a set of ids other than the source's video_ids."""
+    manifests = {}
+    for path in sorted(gt_dir.glob("*.json")):
+        manifest = storage.read_annotations(path)
+        if manifest.video_id in manifests:
+            raise InputError(f"{path}: video_id {manifest.video_id!r} is also in "
+                             f"{manifests[manifest.video_id][0]}")
+        manifests[manifest.video_id] = path, manifest
+    if set(manifests) != set(video_ids):
+        raise InputError(f"{source} and ground-truth video sets differ: "
+                         f"{sorted(set(manifests) ^ set(video_ids))}")
+    return manifests
+
+
+def _agreed(what: str, values):
+    """The value that every (path, value) pair gives; the first path
+    whose value differs is named."""
+    (first_path, first), *rest = values
+    for path, value in rest:
+        if value != first:
+            raise InputError(f"{path}: {what} {value} disagrees with {first} in {first_path}")
+    return first
 
 
 def cmd_train(args) -> int:
@@ -183,14 +178,20 @@ def cmd_train(args) -> int:
     annotations_dir = _resolve_path(doc, "annotations_dir")
     checkpoint_path = _resolve_path(doc, "checkpoint")
     out_dir = _resolve_path(doc, "out_dir", required=False)
-    sequences, labels, frames_per_clip = _load_corpus(
-        features_dir, annotations_dir, train_config.clip_label_fraction)
-    input_dim = sequences[0].dim
-    for seq in sequences:
-        if seq.dim != input_dim:
-            raise InputError(f"{seq.video_id}: feature dim {seq.dim}, others have {input_dim}")
+    feature_paths = sorted(features_dir.glob("*.adnf"))
+    if not feature_paths:
+        raise InputError(f"no .adnf feature files in {features_dir}")
+    manifests = _read_manifests(annotations_dir, [path.stem for path in feature_paths],
+                                "feature")
+    frames_per_clip = _agreed("frames_per_clip", [(path, manifest.frames_per_clip)
+                                                  for path, manifest in manifests.values()])
+    sequences = [storage.read_features(path) for path in feature_paths]
+    input_dim = _agreed("feature dim", [(path, seq.dim)
+                                        for path, seq in zip(feature_paths, sequences)])
+    dataset = [(seq.features, training.clip_labels_from_frames(
+        _frame_labels(*manifests[seq.video_id], seq.num_clips), frames_per_clip,
+        train_config.clip_label_fraction)) for seq in sequences]
     model_config = _model_config(doc, input_dim)
-    dataset = [(seq.features, lab) for seq, lab in zip(sequences, labels)]
     log_path = None if out_dir is None else out_dir / "train_log.jsonl"
     resume = None
     previous_log = ""
@@ -203,18 +204,21 @@ def cmd_train(args) -> int:
         # read before the checkpoint is overwritten, so a bad log leaves it as it was
         if log_path is not None and log_path.exists():
             previous_log = storage.read_text(log_path, "training log")
+    # made before training, so an output path that cannot be a directory
+    # fails before the checkpoint is overwritten
+    checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
     result = training.train(dataset, model_config, train_config, resume=resume)
     ckpt = storage.Checkpoint(
         model_config=model_config, train_config=train_config, seed=train_config.seed,
         frames_per_clip=frames_per_clip, epochs_completed=result.epochs_completed,
         params=result.params, adam=result.adam)
-    checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
     storage.save_checkpoint(ckpt, checkpoint_path)
     lines = [json.dumps({"epoch": entry.epoch, "mean_mse": entry.mean_mse,
                          "mean_ad": entry.mean_ad, "mean_total": entry.mean_total})
              for entry in result.log]
     if log_path is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
         storage.atomic_write_text(log_path, previous_log + "\n".join(lines) + "\n")
     for line in lines:  # after the log is written, so a closed stdout cannot lose it
         print(line)
@@ -295,8 +299,8 @@ def cmd_eval(args) -> int:
         raise InputError(f"no prediction documents in {pred_dir}")
     pred_scores: dict[str, np.ndarray] = {}
     sources: dict[str, Path] = {}
-    frames_per_clip = None
-    threshold = None
+    frames = []
+    thresholds = []
     for path in pred_paths:
         doc = storage.read_json(path, "prediction", members=PREDICTION_MEMBERS)
         if not isinstance(doc, dict):
@@ -316,11 +320,7 @@ def cmd_eval(args) -> int:
         if not storage.has_type(doc_frames, int) or doc_frames < 1:
             raise FormatError(path, f"frames_per_clip must be a positive integer, "
                                     f"got {json.dumps(doc_frames)}")
-        if frames_per_clip is None:
-            frames_per_clip = doc_frames
-        elif doc_frames != frames_per_clip:
-            raise InputError(f"{path}: frames_per_clip {doc_frames} "
-                             f"disagrees with {frames_per_clip} elsewhere")
+        frames.append((path, doc_frames))
         config = doc.get("config", {})
         if not isinstance(config, dict):
             raise FormatError(path, "config must be a JSON object")
@@ -328,25 +328,11 @@ def cmd_eval(args) -> int:
         if not storage.has_type(doc_threshold, float) or not 0.0 < doc_threshold < 1.0:
             raise FormatError(path, f"config.threshold must be a number in (0, 1), "
                                     f"got {doc_threshold!r}")
-        if threshold is None:
-            threshold = doc_threshold
-        elif doc_threshold != threshold:
-            raise InputError(f"{path}: threshold {doc_threshold} disagrees with "
-                             f"{threshold} elsewhere")
-    manifests = {}
-    for path in sorted(gt_dir.glob("*.json")):
-        manifest = storage.read_annotations(path)
-        if manifest.video_id in manifests:
-            raise InputError(f"{path}: video_id {manifest.video_id!r} is also in "
-                             f"{manifests[manifest.video_id][0]}")
-        manifests[manifest.video_id] = path, manifest
-        if manifest.frames_per_clip != frames_per_clip:
-            raise InputError(
-                f"{path}: frames_per_clip {manifest.frames_per_clip} does not match "
-                f"predictions ({frames_per_clip})")
-    if set(manifests) != set(pred_scores):
-        raise InputError(f"prediction and ground-truth video sets differ: "
-                         f"{sorted(set(manifests) ^ set(pred_scores))}")
+        thresholds.append((path, doc_threshold))
+    threshold = _agreed("threshold", thresholds)
+    manifests = _read_manifests(gt_dir, pred_scores, "prediction")
+    frames_per_clip = _agreed("frames_per_clip", frames + [
+        (path, manifest.frames_per_clip) for path, manifest in manifests.values()])
     gt_labels = {video_id: _frame_labels(path, manifest, pred_scores[video_id].size)
                  for video_id, (path, manifest) in manifests.items()}
     report = evaluation.evaluate(pred_scores, gt_labels, frames_per_clip,
@@ -399,13 +385,25 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.handler(args)
+        # numpy reports overflow and invalid values as RuntimeWarning; the
+        # program checks for non-finite values itself, so such a warning
+        # would only precede its one error line
+        with warnings.catch_warnings(action="ignore", category=RuntimeWarning):
+            code = args.handler(args)
         sys.stdout.flush()  # so that a closed stdout fails here, not at exit
         return code
     except BrokenPipeError:
         # stdout goes to devnull so that the interpreter's last flush does not fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("adnet: error: standard output closed", file=sys.stderr)
+        return EXIT_DATA
+    except OSError as exc:  # a path the file system refuses
+        path = exc.filename2 or exc.filename  # os.replace names its target second
+        print(f"adnet: error: {path}: {exc.strerror}" if path else f"adnet: error: {exc}",
+              file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:  # a size numpy cannot allocate
+        print(f"adnet: error: out of memory: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:
         print(f"adnet: numeric failure: {exc}", file=sys.stderr)

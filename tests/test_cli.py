@@ -8,6 +8,7 @@ import re
 import struct
 import subprocess
 import sys
+import tempfile
 import tomllib
 from pathlib import Path
 from unittest import mock
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from adnet import cli, io as storage, model, numerics
+from adnet import cli, io as storage, model, numerics, synth as generator
 from adnet.errors import FormatError
 from adnet.io import Checkpoint, ClipFeatureSequence
 from adnet.model import ADNetConfig
@@ -1124,3 +1125,422 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["eval", "--pred", "p", "--gt", "g", "--k", "10,banana"])
         assert excinfo.value.code == 1
+
+
+def test_readme_config_reference_matches_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("\n### Config reference\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| (\w+)\.(\w+) \| (.+?) \|", table.split("| --- |", 1)[1],
+                      flags=re.MULTILINE)
+    assert sorted(row[:2] for row in rows) == sorted(
+        (section, key) for section, keys in cli.CONFIG_SCHEMA.items() for key in keys)
+    defaults = {(section, key): value for section, config in [
+        ("model", ADNetConfig(input_dim=1)), ("train", TrainConfig()),
+        ("synth", generator.SynthConfig())]
+        for key, value in storage.config_to_dict(config).items()}
+    defaults[("model", "input_dim")] = "from data"
+    defaults.update({("paths", key): "none" for key in cli.CONFIG_SCHEMA["paths"]})
+    for section, key, cell in rows:
+        default = defaults[section, key]
+        assert (cell if isinstance(default, str) else json.loads(cell)) == default, (
+            f"{section}.{key}")
+
+
+def copied_annotations(corpus, root):
+    """The corpus' features directory, and a copy of its annotation
+    directory under root, whose manifests a test may rename or edit."""
+    annotations = root / "annotations"
+    annotations.mkdir()
+    for path in sorted((corpus / "annotations").glob("*.json")):
+        (annotations / path.name).write_bytes(path.read_bytes())
+    return corpus / "features", annotations
+
+
+def small_train_config(root, features, annotations, **paths):
+    """A one-epoch run config writing its checkpoint to root/m.adnc."""
+    return write_config(root / "c.json", {
+        "model": SMALL_MODEL, "train": {"epochs": 1, "seed": 3},
+        "paths": {"features_dir": str(features), "annotations_dir": str(annotations),
+                  "checkpoint": str(root / "m.adnc"), **paths}})
+
+
+class TestGroundTruthPairing:
+    """train and eval read the ground-truth directory through one reader:
+    manifests are keyed by video_id, not by file name, and every file
+    must give the same frames_per_clip (and, under train, feature dim)."""
+
+    def test_train_pairs_manifests_by_video_id(self, pipeline, tmp_path, capsys):
+        _, corpus, _ = pipeline
+        features, annotations = copied_annotations(corpus, tmp_path)
+        config = small_train_config(tmp_path, features, annotations)
+        assert run(capsys, ["train", "--config", config])[0] == 0
+        by_name = (tmp_path / "m.adnc").read_bytes()
+        for index, path in enumerate(sorted(annotations.glob("*.json"), reverse=True)):
+            path.rename(annotations / f"gt_{index}.json")
+        code, _, err = run(capsys, ["train", "--config", config])
+        assert (code, err) == (0, "")
+        assert (tmp_path / "m.adnc").read_bytes() == by_name
+
+    def test_train_rejects_a_duplicate_video_id(self, pipeline, tmp_path, capsys):
+        _, corpus, _ = pipeline
+        features, annotations = copied_annotations(corpus, tmp_path)
+        first = sorted(annotations.glob("*.json"))[0]
+        second = annotations / "zzz.json"
+        second.write_bytes(first.read_bytes())
+        code, out, err = run(capsys, ["train", "--config",
+                                      small_train_config(tmp_path, features, annotations)])
+        assert (code, out) == (2, "")
+        assert err == f"adnet: error: {second}: video_id {first.stem!r} is also in {first}\n"
+
+    def test_train_rejects_unmatched_video_sets(self, pipeline, tmp_path, capsys):
+        _, corpus, _ = pipeline
+        features, annotations = copied_annotations(corpus, tmp_path)
+        missing = sorted(annotations.glob("*.json"))[-1]
+        missing.unlink()
+        code, out, err = run(capsys, ["train", "--config",
+                                      small_train_config(tmp_path, features, annotations)])
+        assert (code, out) == (2, "")
+        assert err == (f"adnet: error: feature and ground-truth video sets differ: "
+                       f"[{missing.stem!r}]\n")
+
+    def test_train_names_the_manifest_whose_frames_per_clip_disagrees(self, pipeline,
+                                                                       tmp_path, capsys):
+        _, corpus, _ = pipeline
+        features, annotations = copied_annotations(corpus, tmp_path)
+        first, bad = sorted(annotations.glob("*.json"))[:2]
+        bad.write_text(json.dumps({**json.loads(bad.read_text()), "frames_per_clip": 8}))
+        code, out, err = run(capsys, ["train", "--config",
+                                      small_train_config(tmp_path, features, annotations)])
+        assert (code, out) == (2, "")
+        assert err == f"adnet: error: {bad}: frames_per_clip 8 disagrees with 16 in {first}\n"
+
+    def test_train_names_the_feature_file_whose_dim_disagrees(self, pipeline, tmp_path,
+                                                              capsys):
+        _, corpus, _ = pipeline
+        features = tmp_path / "features"
+        features.mkdir()
+        sources = sorted((corpus / "features").glob("*.adnf"))
+        for path in sources:
+            (features / path.name).write_bytes(path.read_bytes())
+        bad = features / sources[-1].name
+        clips = storage.read_features(bad).num_clips
+        storage.write_features(ClipFeatureSequence(bad.stem, np.zeros((3, clips))), bad)
+        code, out, err = run(capsys, ["train", "--config", small_train_config(
+            tmp_path, features, corpus / "annotations")])
+        assert (code, out) == (2, "")
+        assert err == (f"adnet: error: {bad}: feature dim 3 disagrees with 5 in "
+                       f"{features / sources[0].name}\n")
+
+    @pytest.fixture
+    def two_videos(self, tmp_path):
+        """Ground truth for videos v and w, and a writer for the prediction
+        documents a.json (v) and b.json (w)."""
+        gt_dir = tmp_path / "gt"
+        pred_dir = tmp_path / "pred"
+        gt_dir.mkdir()
+        pred_dir.mkdir()
+        for video_id in ("v", "w"):
+            (gt_dir / f"{video_id}.json").write_text(
+                json.dumps({**ONE_VIDEO_MANIFEST, "video_id": video_id}))
+
+        def write(b_fields={}, b_manifest={}):
+            for name, video_id, fields in [("a", "v", {}), ("b", "w", b_fields)]:
+                doc = {"video_id": video_id, "frames_per_clip": 1,
+                       "clip_scores": [0.0, 0.0, 1.0, 1.0], **fields}
+                (pred_dir / f"{name}.json").write_text(json.dumps(doc))
+            manifest = json.loads((gt_dir / "w.json").read_text())
+            (gt_dir / "w.json").write_text(json.dumps({**manifest, **b_manifest}))
+            return ["eval", "--pred", str(pred_dir), "--gt", str(gt_dir)]
+
+        return pred_dir, gt_dir, write
+
+    def test_eval_names_the_prediction_whose_threshold_disagrees(self, two_videos, capsys):
+        pred_dir, _, write = two_videos
+        code, out, err = run(capsys, write(b_fields={"config": {"threshold": 0.25}}))
+        assert (code, out) == (2, "")
+        assert err == (f"adnet: error: {pred_dir / 'b.json'}: threshold 0.25 disagrees "
+                       f"with 0.5 in {pred_dir / 'a.json'}\n")
+
+    def test_eval_names_the_prediction_whose_frames_per_clip_disagrees(self, two_videos,
+                                                                       capsys):
+        pred_dir, _, write = two_videos
+        code, out, err = run(capsys, write(b_fields={"frames_per_clip": 2}))
+        assert (code, out) == (2, "")
+        assert err == (f"adnet: error: {pred_dir / 'b.json'}: frames_per_clip 2 disagrees "
+                       f"with 1 in {pred_dir / 'a.json'}\n")
+
+    def test_eval_names_the_manifest_whose_frames_per_clip_disagrees(self, two_videos,
+                                                                     capsys):
+        pred_dir, gt_dir, write = two_videos
+        code, out, err = run(capsys, write(b_manifest={"frames_per_clip": 2}))
+        assert (code, out) == (2, "")
+        assert err == (f"adnet: error: {gt_dir / 'w.json'}: frames_per_clip 2 disagrees "
+                       f"with 1 in {pred_dir / 'a.json'}\n")
+
+    def test_eval_pairs_manifests_by_video_id(self, two_videos, capsys):
+        _, gt_dir, write = two_videos
+        argv = write()
+        code, by_name, _ = run(capsys, argv)
+        assert code == 0
+        (gt_dir / "v.json").rename(gt_dir / "x.json")
+        (gt_dir / "w.json").rename(gt_dir / "v.json")
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out == by_name
+
+
+class TestResourceErrors:
+    """A path the file system refuses, or a geometry beyond memory, exits 2
+    with one adnet: line naming the path or the allocation."""
+
+    def test_infer_out_is_a_file(self, pipeline, tmp_path, capsys):
+        root, corpus, _ = pipeline
+        out = tmp_path / "pred"
+        out.write_text("")
+        code, stdout, err = run(capsys, ["infer", "--checkpoint", str(root / "model.adnc"),
+                                         "--features", str(corpus / "features"),
+                                         "--out", str(out)])
+        assert (code, stdout) == (2, "")
+        assert err == f"adnet: error: {out}: File exists\n"
+
+    def test_synth_out_is_a_file(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        out.write_text("")
+        config = write_config(tmp_path / "c.json", {"synth": SMALL_SYNTH})
+        code, stdout, err = run(capsys, ["synth", "--config", config, "--out", str(out)])
+        assert (code, stdout) == (2, "")
+        assert err == f"adnet: error: {out / 'features'}: Not a directory\n"
+
+    def test_checkpoint_is_a_directory(self, pipeline, tmp_path, capsys):
+        _, corpus, _ = pipeline
+        checkpoint = tmp_path / "m.adnc"
+        checkpoint.mkdir()
+        code, stdout, err = run(capsys, ["train", "--config", small_train_config(
+            tmp_path, corpus / "features", corpus / "annotations")])
+        assert (code, stdout) == (2, "")
+        assert err == f"adnet: error: {checkpoint}: Is a directory\n"
+        assert list(tmp_path.glob(".m.adnc.*")) == []
+
+    def test_out_dir_is_a_file_leaves_the_checkpoint_unchanged(self, pipeline, tmp_path,
+                                                               capsys):
+        _, corpus, _ = pipeline
+        config = small_train_config(tmp_path, corpus / "features", corpus / "annotations")
+        assert run(capsys, ["train", "--config", config])[0] == 0
+        checkpoint = (tmp_path / "m.adnc").read_bytes()
+        out_dir = tmp_path / "out"
+        out_dir.write_text("")
+        config = small_train_config(tmp_path, corpus / "features", corpus / "annotations",
+                                    out_dir=str(out_dir))
+        for argv in (["train", "--config", config, "--resume"], ["train", "--config", config]):
+            code, stdout, err = run(capsys, argv)
+            assert (code, stdout) == (2, "")
+            assert err == f"adnet: error: {out_dir}: File exists\n"
+            assert (tmp_path / "m.adnc").read_bytes() == checkpoint
+
+    def test_hidden_channels_beyond_memory(self, pipeline, tmp_path, capsys):
+        # 10**15 channels: the first weight, 10**15 x 5 float64, is 35.5 PiB,
+        # beyond any address space, so nothing is allocated
+        _, corpus, _ = pipeline
+        config = write_config(tmp_path / "c.json", {
+            "model": {**SMALL_MODEL, "hidden_channels": 10 ** 15},
+            "train": {"epochs": 1, "seed": 3},
+            "paths": {"features_dir": str(corpus / "features"),
+                      "annotations_dir": str(corpus / "annotations"),
+                      "checkpoint": str(tmp_path / "m.adnc")}})
+        code, stdout, err = run(capsys, ["train", "--config", config])
+        assert (code, stdout) == (2, "")
+        assert err.startswith("adnet: error: out of memory: Unable to allocate ")
+        assert f"shape ({10 ** 15}, 5)" in err and err.count("\n") == 1
+        assert not (tmp_path / "m.adnc").exists()
+
+
+def adnet_subprocess(argv):
+    """Exit code and stderr of `python -m adnet.cli` run in a child process,
+    whose stderr, unlike pytest's in-process capture, shows numpy warnings."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "adnet.cli", *argv], env=env,
+                          capture_output=True, timeout=120)
+    return proc.returncode, proc.stderr.decode()
+
+
+class TestOverflowingCheckpoint:
+    """A weight near 1e308 overflows in numpy; stderr is still the one
+    numeric-failure line, with no RuntimeWarning before it."""
+
+    @pytest.fixture
+    def overflowing(self, pipeline, tmp_path):
+        root, _, _ = pipeline
+        ckpt = storage.load_checkpoint(root / "model.adnc")
+        ckpt.params.tensors["stage0.proj.weight"].value[...] = 1e308
+        storage.save_checkpoint(ckpt, tmp_path / "big.adnc")
+        return tmp_path / "big.adnc"
+
+    def test_infer(self, pipeline, overflowing, tmp_path):
+        _, corpus, _ = pipeline
+        assert adnet_subprocess(["infer", "--checkpoint", str(overflowing),
+                                 "--features", str(corpus / "features"),
+                                 "--out", str(tmp_path / "pred")]) == (
+            3, "adnet: numeric failure: non-finite score for video video_000\n")
+
+    def test_train_resume(self, pipeline, overflowing, tmp_path):
+        _, corpus, _ = pipeline
+        config = write_config(tmp_path / "c.json", {
+            "model": SMALL_MODEL, "train": {"epochs": 1, "seed": 3},
+            "paths": {"features_dir": str(corpus / "features"),
+                      "annotations_dir": str(corpus / "annotations"),
+                      "checkpoint": str(overflowing)}})
+        assert adnet_subprocess(["train", "--config", config, "--resume"]) == (
+            3, "adnet: numeric failure: non-finite loss at epoch 3\n")
+
+
+def documented_exit(argv) -> int:
+    """The exit code of one in-process adnet call, asserting that its
+    outcome is documented: exit 0 with nothing on stderr; exit 1 with
+    argparse's usage and error line; exit 2 with one adnet: error line;
+    or exit 3 with one numeric-failure line. A traceback propagates out of
+    cli.main and fails the caller."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse
+            code = exc.code
+    text = err.getvalue()
+    if code == 1:
+        assert text.startswith("usage: adnet"), text
+        assert re.fullmatch(r"adnet( \w+)?: error: .+", text.splitlines()[-1]), text
+    else:
+        prefix = {0: "", 2: "adnet: error: ", 3: "adnet: numeric failure: "}[code]
+        assert text == "" if code == 0 else (
+            text.startswith(prefix) and text.count("\n") == 1), text
+    return code
+
+
+# A run config small enough that synth and one epoch of train take tens of
+# milliseconds. Path values are tokens that a test replaces with paths in
+# its scratch directory.
+FUZZ_CONFIG = {
+    "synth": {"num_videos": 2, "clips_min": 8, "clips_max": 12, "input_dim": 3,
+              "frames_per_clip": 2, "seed": 1},
+    "model": {"window_width": 4, "num_stages": 1, "num_layers": 1, "hidden_channels": 2},
+    "train": {"epochs": 1, "seed": 0},
+    "paths": {"features_dir": "@corpus/features", "annotations_dir": "@corpus/annotations",
+              "checkpoint": "@m.adnc", "out_dir": "@out"},
+}
+# Drawn integer fields stay at most this large (4 unless named), so that no
+# drawn geometry allocates more than a few MB.
+FUZZ_INT_CEILINGS = {"window_width": 12, "clips_min": 16, "clips_max": 16, "kernel_size": 5,
+                     "num_stages": 3, "num_videos": 3, "epochs": 2}
+FUZZ_PATHS = ["@corpus/features", "@corpus/annotations", "@m.adnc", "@out", "@file", "@dir",
+              "@missing", "@file/under"]
+
+
+def fuzz_scratch(scratch: Path) -> dict:
+    """Path tokens as JSON strings -> the JSON strings of their paths under
+    scratch, where @file is a file and @dir an empty directory."""
+    (scratch / "file").write_text("x")
+    (scratch / "dir").mkdir()
+    return {json.dumps(token): json.dumps(str(scratch / token[1:])) for token in FUZZ_PATHS}
+
+
+def config_values(section: str, key: str):
+    """Half the time a value of the key's type, within its ceiling; else a
+    value of another type."""
+    kind = cli.CONFIG_SCHEMA[section][key]
+    right, wrong = {
+        int: (st.integers(-1, FUZZ_INT_CEILINGS.get(key, 4)), [st.floats(), st.booleans()]),
+        float: (st.one_of(st.floats(), st.integers(-3, 3)), [st.booleans()]),
+        bool: (st.booleans(), [st.integers(0, 1)]),
+        str: (st.sampled_from(FUZZ_PATHS), [st.integers()]),
+    }.get(kind, (st.lists(st.integers(-1, 3), min_size=2, max_size=2), []))
+    return st.one_of(right, st.one_of(
+        *wrong, st.none(), st.text(max_size=3), st.lists(st.integers(-1, 3), max_size=3),
+        st.dictionaries(st.text(max_size=2), st.integers(0, 3), min_size=1, max_size=2)))
+
+
+@st.composite
+def run_configs(draw):
+    """FUZZ_CONFIG with up to two keys set to drawn values, and sometimes
+    an unknown key, a section that is not an object, or a document that is
+    not one."""
+    doc = {section: dict(fields) for section, fields in FUZZ_CONFIG.items()}
+    keys = [(section, key) for section, keys in cli.CONFIG_SCHEMA.items() for key in keys]
+    for section, key in draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)):
+        doc[section][key] = draw(config_values(section, key))
+    shape = draw(st.sampled_from(["fields"] * 9 + ["key", "section", "document"]))
+    if shape == "key":
+        doc[draw(st.sampled_from(sorted(doc)))][draw(st.text(max_size=3))] = 1
+    elif shape == "section":
+        doc[draw(st.sampled_from(sorted(doc) + ["extra"]))] = draw(
+            st.one_of(st.none(), st.integers(), st.lists(st.integers(), max_size=2)))
+    elif shape == "document":
+        doc = draw(st.one_of(st.none(), st.integers(), st.text(max_size=3),
+                             st.lists(st.integers(), max_size=2)))
+    return doc
+
+
+class TestFuzzedInvocations:
+    """Drawn run configs and flag values end in a documented exit, never a
+    traceback. Exit 3 is documented too: a drawn learning rate or margin
+    near float's range can make a loss non-finite."""
+
+    @given(doc=run_configs())
+    @settings(max_examples=100, deadline=None)
+    def test_run_configs(self, doc):
+        # a drawn string is a valid path value, so relative paths must
+        # resolve inside the scratch directory
+        with tempfile.TemporaryDirectory() as scratch, contextlib.chdir(scratch):
+            scratch = Path(scratch)
+            text = json.dumps(doc)
+            for token, path in fuzz_scratch(scratch).items():
+                text = text.replace(token, path)
+            config = scratch / "run.json"
+            config.write_text(text)
+            documented_exit(["synth", "--config", str(config), "--out", str(scratch / "corpus")])
+            documented_exit(["train", "--config", str(config)])
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_flags(self, pipeline, data):
+        root, corpus, _ = pipeline
+        with tempfile.TemporaryDirectory() as scratch, contextlib.chdir(scratch):
+            scratch = Path(scratch)
+            fuzz_scratch(scratch)
+            config = write_config(scratch / "run.json", {
+                "synth": SMALL_SYNTH, "model": SMALL_MODEL, "train": {"epochs": 1, "seed": 3},
+                "paths": {"features_dir": str(corpus / "features"),
+                          "annotations_dir": str(corpus / "annotations"),
+                          "checkpoint": str(scratch / "m.adnc"),
+                          "out_dir": str(scratch / "out")}})
+            wrong = [str(scratch / token[1:]) for token in FUZZ_PATHS] + [
+                str(root / "model.adnc"), str(corpus / "features"), str(root / "pred"),
+                str(corpus / "annotations"), config]
+
+            def path(right):
+                return st.one_of(st.just(str(right)), st.sampled_from(wrong))
+
+            # outputs go to scratch only: a new path, a file, a directory,
+            # or a path under a file
+            out = st.sampled_from([str(scratch / name) for name in
+                                   ("new", "file", "dir", "file/under", "missing/new")])
+            threshold = st.one_of(st.floats().map(repr), st.sampled_from(
+                ["0.5", "nan", "inf", "-inf", "1e999", "0", "1", "", "x", "0x1p-2"]))
+            ks = st.one_of(st.sampled_from(["10,25,50", "1", "100", "0", "101", "5,5", "-1"]),
+                           st.text(alphabet="0123456789,-+. x", max_size=8))
+            flags = {
+                "synth": [("--config", path(config)), ("--out", out)],
+                "train": [("--config", path(config)), ("--resume", None)],
+                "infer": [("--checkpoint", path(root / "model.adnc")),
+                          ("--features", path(corpus / "features")), ("--out", out),
+                          ("--threshold", threshold)],
+                "eval": [("--pred", path(root / "pred")), ("--gt", path(corpus / "annotations")),
+                         ("--k", ks)],
+            }
+            command = data.draw(st.sampled_from(sorted(flags)))
+            argv = [command]
+            for flag, values in flags[command]:
+                if data.draw(st.sampled_from([True] * 15 + [False])):
+                    argv += [flag] if values is None else [flag, data.draw(values)]
+            if data.draw(st.sampled_from([False] * 15 + [True])):
+                argv.append("--bogus")
+            documented_exit(argv)

@@ -10,6 +10,7 @@ version and the resolved configuration. Exit codes: 0 success, 1 usage,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -33,6 +34,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+
+# How numpy words its refusal of an array size beyond its limit.
+NUMPY_SIZE_REFUSALS = ("array is too big", "Maximum allowed dimension exceeded")
 
 # The JSON type of every run-config key, by section. The model, train and
 # synth sections are the fields of their config dataclasses.
@@ -207,6 +211,8 @@ def cmd_train(args) -> int:
     # made before training, so an output path that cannot be a directory
     # fails before the checkpoint is overwritten
     checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
+    if checkpoint_path.is_dir():  # which os.replace would refuse only after training
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(checkpoint_path))
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     result = training.train(dataset, model_config, train_config, resume=resume)
@@ -402,7 +408,11 @@ def main(argv=None) -> int:
         print(f"adnet: error: {path}: {exc.strerror}" if path else f"adnet: error: {exc}",
               file=sys.stderr)
         return EXIT_DATA
-    except MemoryError as exc:  # a size numpy cannot allocate
+    except (MemoryError, ValueError) as exc:
+        # numpy raises MemoryError for a size it cannot allocate, and
+        # ValueError for one beyond its limit, which it does not try
+        if isinstance(exc, ValueError) and not str(exc).startswith(NUMPY_SIZE_REFUSALS):
+            raise
         print(f"adnet: error: out of memory: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

@@ -11,13 +11,17 @@ num_clips*dim little-endian f32, clip-major.
 
 Checkpoint layout:  "ADNC" | u32 version=1 | u32 header_len | header JSON
 (configs, seed, epoch counters, tensor names and shapes in order) |
-concatenated f64 tensor payloads in header order.
+concatenated f64 tensor payloads in header order. The order is a function
+of the model config (_layout): the parameters, then their first and then
+their second Adam moments.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -45,13 +49,14 @@ CHECKPOINT_MAGIC = b"ADNC"
 CHECKPOINT_VERSION = 1
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write via a temp file in the same directory, then rename."""
+def atomic_write_bytes(path, *chunks) -> None:
+    """Write the chunks (bytes, or C-contiguous arrays as their memory)
+    one after another via a temp file in the same directory, then rename."""
     target = Path(path)
     fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), prefix=f".{target.name}.")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            handle.writelines(chunks)
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
@@ -84,9 +89,15 @@ def write_features(seq: ClipFeatureSequence, path) -> None:
         raise InputError(f"features must be a non-empty (dim, num_clips) matrix, "
                          f"got shape {feats.shape}")
     dim, num_clips = feats.shape
+    with np.errstate(over="ignore"):  # a value beyond float32 range is refused below
+        payload = np.ascontiguousarray(feats.T, dtype="<f4")
+    finite = np.isfinite(payload)
+    if not finite.all():
+        clip, row = np.unravel_index(np.argmin(finite), finite.shape)
+        raise InputError(f"{path}: feature value {float(feats[row, clip])} at dim {row}, "
+                         f"clip {clip} is not finite in float32")
     header = FEATURE_MAGIC + struct.pack("<III", FEATURE_VERSION, num_clips, dim)
-    payload = np.ascontiguousarray(feats.T, dtype="<f4").tobytes()
-    atomic_write_bytes(path, header + payload)
+    atomic_write_bytes(path, header, payload)
 
 
 def read_features(path, expect_dim: int | None = None) -> ClipFeatureSequence:
@@ -377,18 +388,21 @@ ADAM_SCALARS = {name: kind for name, kind in typing.get_type_hints(AdamState).it
                 if kind in (int, float)}
 
 
-def _checkpoint_blobs(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:
-    blobs = [(name, tensor.value) for name, tensor in ckpt.params.tensors.items()]
-    if ckpt.adam is not None:
-        names = list(ckpt.params.tensors)
-        for prefix, buffers in (("optimizer.m.", ckpt.adam.first_moment),
-                                ("optimizer.v.", ckpt.adam.second_moment)):
-            blobs.extend((prefix + name, buf) for name, buf in zip(names, buffers))
-    return blobs
+def _layout(config: ADNetConfig, with_adam: bool) -> list[TensorEntry]:
+    """The checkpoint payload's tensors in order: the parameters in
+    parameter_shapes order, then with_adam the first and the second
+    moments of the same parameters."""
+    prefixes = ("", "optimizer.m.", "optimizer.v.") if with_adam else ("",)
+    return [TensorEntry(prefix + name, shape) for prefix in prefixes
+            for name, shape in architecture.parameter_shapes(config).items()]
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    blobs = _checkpoint_blobs(ckpt)
+    arrays = [tensor.value for tensor in ckpt.params.tensors.values()]
+    if ckpt.adam is not None:
+        arrays += [*ckpt.adam.first_moment, *ckpt.adam.second_moment]
+    arrays = [np.ascontiguousarray(array, dtype="<f8") for array in arrays]
+    layout = _layout(ckpt.model_config, ckpt.adam is not None)
     header = {
         "format_version": CHECKPOINT_VERSION,
         "model": config_to_dict(ckpt.model_config),
@@ -396,22 +410,17 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         **{name: getattr(ckpt, name) for name in HEADER_SCALARS},
         "adam": None if ckpt.adam is None else {
             name: getattr(ckpt.adam, name) for name in ADAM_SCALARS},
-        "tensors": [{"name": name, "shape": list(arr.shape)} for name, arr in blobs],
+        "tensors": [{"name": entry.name, "shape": list(array.shape)}
+                    for entry, array in zip(layout, arrays, strict=True)],
     }
     header_bytes = json.dumps(header).encode("utf-8")
-    out = bytearray()
-    out += CHECKPOINT_MAGIC
-    out += struct.pack("<II", CHECKPOINT_VERSION, len(header_bytes))
-    out += header_bytes
-    for _, arr in blobs:
-        out += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    atomic_write_bytes(path, bytes(out))
+    atomic_write_bytes(path, CHECKPOINT_MAGIC,
+                       struct.pack("<II", CHECKPOINT_VERSION, len(header_bytes)),
+                       header_bytes, *arrays)
 
 
-def _expected_tensor_shapes(model_config: ADNetConfig, with_adam: bool) -> dict[str, tuple]:
-    prefixes = ("", "optimizer.m.", "optimizer.v.") if with_adam else ("",)
-    return {prefix + name: shape for prefix in prefixes
-            for name, shape in architecture.parameter_shapes(model_config).items()}
+def _entry_text(entry: TensorEntry | None) -> str:
+    return "nothing" if entry is None else f"{entry.name!r} of shape {entry.shape}"
 
 
 def _header_config(cls, header: dict, section: str):
@@ -464,56 +473,54 @@ def _read_checkpoint(path, handle, expect_model_config, params_only) -> Checkpoi
     except (KeyError, TypeError, ConfigError) as exc:
         raise FormatError(path, f"malformed header: {exc}", offset=12) from exc
     # every stage stores a projection and a tensor per block, so a corrupt
-    # stage or layer count is caught before it sizes the expected roster
+    # stage or layer count is caught before it sizes the layout
     if model_config.num_stages * (model_config.num_layers + 1) > len(roster):
         raise CheckpointError(f"{path}: {len(roster)} tensors cannot hold "
                               f"{model_config.num_stages} stages of "
                               f"{model_config.num_layers} layers")
-    expected = _expected_tensor_shapes(model_config, adam_meta is not None)
-    stored = {entry.name: entry.shape for entry in roster}
-    missing = sorted(set(expected) - set(stored))
-    if missing:
-        raise CheckpointError(f"{path}: missing tensor {missing[0]!r}")
-    extra = sorted(set(stored) - set(expected))
-    if extra:
-        raise CheckpointError(f"{path}: unexpected tensor {extra[0]!r}")
-    for name, shape in expected.items():
-        if stored[name] != shape:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} has shape {stored[name]}, expected {shape}")
+    layout = _layout(model_config, adam_meta is not None)
+    for index, (entry, expected) in enumerate(itertools.zip_longest(roster, layout)):
+        if entry != expected:
+            raise CheckpointError(f"{path}: tensors[{index}] is {_entry_text(entry)}, "
+                                  f"expected {_entry_text(expected)}")
     if expect_model_config is not None and model_config != expect_model_config:
         raise CheckpointError(
             f"{path}: checkpoint model config {config_to_dict(model_config)} is "
             f"incompatible with requested {config_to_dict(expect_model_config)}")
-    start = offset = 12 + header_len
-    spans: dict[str, tuple[int, int]] = {}  # tensor name -> (offset, element count)
-    for entry in roster:
-        count = math.prod(entry.shape)
-        nbytes = 8 * count
-        if offset + nbytes > size:
+    start = 12 + header_len
+    # where each tensor begins and ends in the payload, counted in elements
+    ends = list(itertools.accumulate(math.prod(entry.shape) for entry in layout))
+    begins = [0, *ends[:-1]]
+    for entry, begin, end in zip(layout, begins, ends):
+        if start + 8 * end > size:
             raise FormatError(path, f"truncated payload for tensor {entry.name!r}",
-                              offset=offset)
-        spans[entry.name] = (offset, count)
-        offset += nbytes
+                              offset=start + 8 * begin)
+    offset = start + 8 * ends[-1]
     if offset != size:
         raise FormatError(path, f"{size - offset} trailing bytes after last tensor",
                           offset=offset)
-    names = list(architecture.parameter_shapes(model_config))
-    wanted = names if params_only else list(stored)
-    end = max(spans[name][0] + 8 * spans[name][1] for name in wanted)
-    data = handle.read(end - start)
-    if len(data) != end - start:
-        raise FormatError(path, "file shrank while being read", offset=start + len(data))
-    arrays = {name: np.frombuffer(data, dtype="<f8", count=spans[name][1],
-                                  offset=spans[name][0] - start)
-              .reshape(stored[name]).astype(np.float64) for name in wanted}
-    params = ModelParams(model_config, {name: Tensor(arrays[name]) for name in names})
+    n = len(architecture.parameter_shapes(model_config))
+    wanted = n if params_only else len(layout)  # the parameters come first
+    flat = np.empty(ends[wanted - 1], dtype="<f8")
+    got = handle.readinto(flat)
+    if got != flat.nbytes:
+        raise FormatError(path, "file shrank while being read", offset=start + got)
+    # no training run writes these values, so they are the file's fault
+    bad = None
+    if not (math.isfinite(flat.min()) and math.isfinite(flat.max())):  # NaN spreads to both
+        bad, what = int(np.argmin(np.isfinite(flat))), "non-finite"
+    elif wanted > n and flat[ends[2 * n - 1]:].min() < 0:  # a second moment
+        bad, what = ends[2 * n - 1] + int(np.argmax(flat[ends[2 * n - 1]:] < 0)), "negative"
+    if bad is not None:
+        name = layout[bisect.bisect_right(ends, bad)].name
+        raise FormatError(path, f"{what} value in tensor {name!r}", offset=start + 8 * bad)
+    tensors = [flat[begin:end].reshape(entry.shape)
+               for entry, begin, end in zip(layout[:wanted], begins, ends)]
+    params = ModelParams(model_config, {entry.name: Tensor(tensor)
+                                        for entry, tensor in zip(layout, tensors[:n])})
     adam = None
-    if adam_meta is not None and not params_only:
-        adam = AdamState(
-            **adam_meta,
-            first_moment=[arrays["optimizer.m." + n] for n in names],
-            second_moment=[arrays["optimizer.v." + n] for n in names],
-        )
+    if wanted > n:
+        adam = AdamState(**adam_meta, first_moment=tensors[n:2 * n],
+                         second_moment=tensors[2 * n:])
     return Checkpoint(model_config=model_config, train_config=train_config, **scalars,
                       params=params, adam=adam)

@@ -22,7 +22,7 @@ from adnet.errors import FormatError
 from adnet.io import Checkpoint, ClipFeatureSequence
 from adnet.model import ADNetConfig
 from adnet.training import TrainConfig
-from test_io import rewrite_header, set_at
+from test_io import payload_offsets, rewrite_header, set_at
 
 
 def run(capsys, argv):
@@ -97,6 +97,19 @@ class TestSynth:
         for sub in ("features", "annotations"):
             for path in sorted((tmp_path / "one" / sub).iterdir()):
                 assert path.read_bytes() == (tmp_path / "two" / sub / path.name).read_bytes()
+
+    def test_synth_features_beyond_float32(self, tmp_path, capsys):
+        # float64 holds the features, but the float32 file cannot
+        config = write_config(tmp_path / "c.json", {
+            "synth": {**SMALL_SYNTH, "class_mean_separation": 1e300}})
+        code, stdout, err = run(capsys, ["synth", "--config", config,
+                                         "--out", str(tmp_path / "corpus")])
+        features = tmp_path / "corpus" / "features"
+        assert (code, stdout) == (2, "")
+        assert re.fullmatch(rf"adnet: error: {re.escape(str(features / 'video_000.adnf'))}: "
+                            r"feature value -?[0-9.e+]+ at dim \d+, clip \d+ is not finite "
+                            r"in float32\n", err), err
+        assert list(features.iterdir()) == []
 
     def test_unknown_config_key_names_it(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json", {"synth": {"bogus": 1}})
@@ -390,11 +403,14 @@ class TestInfer:
                             adam=numerics.init_adam(params.tensor_list(), 5e-4))
         path = tmp_path / "nan.adnc"
         storage.save_checkpoint(broken, path)
-        code, _, err = run(capsys, ["infer", "--checkpoint", str(path),
-                                    "--features", str(corpus / "features"),
-                                    "--out", str(tmp_path / "pred")])
-        assert code == 3
-        assert "numeric" in err
+        code, out, err = run(capsys, ["infer", "--checkpoint", str(path),
+                                      "--features", str(corpus / "features"),
+                                      "--out", str(tmp_path / "pred")])
+        # a NaN weight is the checkpoint's fault, not a numeric failure
+        offset = payload_offsets(path.read_bytes())["stage0.proj.weight"]
+        assert (code, out) == (2, "")
+        assert err == (f"adnet: error: {path} @ byte {offset}: "
+                       f"non-finite value in tensor 'stage0.proj.weight'\n")
 
 
 def expected_prediction_text(doc, scores, labels, frames_per_clip):
@@ -446,17 +462,6 @@ class TestPredictionText:
             assert text == json.dumps(json.loads(text), indent=2) + "\n"
             assert list(json.loads(text))[-3:] == ["clip_scores", "clip_labels",
                                                    "frame_scores"]
-
-
-def payload_offsets(raw: bytes) -> dict:
-    """Tensor name -> byte offset of its payload, from a checkpoint's header."""
-    header_len = struct.unpack_from("<I", raw, 8)[0]
-    offsets = {}
-    offset = 12 + header_len
-    for entry in json.loads(raw[12:12 + header_len])["tensors"]:
-        offsets[entry["name"]] = offset
-        offset += 8 * math.prod(entry["shape"])
-    return offsets
 
 
 class TestInferCheckpointRead:
@@ -525,15 +530,25 @@ class TestInferCheckpointRead:
                 self.bytes_read += len(data)
                 return data
 
+            def readinto(self, buffer):
+                count = self.handle.readinto(buffer)
+                self.bytes_read += count
+                return count
+
+            def tell(self):
+                return self.handle.tell()
+
         monkeypatch.setattr(storage, "open", CountingFile, raising=False)
         storage.load_checkpoint(root / "model.adnc", params_only=True)
         storage.load_checkpoint(root / "model.adnc")
         first_moment = payload_offsets(raw)["optimizer.m.stage0.proj.weight"]
         assert [file.bytes_read for file in opened] == [first_moment, len(raw)]
 
-    def test_roster_in_any_order(self, pipeline, tmp_path):
-        # the parameters need not come first in the payload
-        root, _, _ = pipeline
+    @pytest.mark.parametrize("swap", [None, (5, 7)], ids=["reversed", "swapped"])
+    def test_roster_out_of_order_rejected(self, pipeline, tmp_path, capsys, swap):
+        # the payload order is fixed, so a roster in another order names the
+        # first entry out of place, even where the payload follows the roster
+        root, corpus, _ = pipeline
         raw = (root / "model.adnc").read_bytes()
         header_len = struct.unpack_from("<I", raw, 8)[0]
         header = json.loads(raw[12:12 + header_len])
@@ -541,19 +556,23 @@ class TestInferCheckpointRead:
         blobs = {entry["name"]: raw[offsets[entry["name"]]:
                                     offsets[entry["name"]] + 8 * math.prod(entry["shape"])]
                  for entry in header["tensors"]}
-        header["tensors"].reverse()
+        roster = header["tensors"]
+        index = 0 if swap is None else swap[0]
+        expected = roster[index]
+        if swap is None:
+            roster.reverse()
+        else:  # two tensors of one shape, (8,)
+            roster[index], roster[swap[1]] = roster[swap[1]], roster[index]
+        found = roster[index]
         new_header = json.dumps(header).encode()
         checkpoint = tmp_path / "m.adnc"
         checkpoint.write_bytes(raw[:8] + struct.pack("<I", len(new_header)) + new_header
-                               + b"".join(blobs[entry["name"]] for entry in header["tensors"]))
-        full = storage.load_checkpoint(root / "model.adnc")
-        for params_only in (False, True):
-            back = storage.load_checkpoint(checkpoint, params_only=params_only)
-            for name, tensor in full.params.tensors.items():
-                assert np.array_equal(back.params.tensors[name].value, tensor.value)
-        back = storage.load_checkpoint(checkpoint)
-        for got, want in zip(back.adam.second_moment, full.adam.second_moment):
-            assert np.array_equal(got, want)
+                               + b"".join(blobs[entry["name"]] for entry in roster))
+        code, out, err = self.run_infer(capsys, checkpoint, corpus, tmp_path)
+        assert (code, out) == (2, "")
+        assert err == (f"adnet: error: {checkpoint}: tensors[{index}] is "
+                       f"{found['name']!r} of shape {tuple(found['shape'])}, expected "
+                       f"{expected['name']!r} of shape {tuple(expected['shape'])}\n")
 
 
 def set_field(header, field, value):
@@ -1039,10 +1058,10 @@ def corruptions(draw, raw: bytes) -> bytes:
 
 
 def assert_clean_exit(outcome):
-    """Exit 0, or one adnet: line: exit 2 for a malformed file, or exit 3,
-    the numeric failure, when a changed payload byte leaves a parameter
-    or Adam moment (NaN, a magnitude that overflows, a negative second
-    moment) that makes a score or loss non-finite."""
+    """Exit 0, or one adnet: line: exit 2 for a malformed file (a NaN,
+    an infinity or a negative second moment among them), or exit 3, the
+    numeric failure, when a changed payload byte leaves a finite parameter
+    or Adam moment whose magnitude overflows a score or loss."""
     code, _, err = outcome
     if code != 0:
         prefix = {2: "adnet: error: ", 3: "adnet: numeric failure: "}[code]
@@ -1312,11 +1331,13 @@ class TestResourceErrors:
         assert err == f"adnet: error: {out / 'features'}: Not a directory\n"
 
     def test_checkpoint_is_a_directory(self, pipeline, tmp_path, capsys):
+        # refused before training, not by os.replace after it
         _, corpus, _ = pipeline
         checkpoint = tmp_path / "m.adnc"
         checkpoint.mkdir()
-        code, stdout, err = run(capsys, ["train", "--config", small_train_config(
-            tmp_path, corpus / "features", corpus / "annotations")])
+        with mock.patch.object(cli.training, "train", side_effect=AssertionError("trained")):
+            code, stdout, err = run(capsys, ["train", "--config", small_train_config(
+                tmp_path, corpus / "features", corpus / "annotations")])
         assert (code, stdout) == (2, "")
         assert err == f"adnet: error: {checkpoint}: Is a directory\n"
         assert list(tmp_path.glob(".m.adnc.*")) == []
@@ -1352,6 +1373,31 @@ class TestResourceErrors:
         assert err.startswith("adnet: error: out of memory: Unable to allocate ")
         assert f"shape ({10 ** 15}, 5)" in err and err.count("\n") == 1
         assert not (tmp_path / "m.adnc").exists()
+
+    # numpy refuses these sizes with ValueError before it allocates anything
+    def test_hidden_channels_beyond_numpy_limit(self, pipeline, tmp_path, capsys):
+        _, corpus, _ = pipeline
+        config = write_config(tmp_path / "c.json", {
+            "model": {**SMALL_MODEL, "hidden_channels": 10 ** 18},
+            "train": {"epochs": 1, "seed": 3},
+            "paths": {"features_dir": str(corpus / "features"),
+                      "annotations_dir": str(corpus / "annotations"),
+                      "checkpoint": str(tmp_path / "m.adnc")}})
+        code, stdout, err = run(capsys, ["train", "--config", config])
+        assert (code, stdout) == (2, "")
+        assert err == ("adnet: error: out of memory: array is too big; `arr.size * "
+                       "arr.dtype.itemsize` is larger than the maximum possible size.\n")
+        assert not (tmp_path / "m.adnc").exists()
+
+    @pytest.mark.parametrize("input_dim", [10 ** 18, 10 ** 19])
+    def test_synth_input_dim_beyond_numpy_limit(self, tmp_path, capsys, input_dim):
+        config = write_config(tmp_path / "c.json", {
+            "synth": {**SMALL_SYNTH, "input_dim": input_dim}})
+        code, stdout, err = run(capsys, ["synth", "--config", config,
+                                         "--out", str(tmp_path / "corpus")])
+        assert (code, stdout) == (2, "")
+        assert err.startswith("adnet: error: out of memory: ") and err.count("\n") == 1
+        assert list((tmp_path / "corpus" / "features").iterdir()) == []
 
 
 def adnet_subprocess(argv):
@@ -1391,6 +1437,60 @@ class TestOverflowingCheckpoint:
                       "checkpoint": str(overflowing)}})
         assert adnet_subprocess(["train", "--config", config, "--resume"]) == (
             3, "adnet: numeric failure: non-finite loss at epoch 3\n")
+
+
+class TestCorruptCheckpointValues:
+    """A payload value that no training run writes, a non-finite value or
+    a negative second moment, exits 2 naming the file, the element's byte
+    and its tensor; a finite weight that overflows is still a numeric
+    failure (TestOverflowingCheckpoint)."""
+
+    def corrupt(self, pipeline, tmp_path, name, value, element=3):
+        """A copy of the pipeline's checkpoint whose tensor name holds value
+        at its flat index element, and the byte offset of that element."""
+        root, _, _ = pipeline
+        raw = bytearray((root / "model.adnc").read_bytes())
+        offset = payload_offsets(bytes(raw))[name] + 8 * element
+        raw[offset:offset + 8] = struct.pack("<d", value)
+        checkpoint = tmp_path / "m.adnc"
+        checkpoint.write_bytes(raw)
+        return checkpoint, offset
+
+    @pytest.mark.parametrize("name,value,what", [
+        ("stage0.proj.weight", math.nan, "non-finite"),
+        ("optimizer.m.stage0.block1.dilated.weight", math.inf, "non-finite"),
+        ("optimizer.v.stage0.head.weight", -1e-12, "negative")],
+        ids=["nan_weight", "infinite_first_moment", "negative_second_moment"])
+    def test_train_resume(self, pipeline, tmp_path, capsys, name, value, what):
+        _, corpus, _ = pipeline
+        checkpoint, offset = self.corrupt(pipeline, tmp_path, name, value)
+        before = checkpoint.read_bytes()
+        config = write_config(tmp_path / "c.json", {
+            "model": SMALL_MODEL, "train": {"epochs": 1, "seed": 3},
+            "paths": {"features_dir": str(corpus / "features"),
+                      "annotations_dir": str(corpus / "annotations"),
+                      "checkpoint": str(checkpoint)}})
+        code, out, err = run(capsys, ["train", "--resume", "--config", config])
+        assert (code, out) == (2, "")
+        assert err == (f"adnet: error: {checkpoint} @ byte {offset}: "
+                       f"{what} value in tensor {name!r}\n")
+        assert checkpoint.read_bytes() == before
+
+    @pytest.mark.parametrize("name,value,code", [
+        ("stage0.head.bias", math.inf, 2),
+        ("optimizer.m.stage0.proj.weight", math.nan, 0),
+        ("optimizer.v.stage0.proj.weight", -1.0, 0)])
+    def test_infer_checks_only_the_parameters_it_reads(self, pipeline, tmp_path, capsys,
+                                                       name, value, code):
+        _, corpus, _ = pipeline
+        checkpoint, offset = self.corrupt(pipeline, tmp_path, name, value, element=0)
+        outcome = run(capsys, ["infer", "--checkpoint", str(checkpoint),
+                               "--features", str(corpus / "features"),
+                               "--out", str(tmp_path / "pred")])
+        assert outcome[0] == code
+        if code:
+            assert outcome[2] == (f"adnet: error: {checkpoint} @ byte {offset}: "
+                                  f"non-finite value in tensor {name!r}\n")
 
 
 def documented_exit(argv) -> int:

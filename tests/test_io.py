@@ -1,6 +1,9 @@
 import json
+import math
+import re
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from adnet import io as storage
 from adnet import model, numerics, synth, training
-from adnet.errors import CheckpointError, FormatError
+from adnet.errors import CheckpointError, FormatError, InputError
 from adnet.io import AnnotationManifest, Checkpoint, ClipFeatureSequence
 from adnet.evaluation import TemporalSegment
 from adnet.model import ADNetConfig
@@ -35,6 +38,24 @@ class TestFeatureFiles:
         expected = (b"ADNF" + struct.pack("<III", 1, 2, 3)
                     + struct.pack("<6f", 1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
         assert path.read_bytes() == expected
+
+    def test_exact_bytes_of_a_random_matrix(self, tmp_path):
+        feats = np.random.default_rng(1).normal(size=(5, 7))
+        path = tmp_path / "v.adnf"
+        storage.write_features(ClipFeatureSequence("v", feats), path)
+        expected = b"ADNF" + struct.pack("<III", 1, 7, 5) + b"".join(
+            struct.pack("<f", feats[row, clip]) for clip in range(7) for row in range(5))
+        assert path.read_bytes() == expected
+
+    @pytest.mark.parametrize("value", [1e300, -1e39, np.inf, np.nan])
+    def test_value_not_finite_in_float32_refused(self, tmp_path, value):
+        feats = np.ones((3, 4))
+        feats[2, 1] = value
+        path = tmp_path / "v.adnf"
+        with pytest.raises(InputError, match=rf"^{re.escape(str(path))}: feature value .* "
+                                             rf"at dim 2, clip 1 is not finite in float32$"):
+            storage.write_features(ClipFeatureSequence("v", feats), path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_truncated_payload_names_sizes(self, tmp_path):
         seq = ClipFeatureSequence("v", np.ones((2, 3)))
@@ -272,9 +293,9 @@ class TestAnnotations:
         np.testing.assert_array_equal(clip_labels(back), [0, 0, 1, 1])
 
 
-def trained_checkpoint(seed=3):
+def trained_checkpoint(seed=3, hidden_channels=8):
     cfg = ADNetConfig(window_width=8, num_stages=2, num_layers=3, input_dim=4,
-                      hidden_channels=8)
+                      hidden_channels=hidden_channels)
     params = model.build(cfg, seed=seed)
     adam = numerics.init_adam(params.tensor_list(), lr=5e-4)
     rng = np.random.default_rng(seed)
@@ -296,6 +317,17 @@ def rewrite_header(path, edit):
     new_header = json.dumps(header).encode()
     path.write_bytes(raw[:8] + struct.pack("<I", len(new_header)) + new_header
                      + raw[12 + header_len:])
+
+
+def payload_offsets(raw: bytes) -> dict:
+    """Tensor name -> byte offset of its payload, from a checkpoint's header."""
+    header_len = struct.unpack_from("<I", raw, 8)[0]
+    offsets = {}
+    offset = 12 + header_len
+    for entry in json.loads(raw[12:12 + header_len])["tensors"]:
+        offsets[entry["name"]] = offset
+        offset += 8 * math.prod(entry["shape"])
+    return offsets
 
 
 @pytest.fixture(scope="module")
@@ -322,6 +354,64 @@ class TestCheckpoints:
             assert np.array_equal(a, b)
         for a, b in zip(back.adam.second_moment, ckpt.adam.second_moment):
             assert np.array_equal(a, b)
+
+    def test_exact_bytes(self, tmp_path):
+        # magic | <II | header JSON | the parameters in parameter_shapes
+        # order, then their first moments, then their second moments
+        ckpt = trained_checkpoint()
+        path = tmp_path / "model.adnc"
+        storage.save_checkpoint(ckpt, path)
+        shapes = model.parameter_shapes(ckpt.model_config)
+        arrays = ([ckpt.params.tensors[name].value for name in shapes]
+                  + ckpt.adam.first_moment + ckpt.adam.second_moment)
+        names = [prefix + name for prefix in ("", "optimizer.m.", "optimizer.v.")
+                 for name in shapes]
+        adam = ckpt.adam
+        header = json.dumps({
+            "format_version": 1,
+            "model": storage.config_to_dict(ckpt.model_config),
+            "train": storage.config_to_dict(ckpt.train_config),
+            "seed": 3, "frames_per_clip": 16, "epochs_completed": 4,
+            "adam": {"lr": adam.lr, "beta1": adam.beta1, "beta2": adam.beta2,
+                     "epsilon": adam.epsilon, "step_count": 1},
+            "tensors": [{"name": name, "shape": list(array.shape)}
+                        for name, array in zip(names, arrays)]}).encode()
+        payload = b"".join(struct.pack(f"<{array.size}d", *array.ravel()) for array in arrays)
+        assert path.read_bytes() == (b"ADNC" + struct.pack("<II", 1, len(header)) + header
+                                     + payload)
+
+    def test_loaded_tensors_are_aligned_float64(self, tmp_path):
+        path = tmp_path / "model.adnc"
+        storage.save_checkpoint(trained_checkpoint(), path)
+        for params_only in (False, True):
+            back = storage.load_checkpoint(path, params_only=params_only)
+            arrays = [tensor.value for tensor in back.params.tensor_list()]
+            if not params_only:
+                arrays += back.adam.first_moment + back.adam.second_moment
+            for array in arrays:
+                assert array.dtype == np.float64
+                assert array.flags.c_contiguous and array.flags.aligned
+
+    @pytest.mark.parametrize("group,param,value,message", [
+        ("", "stage1.head.weight", np.nan, "non-finite"),
+        ("m", "stage0.proj.bias", -np.inf, "non-finite"),
+        ("v", "stage1.block2.pointwise.weight", -0.5, "negative")])
+    def test_corrupt_value_names_tensor_and_byte(self, tmp_path, group, param, value,
+                                                 message):
+        ckpt = trained_checkpoint()
+        index = list(ckpt.params.tensors).index(param)
+        array = {"": ckpt.params.tensors[param].value, "m": ckpt.adam.first_moment[index],
+                 "v": ckpt.adam.second_moment[index]}[group]
+        array.flat[2] = value
+        name = f"optimizer.{group}.{param}" if group else param
+        path = tmp_path / "model.adnc"
+        storage.save_checkpoint(ckpt, path)
+        offset = payload_offsets(path.read_bytes())[name] + 8 * 2
+        with pytest.raises(FormatError) as excinfo:
+            storage.load_checkpoint(path)
+        assert str(excinfo.value) == f"{path} @ byte {offset}: {message} value in tensor {name!r}"
+        if group:  # without the optimizer state, a moment is neither read nor checked
+            storage.load_checkpoint(path, params_only=True)
 
     def test_save_is_deterministic(self, tmp_path):
         ckpt = trained_checkpoint()
@@ -422,6 +512,43 @@ class TestCheckpoints:
                 storage.load_checkpoint(path)
             except (FormatError, CheckpointError):
                 pass
+
+
+def traced_peak(call) -> int:
+    """The peak of memory traced by tracemalloc while call runs, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCheckpointMemory:
+    """Save and load make no payload-sized copy: a save allocates a small
+    fraction of the file, and a load little beyond the one array that its
+    tensors are views of."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        ckpt = trained_checkpoint(hidden_channels=64)  # a 2.4 MB file
+        path = tmp_path_factory.mktemp("memory") / "model.adnc"
+        storage.save_checkpoint(ckpt, path)
+        return ckpt, path
+
+    def test_save(self, saved):
+        ckpt, path = saved
+        peak = traced_peak(lambda: storage.save_checkpoint(ckpt, path))
+        assert peak <= 0.25 * path.stat().st_size
+
+    def test_full_load(self, saved):
+        _, path = saved
+        assert traced_peak(lambda: storage.load_checkpoint(path)) <= 1.25 * path.stat().st_size
+
+    def test_parameters_only_load(self, saved):
+        _, path = saved
+        peak = traced_peak(lambda: storage.load_checkpoint(path, params_only=True))
+        assert peak <= 0.5 * path.stat().st_size
 
 
 class TestConfigDicts:

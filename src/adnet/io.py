@@ -40,7 +40,7 @@ from . import model as architecture
 from .errors import CheckpointError, ConfigError, FormatError, InputError
 from .evaluation import TemporalSegment, partition_extent
 from .model import ADNetConfig, ModelParams
-from .numerics import AdamState, Tensor
+from .numerics import AdamState
 from .training import TrainConfig
 
 FEATURE_MAGIC = b"ADNF"
@@ -398,9 +398,9 @@ def _layout(config: ADNetConfig, with_adam: bool) -> list[TensorEntry]:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    arrays = [tensor.value for tensor in ckpt.params.tensors.values()]
+    arrays = [ckpt.params.flat]
     if ckpt.adam is not None:
-        arrays += [*ckpt.adam.first_moment, *ckpt.adam.second_moment]
+        arrays += [ckpt.adam.first_moment, ckpt.adam.second_moment]
     arrays = [np.ascontiguousarray(array, dtype="<f8") for array in arrays]
     layout = _layout(ckpt.model_config, ckpt.adam is not None)
     header = {
@@ -410,8 +410,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         **{name: getattr(ckpt, name) for name in HEADER_SCALARS},
         "adam": None if ckpt.adam is None else {
             name: getattr(ckpt.adam, name) for name in ADAM_SCALARS},
-        "tensors": [{"name": entry.name, "shape": list(array.shape)}
-                    for entry, array in zip(layout, arrays, strict=True)],
+        "tensors": [{"name": entry.name, "shape": list(entry.shape)} for entry in layout],
     }
     header_bytes = json.dumps(header).encode("utf-8")
     atomic_write_bytes(path, CHECKPOINT_MAGIC,
@@ -514,13 +513,12 @@ def _read_checkpoint(path, handle, expect_model_config, params_only) -> Checkpoi
     if bad is not None:
         name = layout[bisect.bisect_right(ends, bad)].name
         raise FormatError(path, f"{what} value in tensor {name!r}", offset=start + 8 * bad)
-    tensors = [flat[begin:end].reshape(entry.shape)
-               for entry, begin, end in zip(layout[:wanted], begins, ends)]
-    params = ModelParams(model_config, {entry.name: Tensor(tensor)
-                                        for entry, tensor in zip(layout, tensors[:n])})
+    # the parameters and both moments stay views into the one buffer read
+    size = ends[n - 1]
+    params = ModelParams(model_config, flat[:size])
     adam = None
     if wanted > n:
-        adam = AdamState(**adam_meta, first_moment=tensors[n:2 * n],
-                         second_moment=tensors[2 * n:])
+        adam = AdamState(**adam_meta, first_moment=flat[size:2 * size],
+                         second_moment=flat[2 * size:])
     return Checkpoint(model_config=model_config, train_config=train_config, **scalars,
                       params=params, adam=adam)

@@ -31,12 +31,17 @@ def conv1d_dilated_bwd(x, w, gy, dilation):
     pad = (k // 2) * dilation
     xp = np.zeros((cin, t + 2 * pad))
     xp[:, pad:pad + t] = x
-    gxp = np.zeros_like(xp)
+    gx = np.zeros((cin, t))
     gw = np.empty_like(w)
     for j in range(k):
         lo = j * dilation
         gw[:, :, j] = gy @ xp[:, lo:lo + t].T
-        gxp[:, lo:lo + t] += w[:, :, j].T @ gy
-    gx = np.ascontiguousarray(gxp[:, pad:pad + t])
+        # tap j sends output column u to input column u + shift; what it
+        # sends past either edge lands in the padding and is dropped. The
+        # product stays whole: BLAS may round a column slice of it differently
+        shift = lo - pad
+        first, last = max(0, -shift), min(t, t - shift)
+        if first < last:
+            gx[:, first + shift:last + shift] += (w[:, :, j].T @ gy)[:, first:last]
     gb = gy.sum(axis=1)
     return gx, gw, gb

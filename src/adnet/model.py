@@ -7,6 +7,12 @@ following stage consumes the previous stage's one-channel score sequence
 through its own projection and refines it the same way. The padding mask
 re-zeroes masked columns after the projection, after every block, and
 after each head, so padded positions can never influence real ones.
+
+The architecture is fixed, so its gradient is written out by hand:
+forward keeps the activations that backward reads, and backward walks the
+stages in reverse and writes each parameter's gradient once. Every
+parameter lives in one flat float64 vector, and every named tensor is a
+view into it; the gradients fill a twin vector.
 """
 
 from __future__ import annotations
@@ -16,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import evaluation, numerics, windowing
-from .errors import ConfigError
-from .numerics import Tape, Tensor
+from . import evaluation, kernels, numerics, windowing
+from .errors import ConfigError, InternalError
+from .numerics import Tensor
 from .windowing import Window
 
 
@@ -38,13 +44,6 @@ def max_layers(window_width: int, kernel_size: int) -> int:
     while (1 << layers) * half < window_width:
         layers += 1
     return layers
-
-
-def locality_radius(num_stages: int, num_layers: int, kernel_size: int) -> int:
-    """Farthest |t - t'| through which input column t can influence output
-    column t': (K//2) * (2**L - 1) per stage, and stages chain additively."""
-    per_stage = (kernel_size // 2) * ((1 << num_layers) - 1)
-    return num_stages * per_stage
 
 
 @dataclass(frozen=True)
@@ -93,70 +92,200 @@ def parameter_shapes(config: ADNetConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def views(config: ADNetConfig, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """Name -> shaped view into flat, a vector holding every tensor of the
+    model in parameter_shapes order."""
+    out = {}
+    offset = 0
+    for name, shape in parameter_shapes(config).items():
+        size = math.prod(shape)
+        out[name] = flat[offset:offset + size].reshape(shape)
+        offset += size
+    if offset != flat.size:
+        raise InternalError(f"the model holds {offset} values, its vector {flat.size}")
+    return out
+
+
 @dataclass
 class ModelParams:
-    """All learnable tensors, keyed by the names parameter_shapes() yields."""
+    """All learnable tensors, keyed by the names parameter_shapes() yields.
+    flat holds them all in that order, and each tensor's value is a view
+    into it; grad, once gradients() allocates it, is flat's twin."""
 
     config: ADNetConfig
-    tensors: dict[str, Tensor]
+    flat: np.ndarray
+    tensors: dict[str, Tensor] = field(init=False, repr=False)
+    grad: np.ndarray | None = field(default=None, init=False, repr=False)
 
-    def tensor_list(self) -> list[Tensor]:
-        return list(self.tensors.values())
+    def __post_init__(self):
+        if self.flat.ndim != 1 or self.flat.dtype != np.float64 \
+                or not self.flat.flags.c_contiguous:
+            raise InternalError("parameters must be one contiguous float64 vector")
+        self.tensors = {name: Tensor(view) for name, view in views(self.config, self.flat).items()}
+
+    def __iter__(self):
+        return iter(self.tensors.values())
+
+    def gradients(self) -> dict[str, np.ndarray]:
+        """Name -> view into grad, allocated on first use."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.flat)
+        return views(self.config, self.grad)
 
 
 def build(config: ADNetConfig, seed: int) -> ModelParams:
     """Deterministic initialization: every tensor uniform in [-a, a] with
     a = 1/sqrt(fan_in) of the layer it feeds."""
     rng = np.random.default_rng(seed)
-    tensors: dict[str, Tensor] = {}
+    shapes = parameter_shapes(config)
+    params = ModelParams(config, np.empty(sum(math.prod(shape) for shape in shapes.values())))
     bound = 1.0
-    for name, shape in parameter_shapes(config).items():
+    for name, shape in shapes.items():
         if name.endswith("weight"):
             fan_in = shape[1] * (shape[2] if len(shape) == 3 else 1)
             bound = 1.0 / math.sqrt(fan_in)
-        tensors[name] = Tensor(rng.uniform(-bound, bound, size=shape))
-    return ModelParams(config=config, tensors=tensors)
+        params.tensors[name].value[...] = rng.uniform(-bound, bound, size=shape)
+    return params
 
 
-def forward(params: ModelParams, window: Window,
-            tape: Tape | None = None) -> list[Tensor]:
-    """Per-stage score sequences, each a (1, W) tensor in [0, 1] with
-    masked columns exactly 0."""
-    cfg = params.config
-    expected = (cfg.input_dim, cfg.window_width)
+@dataclass
+class StageActivations:
+    """What backward reads of one stage's forward pass."""
+
+    inputs: np.ndarray            # the features, or the previous stage's scores
+    blocks: list[tuple[np.ndarray, np.ndarray]]  # per block: its input, its ReLU output
+    head_input: np.ndarray
+    sigmoid: np.ndarray           # the head's sigmoid output, before the mask
+
+
+def _masking(window: Window, config: ADNetConfig) -> np.ndarray | None:
+    """The window's mask as float64, or None for a window without padding:
+    x * 1.0 is x bit for bit, so such a window skips the masking."""
+    expected = (config.input_dim, config.window_width)
     if window.features.shape != expected:
         raise ConfigError(
             f"window features have shape {window.features.shape}, model expects {expected}")
-    if window.mask.shape != (cfg.window_width,):
+    if window.mask.shape != (config.window_width,):
         raise ConfigError(
-            f"window mask has shape {window.mask.shape}, model expects ({cfg.window_width},)")
-    t = params.tensors
-    mask = window.mask
-    # x * 1.0 is x bit for bit, so a window without padding skips the masking
-    unpadded = bool(np.all(mask == 1.0))
+            f"window mask has shape {window.mask.shape}, model expects ({config.window_width},)")
+    mask = np.ascontiguousarray(window.mask, dtype=np.float64)
+    if np.all(mask == 1.0):
+        return None
+    if not np.all((mask == 0.0) | (mask == 1.0)):
+        raise ConfigError("mask entries must be 0 or 1")
+    return mask
 
-    def masked(x: Tensor) -> Tensor:
-        return x if unpadded else numerics.mask_mul(x, mask, tape)
 
-    current = Tensor(window.features)
+def forward(params: ModelParams, window: Window,
+            saved: list[StageActivations] | None = None) -> list[Tensor]:
+    """Per-stage score sequences, each a (1, W) tensor in [0, 1] with
+    masked columns exactly 0. With saved, each stage appends what backward
+    reads of it."""
+    cfg = params.config
+    mask = _masking(window, cfg)
+    t = {name: tensor.value for name, tensor in params.tensors.items()}
+    current = np.asarray(window.features, dtype=np.float64, order="C")
     outputs: list[Tensor] = []
     for s in range(cfg.num_stages):
-        v = masked(numerics.pointwise_conv(current, t[f"stage{s}.proj.weight"],
-                                           t[f"stage{s}.proj.bias"], tape))
+        v = t[f"stage{s}.proj.weight"] @ current + t[f"stage{s}.proj.bias"][:, None]
+        if mask is not None:
+            v = v * mask
+        blocks = []
         for layer in range(cfg.num_layers):
-            h = numerics.conv1d_dilated(v, t[f"stage{s}.block{layer}.dilated.weight"],
-                                        t[f"stage{s}.block{layer}.dilated.bias"],
-                                        1 << layer, tape)
-            h = numerics.relu(h, tape)
-            h = numerics.pointwise_conv(h, t[f"stage{s}.block{layer}.pointwise.weight"],
-                                        t[f"stage{s}.block{layer}.pointwise.bias"], tape)
-            v = masked(numerics.add(v, h, tape))
-        scores = numerics.pointwise_conv(v, t[f"stage{s}.head.weight"],
-                                         t[f"stage{s}.head.bias"], tape)
-        scores = masked(numerics.sigmoid(scores, tape))
-        outputs.append(scores)
+            block = f"stage{s}.block{layer}"
+            # looked up on the module at call time so perfbench/layers.py can wrap it
+            h = kernels.conv1d_dilated_fwd(v, t[f"{block}.dilated.weight"],
+                                           t[f"{block}.dilated.bias"], 1 << layer)
+            r = np.maximum(h, 0.0)
+            blocks.append((v, r))
+            v = v + (t[f"{block}.pointwise.weight"] @ r + t[f"{block}.pointwise.bias"][:, None])
+            if mask is not None:
+                v = v * mask
+        y = numerics.logistic(t[f"stage{s}.head.weight"] @ v + t[f"stage{s}.head.bias"][:, None])
+        scores = y if mask is None else y * mask
+        if saved is not None:
+            saved.append(StageActivations(current, blocks, v, y))
+        outputs.append(Tensor(scores))
         current = scores
     return outputs
+
+
+def backward(params: ModelParams, window: Window, saved: list[StageActivations],
+             score_grads: list[np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    """Write into grads (views into params.grad) the gradient of a loss
+    with respect to every parameter. score_grads[s] is the gradient of the
+    loss terms of stage s with respect to its (1, W) scores, and saved is
+    what forward kept of the same window.
+
+    The tape this replaces fixed the order of every sum: a stage's score
+    gradient is its own loss gradient plus the next stage's projection
+    pullback, and a block input's gradient is the residual's g plus the
+    conv's gx. The mask is applied where forward applied it.
+    """
+    cfg = params.config
+    mask = _masking(window, cfg)
+    t = {name: tensor.value for name, tensor in params.tensors.items()}
+    pullback = None
+    for s in reversed(range(cfg.num_stages)):
+        stage = saved[s]
+        g = score_grads[s] if pullback is None else score_grads[s] + pullback
+        if mask is not None:
+            g = g * mask
+        y = stage.sigmoid
+        g = g * y * (1.0 - y)
+        gv = t[f"stage{s}.head.weight"].T @ g
+        np.matmul(g, stage.head_input.T, out=grads[f"stage{s}.head.weight"])
+        np.sum(g, axis=1, out=grads[f"stage{s}.head.bias"])
+        for layer in reversed(range(cfg.num_layers)):
+            block = f"stage{s}.block{layer}"
+            v, r = stage.blocks[layer]
+            if mask is not None:
+                gv = gv * mask
+            gr = t[f"{block}.pointwise.weight"].T @ gv
+            np.matmul(gv, r.T, out=grads[f"{block}.pointwise.weight"])
+            np.sum(gv, axis=1, out=grads[f"{block}.pointwise.bias"])
+            gx, gw, gb = kernels.conv1d_dilated_bwd(v, t[f"{block}.dilated.weight"],
+                                                    gr * (r > 0.0), 1 << layer)
+            grads[f"{block}.dilated.weight"][...] = gw
+            grads[f"{block}.dilated.bias"][...] = gb
+            gv = gv + gx
+        if mask is not None:
+            gv = gv * mask
+        np.matmul(gv, stage.inputs.T, out=grads[f"stage{s}.proj.weight"])
+        np.sum(gv, axis=1, out=grads[f"stage{s}.proj.bias"])
+        if s > 0:  # the features need no gradient
+            pullback = t[f"stage{s}.proj.weight"].T @ gv
+
+
+def activation_bound(params: ModelParams, feature_bound: float) -> float:
+    """An upper bound on |x| for every activation x of forward on windows
+    whose features are at most feature_bound in magnitude, or inf.
+
+    A layer's output is at most its largest absolute weight row sum
+    (over taps too) times its input's bound, plus its largest |bias|;
+    a residual adds the two bounds, a sigmoid is at most 1, and a mask
+    never grows a value. Each layer's bound is widened a little so that
+    it also covers the rounding of the sums forward computes.
+    """
+    t = {name: tensor.value for name, tensor in params.tensors.items()}
+
+    def layer(prefix: str, bound: float) -> float:
+        weight = np.abs(t[prefix + ".weight"])
+        rows = weight.sum(axis=tuple(range(1, weight.ndim)))
+        return (float(rows.max()) * bound + float(np.abs(t[prefix + ".bias"]).max())) \
+            * (1.0 + 1e-9)
+
+    bounds = [feature_bound]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(params.config.num_stages):
+            bounds.append(layer(f"stage{s}.proj", bounds[-1]))
+            for block in range(params.config.num_layers):
+                v = bounds[-1]
+                inner = layer(f"stage{s}.block{block}.dilated", v)
+                bounds += [inner, v + layer(f"stage{s}.block{block}.pointwise", inner)]
+            bounds += [layer(f"stage{s}.head", bounds[-1]), 1.0]
+        largest = float(np.max(bounds))  # NaN, from a NaN weight or inf * 0, wins
+    return largest if math.isfinite(largest) else math.inf
 
 
 def predict_labels(scores, threshold: float) -> np.ndarray:

@@ -1,20 +1,22 @@
-"""Dense float64 tensor operations with taped reverse-mode gradients.
+"""Dense float64 arrays: the taped reference ops and the optimizer.
 
 Values are numpy arrays shaped (channels, length), plus 0-d scalars for
 losses. A Tensor pairs a value with a lazily allocated gradient buffer
-that backward passes accumulate into with +=. Each operation validates
-shapes eagerly, computes its forward result (through adnet.kernels for
-the dilated convolution), and, when given a Tape, records a pullback
-closure. With tape=None the same functions run as plain forward
-evaluation, which is all inference needs.
+that backward passes accumulate into with +=. Each taped operation
+validates shapes eagerly, computes its forward result (through
+adnet.kernels for the dilated convolution), and, when given a Tape,
+records a pullback closure. Training does not use them: the model has
+its own forward and backward (adnet.model), and the taped ops are the
+generic reference that the tests hold it against.
 
-Forward evaluation over immutable parameters is thread-safe; a Tape and
-an AdamState belong to a single training loop and must not be shared.
+adam_step updates one flat parameter vector from its gradient twin in
+cache-sized chunks. An AdamState belongs to a single training loop and
+must not be shared.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -148,14 +150,18 @@ def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def sigmoid(x: Tensor, tape: Tape | None = None) -> Tensor:
-    v = x.value
-    # branch on sign so exp never overflows
+def logistic(v: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-v)), branched on sign so exp never overflows."""
     y = np.empty_like(v)
     pos = v >= 0
     y[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
     ev = np.exp(v[~pos])
     y[~pos] = ev / (1.0 + ev)
+    return y
+
+
+def sigmoid(x: Tensor, tape: Tape | None = None) -> Tensor:
+    y = logistic(x.value)
     out = Tensor(y)
     if tape is not None:
         def pullback():
@@ -221,50 +227,65 @@ def scalar_sum(terms: Sequence[Tensor], tape: Tape | None = None) -> Tensor:
     return out
 
 
+# elements per Adam chunk: its two 256 KiB temporaries stay in L2, where
+# whole-vector temporaries of a default model (4 MB each) do not
+ADAM_CHUNK = 32_768
+
+
 @dataclass
 class AdamState:
-    """Moment buffers (one pair per parameter, same order) plus step count."""
+    """Moment vectors, twins of the flat parameter vector, plus step count."""
 
     lr: float
     beta1: float
     beta2: float
     epsilon: float
     step_count: int
-    first_moment: list[np.ndarray]
-    second_moment: list[np.ndarray]
+    first_moment: np.ndarray
+    second_moment: np.ndarray
+    # adam_step's temporaries, allocated by its first call and reused
+    scratch: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
 
-def init_adam(params: Sequence[Tensor], lr: float, beta1: float = 0.9,
+def init_adam(params, lr: float, beta1: float = 0.9,
               beta2: float = 0.999, epsilon: float = 1e-8) -> AdamState:
-    return AdamState(
-        lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon, step_count=0,
-        first_moment=[np.zeros_like(p.value) for p in params],
-        second_moment=[np.zeros_like(p.value) for p in params],
-    )
+    """Zero moments for params, whose flat holds every parameter."""
+    return AdamState(lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon, step_count=0,
+                     first_moment=np.zeros_like(params.flat),
+                     second_moment=np.zeros_like(params.flat))
 
 
-def adam_step(params: Sequence[Tensor], state: AdamState) -> None:
-    """One bias-corrected Adam update, in place. Gradients are left as-is;
-    the caller zeroes them between steps."""
-    if len(params) != len(state.first_moment):
-        raise ConfigError(
-            f"optimizer state holds {len(state.first_moment)} buffers "
-            f"for {len(params)} parameters")
-    for p in params:
-        if p.grad is None:
-            raise UsageError("adam_step() called before gradients were populated")
-        if p.grad.shape != p.value.shape:
-            raise ConfigError(f"gradient shape {p.grad.shape} != value shape {p.value.shape}")
+def adam_step(params, state: AdamState) -> None:
+    """One bias-corrected Adam update of params.flat from params.grad, in
+    place, one chunk at a time. Every operation is elementwise and keeps
+    the order of the textbook update, so the chunking changes no bit."""
+    p, g = params.flat, params.grad
+    m, v = state.first_moment, state.second_moment
+    if g is None:
+        raise UsageError("adam_step() called before gradients were populated")
+    if not p.shape == g.shape == m.shape == v.shape:
+        raise ConfigError(f"parameters {p.shape}, gradients {g.shape} and moments "
+                          f"{m.shape}, {v.shape} must have one shape")
     state.step_count += 1
-    correct1 = 1.0 - state.beta1 ** state.step_count
-    correct2 = 1.0 - state.beta2 ** state.step_count
-    for p, m, v in zip(params, state.first_moment, state.second_moment):
-        g = p.grad
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.value -= state.lr * (m / correct1) / (np.sqrt(v / correct2) + state.epsilon)
+    b1, b2 = state.beta1, state.beta2
+    correct1 = 1.0 - b1 ** state.step_count
+    correct2 = 1.0 - b2 ** state.step_count
+    if state.scratch is None:
+        state.scratch = np.empty((2, ADAM_CHUNK))
+    for lo in range(0, p.size, ADAM_CHUNK):
+        pc, gc = p[lo:lo + ADAM_CHUNK], g[lo:lo + ADAM_CHUNK]
+        mc, vc = m[lo:lo + ADAM_CHUNK], v[lo:lo + ADAM_CHUNK]
+        step, root = state.scratch[:, :pc.size]
+        mc *= b1                                   # m = b1*m + (1-b1)*g
+        mc += np.multiply(gc, 1.0 - b1, out=step)
+        vc *= b2                                   # v = b2*v + (1-b2)*(g*g)
+        np.multiply(gc, gc, out=step)
+        vc += np.multiply(step, 1.0 - b2, out=step)
+        np.divide(mc, correct1, out=step)          # p -= lr*(m/c1) / (sqrt(v/c2)+eps)
+        step *= state.lr
+        np.sqrt(np.divide(vc, correct2, out=root), out=root)
+        root += state.epsilon
+        pc -= np.divide(step, root, out=step)
 
 
 def zero_grads(params: Sequence[Tensor]) -> None:

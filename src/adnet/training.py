@@ -11,6 +11,12 @@ with M_abnormal the mean of (score_abnormal - score_hard_normal - alpha)
 and M_normal the mean of (score_hard_abnormal - score_normal - alpha).
 Hard pairs are searched within one window, the unit of an optimizer step.
 Stage losses are summed and one Adam step is taken per window.
+
+masked_mse and margin_hinge hold the loss math once, as a value and a
+gradient with respect to the scores. Training calls them through
+window_loss and hands the gradients to the model's own backward; the
+taped mse_loss, ad_loss and total_loss wrap the same functions for the
+reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -89,35 +95,29 @@ def _flat_inputs(scores: Tensor, targets, mask):
     return y, t, m
 
 
-def mse_loss(scores: Tensor, targets, mask, tape: Tape | None = None) -> Tensor:
-    """Mean squared error over unmasked positions only."""
-    y, t, m = _flat_inputs(scores, targets, mask)
-    n = m.sum()
+def masked_mse(y: np.ndarray, targets: np.ndarray, mask: np.ndarray):
+    """Mean squared error of flat scores over unmasked positions only, and
+    its gradient with respect to the scores."""
+    n = mask.sum()
     if n == 0:
         raise InputError("loss over a fully masked window is undefined")
-    diff = (y - t) * m
-    out = Tensor(np.dot(diff, diff) / n)
-    if tape is not None:
-        def pullback():
-            g = out.grad
-            scores.accumulate_grad(((2.0 / n) * g * diff).reshape(scores.value.shape))
-        tape.record(out, pullback)
-    return out
+    diff = (y - targets) * mask
+    return np.dot(diff, diff) / n, (2.0 / n) * diff
 
 
-def ad_loss(scores: Tensor, targets, mask, alpha: float,
-            tape: Tape | None = None) -> Tensor:
-    """Hard-pair margin hinge; exactly 0 when either class is absent among
-    unmasked clips, and 0 whenever both per-class mean margins are already
-    non-negative."""
-    y, t, m = _flat_inputs(scores, targets, mask)
-    if m.sum() == 0:
+def margin_hinge(y: np.ndarray, targets: np.ndarray, mask: np.ndarray, alpha: float,
+                 weight=1.0):
+    """The hard-pair margin hinge of flat scores, and weight times its
+    gradient with respect to them, None while the hinge is inactive. The
+    hinge is exactly 0 when either class is absent among unmasked clips,
+    and whenever both per-class mean margins are already non-negative."""
+    if mask.sum() == 0:
         raise InputError("loss over a fully masked window is undefined")
-    unmasked = m == 1.0
-    abnormal = np.flatnonzero(unmasked & (t == 1.0))
-    normal = np.flatnonzero(unmasked & (t == 0.0))
+    unmasked = mask == 1.0
+    abnormal = np.flatnonzero(unmasked & (targets == 1.0))
+    normal = np.flatnonzero(unmasked & (targets == 0.0))
     if abnormal.size == 0 or normal.size == 0:
-        return Tensor(0.0)
+        return 0.0, None
     ya = y[abnormal]
     yn = y[normal]
     dist = np.abs(ya[:, None] - yn[None, :])
@@ -126,17 +126,39 @@ def ad_loss(scores: Tensor, targets, mask, alpha: float,
     margin_abn = float(np.mean(ya - yn[hard_normal] - alpha))
     margin_nrm = float(np.mean(ya[hard_abnormal] - yn - alpha))
     value = max(-(margin_abn + margin_nrm), 0.0)
+    if value == 0.0:
+        return value, None
+    na, nn = abnormal.size, normal.size
+    grad = np.zeros_like(y)
+    grad[abnormal] -= weight / na
+    np.add.at(grad, normal[hard_normal], weight / na)
+    np.add.at(grad, abnormal[hard_abnormal], -weight / nn)
+    grad[normal] += weight / nn
+    return value, grad
+
+
+def mse_loss(scores: Tensor, targets, mask, tape: Tape | None = None) -> Tensor:
+    """Taped masked_mse."""
+    y, t, m = _flat_inputs(scores, targets, mask)
+    value, grad = masked_mse(y, t, m)
+    out = Tensor(value)
+    if tape is not None:
+        def pullback():
+            scores.accumulate_grad((out.grad * grad).reshape(scores.value.shape))
+        tape.record(out, pullback)
+    return out
+
+
+def ad_loss(scores: Tensor, targets, mask, alpha: float,
+            tape: Tape | None = None) -> Tensor:
+    """Taped margin_hinge."""
+    y, t, m = _flat_inputs(scores, targets, mask)
+    value, _ = margin_hinge(y, t, m, alpha)
     out = Tensor(value)
     if tape is not None and value > 0.0:
-        na, nn = abnormal.size, normal.size
         def pullback():
-            g = out.grad
-            gy = np.zeros_like(y)
-            gy[abnormal] -= g / na
-            np.add.at(gy, normal[hard_normal], g / na)
-            np.add.at(gy, abnormal[hard_abnormal], -g / nn)
-            gy[normal] += g / nn
-            scores.accumulate_grad(gy.reshape(scores.value.shape))
+            _, grad = margin_hinge(y, t, m, alpha, out.grad)
+            scores.accumulate_grad(grad.reshape(scores.value.shape))
         tape.record(out, pullback)
     return out
 
@@ -165,6 +187,30 @@ def total_loss(stage_outputs: Sequence[Tensor], targets, mask,
             ad_sum += float(ad_term.value)
             terms.append(numerics.scalar_scale(ad_term, config.lambda_, tape))
     return WindowLoss(total=numerics.scalar_sum(terms, tape), mse=mse_sum, ad=ad_sum)
+
+
+def window_loss(stage_scores: Sequence[np.ndarray], targets: np.ndarray, mask: np.ndarray,
+                config: TrainConfig) -> tuple[float, float, float, list[np.ndarray]]:
+    """total_loss of one window's (1, W) stage scores as (total, MSE summed
+    over stages, margin loss summed before the lambda weight), plus the
+    gradient of the total with respect to each stage's scores. The sums run
+    in total_loss's order, so every value matches it bit for bit."""
+    total = 0.0
+    mse_sum = ad_sum = 0.0
+    grads = []
+    for scores in stage_scores:
+        y = scores.reshape(-1)
+        value, grad = masked_mse(y, targets, mask)
+        total += value
+        mse_sum += float(value)
+        if config.use_ad_loss:
+            margin, margin_grad = margin_hinge(y, targets, mask, config.alpha, config.lambda_)
+            total += margin * config.lambda_
+            ad_sum += margin
+            if margin_grad is not None:
+                grad = margin_grad + grad
+        grads.append(grad.reshape(scores.shape))
+    return float(total), mse_sum, ad_sum, grads
 
 
 @dataclass(frozen=True)
@@ -230,28 +276,41 @@ def train(dataset: Sequence[tuple[np.ndarray, np.ndarray]],
         log = list(resume.log)
     else:
         params = architecture.build(model_config, train_config.seed)
-        adam = numerics.init_adam(params.tensor_list(), train_config.learning_rate)
+        adam = numerics.init_adam(params, train_config.learning_rate)
         start_epoch = 0
         log = []
-    tensors = params.tensor_list()
-    for epoch in range(start_epoch, start_epoch + train_config.epochs):
+    grads = params.gradients()
+    end_epoch = start_epoch + train_config.epochs
+    for epoch in range(start_epoch, end_epoch):
         order = np.random.default_rng([train_config.seed, epoch]).permutation(len(items))
         mse_sum = ad_sum = total_sum = 0.0
         for item in order:
             window, targets = items[item]
-            tape = Tape()
-            outputs = architecture.forward(params, window, tape)
-            loss = total_loss(outputs, targets, window.mask, train_config, tape)
-            value = float(loss.total.value)
+            saved = []
+            outputs = architecture.forward(params, window, saved)
+            value, mse, ad, score_grads = window_loss(
+                [scores.value for scores in outputs], targets, window.mask, train_config)
             if not math.isfinite(value):
                 raise NumericError(f"non-finite loss at epoch {epoch}")
-            tape.backward(loss.total)
-            numerics.adam_step(tensors, adam)
-            numerics.zero_grads(tensors)
-            mse_sum += loss.mse
-            ad_sum += loss.ad
+            architecture.backward(params, window, saved, score_grads, grads)
+            numerics.adam_step(params, adam)
+            mse_sum += mse
+            ad_sum += ad
             total_sum += value
         count = len(items)
         log.append(EpochStats(epoch, mse_sum / count, ad_sum / count, total_sum / count))
-    return TrainResult(params=params, adam=adam,
-                       epochs_completed=start_epoch + train_config.epochs, log=log)
+    _check_scores_finite(params, items, end_epoch)
+    return TrainResult(params=params, adam=adam, epochs_completed=end_epoch, log=log)
+
+
+def _check_scores_finite(params: ModelParams, items, epochs: int) -> None:
+    """Raise NumericError when the parameters give a non-finite score on a
+    training window. Scoring every window costs about a fifth of an epoch,
+    so it runs only when the cheap activation bound exceeds 1e300."""
+    feature_bound = max(float(np.abs(window.features).max()) for window, _ in items)
+    if architecture.activation_bound(params, feature_bound) <= 1e300:
+        return
+    for window, _ in items:
+        if not np.all(np.isfinite(architecture.forward(params, window)[-1].value)):
+            raise NumericError(f"non-finite score on the training windows after "
+                               f"{epochs} epochs")

@@ -4,15 +4,20 @@ These deliberately avoid the library's own matching/ranking code paths:
 `greedy_counts` is the greedy matcher as a double loop over prediction x
 ground-truth pairs, `optimal_counts` an exhaustive maximum bipartite
 matching, and the AUC oracle counts every abnormal/normal pair directly.
-`masked_forward` is the model's forward pass masking every window, padded
-or not.
+`masked_forward` is the model's forward pass on the taped ops, masking
+every window, padded or not; `taped_train` is the training loop on it,
+with the tape's generic backward and `adam_per_tensor`, Adam one tensor
+at a time, where the library runs the model's own backward and Adam over
+one flat vector in chunks.
 """
+
+import math
 
 import numpy as np
 
-from adnet import evaluation, numerics
+from adnet import evaluation, model, numerics, training
 from adnet.evaluation import TemporalSegment
-from adnet.numerics import Tensor
+from adnet.numerics import Tape, Tensor
 
 
 def _iou(a: TemporalSegment, b: TemporalSegment) -> float:
@@ -132,3 +137,50 @@ def masked_forward(params, window, tape=None):
         outputs.append(scores)
         current = scores
     return outputs
+
+
+def adam_per_tensor(tensors, first_moment, second_moment, state):
+    """One Adam step of each tensor from its .grad, with the tensor's own
+    moment arrays; state supplies the hyperparameters and step count."""
+    state.step_count += 1
+    correct1 = 1.0 - state.beta1 ** state.step_count
+    correct2 = 1.0 - state.beta2 ** state.step_count
+    for p, m, v in zip(tensors, first_moment, second_moment, strict=True):
+        g = p.grad
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        p.value -= state.lr * (m / correct1) / (np.sqrt(v / correct2) + state.epsilon)
+
+
+def taped_train(dataset, model_config, train_config):
+    """training.train on the taped reference: (params, first moments,
+    second moments, epoch log), the moments one array per tensor."""
+    items = training._window_items(dataset, model_config.window_width)
+    params = model.build(model_config, train_config.seed)
+    first = [np.zeros_like(t.value) for t in params]
+    second = [np.zeros_like(t.value) for t in params]
+    state = numerics.init_adam(params, train_config.learning_rate)
+    log = []
+    tensors = list(params)
+    for epoch in range(train_config.epochs):
+        order = np.random.default_rng([train_config.seed, epoch]).permutation(len(items))
+        mse_sum = ad_sum = total_sum = 0.0
+        for item in order:
+            window, targets = items[item]
+            tape = Tape()
+            loss = training.total_loss(masked_forward(params, window, tape), targets,
+                                       window.mask, train_config, tape)
+            value = float(loss.total.value)
+            assert math.isfinite(value)
+            tape.backward(loss.total)
+            adam_per_tensor(tensors, first, second, state)
+            numerics.zero_grads(tensors)
+            mse_sum += loss.mse
+            ad_sum += loss.ad
+            total_sum += value
+        count = len(items)
+        log.append(training.EpochStats(epoch, mse_sum / count, ad_sum / count,
+                                       total_sum / count))
+    return params, first, second, log

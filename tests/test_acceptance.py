@@ -6,6 +6,7 @@ criterion. Each test also enforces its wall-clock budget.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from adnet.windowing import Window, materialize, merge_scores, plan_windows
 
 from _gradcheck import end_to_end_gradient_error, max_rel_error, numerical_gradient, \
     run_pullbacks
-from _oracles import optimal_counts, pairwise_auc, random_partition
+from _oracles import optimal_counts, pairwise_auc, random_partition, taped_train
 
 
 class Budget:
@@ -386,3 +387,46 @@ def test_criterion_9_determinism(tmp_path):
     assert first["report"] == second["report"], "evaluation reports differ"
     report(9, "two identical end-to-end runs produce bit-identical checkpoints, "
               "predictions and evaluation reports", budget.check("determinism"))
+
+
+def test_criterion_10_training_matches_the_taped_reference(tmp_path):
+    # model.backward and chunked Adam over the flat vectors against the
+    # generic tape and Adam per tensor: 2 epochs on a corpus whose videos
+    # end in padded windows, with and without the margin loss
+    budget = Budget(120.0)
+    videos = synth.generate(synth.SynthConfig(num_videos=6, clips_min=20, clips_max=75,
+                                              input_dim=8, seed=5))
+    dataset = [(video.features.features, video.clip_labels) for video in videos]
+    model_cfg = model.ADNetConfig(window_width=16, num_stages=3, num_layers=4,
+                                  input_dim=8, hidden_channels=12)
+    windows = training._window_items(dataset, model_cfg.window_width)
+    assert any(window.mask.min() == 0.0 for window, _ in windows)
+    for use_ad_loss in (True, False):
+        config = TrainConfig(seed=3, epochs=2, learning_rate=2e-3, use_ad_loss=use_ad_loss)
+        result = training.train(dataset, model_cfg, config)
+        params, first, second, log = taped_train(dataset, model_cfg, config)
+        assert np.array_equal(result.params.flat, np.concatenate([t.value.ravel() for t in params]))
+        assert np.array_equal(result.adam.first_moment,
+                              np.concatenate([m.ravel() for m in first]))
+        assert np.array_equal(result.adam.second_moment,
+                              np.concatenate([v.ravel() for v in second]))
+        assert result.log == log
+
+        # one epoch, a checkpoint, and one more epoch resumed from it
+        path = tmp_path / f"ad_{use_ad_loss}.adnc"
+        half = training.train(dataset, model_cfg, replace(config, epochs=1))
+        storage.save_checkpoint(storage.Checkpoint(
+            model_config=model_cfg, train_config=config, seed=3, frames_per_clip=16,
+            epochs_completed=1, params=half.params, adam=half.adam), path)
+        ckpt = storage.load_checkpoint(path)
+        resumed = training.train(dataset, model_cfg, replace(config, epochs=1),
+                                 resume=training.TrainResult(ckpt.params, ckpt.adam, 1,
+                                                             half.log))
+        assert resumed.params.flat.tobytes() == result.params.flat.tobytes()
+        assert resumed.adam.first_moment.tobytes() == result.adam.first_moment.tobytes()
+        assert resumed.adam.second_moment.tobytes() == result.adam.second_moment.tobytes()
+        assert resumed.log == result.log
+    report(10, f"2 epochs over {len(windows)} windows, padded ones included, with and "
+               f"without the margin loss: parameters, moments and logs equal the taped "
+               f"reference bit for bit, and a 1+1 epoch resume equals 2 epochs",
+           budget.check("taped reference"))

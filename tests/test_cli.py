@@ -254,6 +254,31 @@ class TestTrain:
         slow, fast = resumed
         assert any(not np.array_equal(slow[name].value, fast[name].value) for name in slow)
 
+    @pytest.mark.parametrize("rate", [1e200, 1e300, 1e308])
+    def test_overflowing_last_step_exits_numeric(self, tmp_path, capsys, rate):
+        # one 4-clip window, one step: its loss is finite, but the step leaves
+        # parameters near the rate, whose scores overflow to NaN
+        corpus = tmp_path / "corpus"
+        synth_config = write_config(tmp_path / "synth.json", {
+            "synth": {**SMALL_SYNTH, "num_videos": 1, "clips_min": 4, "clips_max": 4}})
+        assert run(capsys, ["synth", "--config", synth_config, "--out", str(corpus)])[0] == 0
+        checkpoint = tmp_path / "m.adnc"
+        model_section = {"window_width": 4, "num_stages": 2, "num_layers": 2,
+                         "hidden_channels": 8}
+        doc = {"model": model_section, "train": {"epochs": 1, "seed": 3},
+               "paths": {"features_dir": str(corpus / "features"),
+                         "annotations_dir": str(corpus / "annotations"),
+                         "checkpoint": str(checkpoint)}}
+        assert run(capsys, ["train", "--config", write_config(tmp_path / "a.json", doc)])[0] == 0
+        before = checkpoint.read_bytes()
+        doc["train"]["learning_rate"] = rate
+        code, out, err = run(capsys, ["train", "--config",
+                                      write_config(tmp_path / "b.json", doc)])
+        assert (code, out) == (3, "")
+        assert err == "adnet: numeric failure: non-finite score on the training windows " \
+                      "after 1 epochs\n"
+        assert checkpoint.read_bytes() == before
+
     def test_excess_layers_cites_bound(self, pipeline, tmp_path, capsys):
         _, corpus, _ = pipeline
         config = write_config(tmp_path / "deep.json", {
@@ -344,7 +369,7 @@ class TestInfer:
         cfg = ADNetConfig(window_width=8, num_stages=2, num_layers=3, input_dim=5,
                           hidden_channels=8)
         params = model.build(cfg, seed=0)
-        for tensor in params.tensor_list():
+        for tensor in params:
             tensor.value[:] = 0.0
         fixture = Checkpoint(model_config=cfg, train_config=TrainConfig(seed=0),
                              seed=0, frames_per_clip=16, epochs_completed=0,
@@ -400,7 +425,7 @@ class TestInfer:
         broken = Checkpoint(model_config=cfg, train_config=TrainConfig(seed=0),
                             seed=0, frames_per_clip=16, epochs_completed=0,
                             params=params,
-                            adam=numerics.init_adam(params.tensor_list(), 5e-4))
+                            adam=numerics.init_adam(params, 5e-4))
         path = tmp_path / "nan.adnc"
         storage.save_checkpoint(broken, path)
         code, out, err = run(capsys, ["infer", "--checkpoint", str(path),
@@ -1359,11 +1384,11 @@ class TestResourceErrors:
             assert (tmp_path / "m.adnc").read_bytes() == checkpoint
 
     def test_hidden_channels_beyond_memory(self, pipeline, tmp_path, capsys):
-        # 10**15 channels: the first weight, 10**15 x 5 float64, is 35.5 PiB,
-        # beyond any address space, so nothing is allocated
+        # 10**8 channels: the parameter vector, about 1.2e17 float64, is
+        # 853 PiB, beyond any address space, so nothing is allocated
         _, corpus, _ = pipeline
         config = write_config(tmp_path / "c.json", {
-            "model": {**SMALL_MODEL, "hidden_channels": 10 ** 15},
+            "model": {**SMALL_MODEL, "hidden_channels": 10 ** 8},
             "train": {"epochs": 1, "seed": 3},
             "paths": {"features_dir": str(corpus / "features"),
                       "annotations_dir": str(corpus / "annotations"),
@@ -1371,22 +1396,27 @@ class TestResourceErrors:
         code, stdout, err = run(capsys, ["train", "--config", config])
         assert (code, stdout) == (2, "")
         assert err.startswith("adnet: error: out of memory: Unable to allocate ")
-        assert f"shape ({10 ** 15}, 5)" in err and err.count("\n") == 1
+        assert "shape (120000001300000001,)" in err and err.count("\n") == 1
         assert not (tmp_path / "m.adnc").exists()
 
-    # numpy refuses these sizes with ValueError before it allocates anything
-    def test_hidden_channels_beyond_numpy_limit(self, pipeline, tmp_path, capsys):
+    # numpy refuses these sizes with ValueError before it allocates anything:
+    # a byte count beyond its limit, and an element count beyond int64
+    @pytest.mark.parametrize("channels,message", [
+        (4 * 10 ** 8, "array is too big; `arr.size * arr.dtype.itemsize` is larger than "
+                      "the maximum possible size."),
+        (10 ** 18, "Maximum allowed dimension exceeded")])
+    def test_hidden_channels_beyond_numpy_limit(self, pipeline, tmp_path, capsys, channels,
+                                                message):
         _, corpus, _ = pipeline
         config = write_config(tmp_path / "c.json", {
-            "model": {**SMALL_MODEL, "hidden_channels": 10 ** 18},
+            "model": {**SMALL_MODEL, "hidden_channels": channels},
             "train": {"epochs": 1, "seed": 3},
             "paths": {"features_dir": str(corpus / "features"),
                       "annotations_dir": str(corpus / "annotations"),
                       "checkpoint": str(tmp_path / "m.adnc")}})
         code, stdout, err = run(capsys, ["train", "--config", config])
         assert (code, stdout) == (2, "")
-        assert err == ("adnet: error: out of memory: array is too big; `arr.size * "
-                       "arr.dtype.itemsize` is larger than the maximum possible size.\n")
+        assert err == f"adnet: error: out of memory: {message}\n"
         assert not (tmp_path / "m.adnc").exists()
 
     @pytest.mark.parametrize("input_dim", [10 ** 18, 10 ** 19])

@@ -297,12 +297,11 @@ def trained_checkpoint(seed=3, hidden_channels=8):
     cfg = ADNetConfig(window_width=8, num_stages=2, num_layers=3, input_dim=4,
                       hidden_channels=hidden_channels)
     params = model.build(cfg, seed=seed)
-    adam = numerics.init_adam(params.tensor_list(), lr=5e-4)
+    adam = numerics.init_adam(params, lr=5e-4)
     rng = np.random.default_rng(seed)
-    for p in params.tensor_list():
-        p.grad = rng.normal(size=p.value.shape)
-    numerics.adam_step(params.tensor_list(), adam)
-    numerics.zero_grads(params.tensor_list())
+    for grad in params.gradients().values():
+        grad[...] = rng.normal(size=grad.shape)
+    numerics.adam_step(params, adam)
     return Checkpoint(model_config=cfg, train_config=TrainConfig(seed=seed),
                       seed=seed, frames_per_clip=16, epochs_completed=4,
                       params=params, adam=adam)
@@ -350,10 +349,8 @@ class TestCheckpoints:
         for name, tensor in ckpt.params.tensors.items():
             assert np.array_equal(back.params.tensors[name].value, tensor.value)
         assert back.adam.step_count == ckpt.adam.step_count
-        for a, b in zip(back.adam.first_moment, ckpt.adam.first_moment):
-            assert np.array_equal(a, b)
-        for a, b in zip(back.adam.second_moment, ckpt.adam.second_moment):
-            assert np.array_equal(a, b)
+        assert np.array_equal(back.adam.first_moment, ckpt.adam.first_moment)
+        assert np.array_equal(back.adam.second_moment, ckpt.adam.second_moment)
 
     def test_exact_bytes(self, tmp_path):
         # magic | <II | header JSON | the parameters in parameter_shapes
@@ -363,7 +360,8 @@ class TestCheckpoints:
         storage.save_checkpoint(ckpt, path)
         shapes = model.parameter_shapes(ckpt.model_config)
         arrays = ([ckpt.params.tensors[name].value for name in shapes]
-                  + ckpt.adam.first_moment + ckpt.adam.second_moment)
+                  + list(model.views(ckpt.model_config, ckpt.adam.first_moment).values())
+                  + list(model.views(ckpt.model_config, ckpt.adam.second_moment).values()))
         names = [prefix + name for prefix in ("", "optimizer.m.", "optimizer.v.")
                  for name in shapes]
         adam = ckpt.adam
@@ -385,12 +383,27 @@ class TestCheckpoints:
         storage.save_checkpoint(trained_checkpoint(), path)
         for params_only in (False, True):
             back = storage.load_checkpoint(path, params_only=params_only)
-            arrays = [tensor.value for tensor in back.params.tensor_list()]
+            arrays = [back.params.flat] + [tensor.value for tensor in back.params]
             if not params_only:
-                arrays += back.adam.first_moment + back.adam.second_moment
+                arrays += [back.adam.first_moment, back.adam.second_moment]
             for array in arrays:
                 assert array.dtype == np.float64
                 assert array.flags.c_contiguous and array.flags.aligned
+
+    def test_loaded_vectors_share_the_buffer_read(self, tmp_path):
+        # parameters and moments are consecutive views into one buffer, and
+        # every tensor a view into the parameters
+        path = tmp_path / "model.adnc"
+        storage.save_checkpoint(trained_checkpoint(), path)
+        back = storage.load_checkpoint(path)
+        vectors = [back.params.flat, back.adam.first_moment, back.adam.second_moment]
+        base = vectors[0].base
+        assert base is not None and all(vector.base is base for vector in vectors)
+        size = back.params.flat.size
+        assert [vector.ctypes.data - base.ctypes.data for vector in vectors] == \
+            [0, 8 * size, 16 * size]
+        for tensor in back.params:
+            assert np.shares_memory(tensor.value, back.params.flat)
 
     @pytest.mark.parametrize("group,param,value,message", [
         ("", "stage1.head.weight", np.nan, "non-finite"),
@@ -399,9 +412,9 @@ class TestCheckpoints:
     def test_corrupt_value_names_tensor_and_byte(self, tmp_path, group, param, value,
                                                  message):
         ckpt = trained_checkpoint()
-        index = list(ckpt.params.tensors).index(param)
-        array = {"": ckpt.params.tensors[param].value, "m": ckpt.adam.first_moment[index],
-                 "v": ckpt.adam.second_moment[index]}[group]
+        vector = {"": ckpt.params.flat, "m": ckpt.adam.first_moment,
+                  "v": ckpt.adam.second_moment}[group]
+        array = model.views(ckpt.model_config, vector)[param]
         array.flat[2] = value
         name = f"optimizer.{group}.{param}" if group else param
         path = tmp_path / "model.adnc"

@@ -10,6 +10,13 @@ from adnet.windowing import Window
 from _oracles import masked_forward
 
 
+def locality_radius(num_stages: int, num_layers: int, kernel_size: int) -> int:
+    """Farthest |t - t'| through which input column t can influence output
+    column t': (K//2) * (2**L - 1) per stage, and stages chain additively."""
+    per_stage = (kernel_size // 2) * ((1 << num_layers) - 1)
+    return num_stages * per_stage
+
+
 def small_config(**overrides):
     base = dict(window_width=8, num_stages=2, num_layers=3, input_dim=4,
                 hidden_channels=8)
@@ -136,8 +143,10 @@ class TestForward:
         window = random_window(rng, cfg, real=7)
         full = model.forward(params, window)
         short_cfg = small_config(num_stages=2)
-        shared = {name: params.tensors[name] for name in model.parameter_shapes(short_cfg)}
-        short = model.forward(model.ModelParams(short_cfg, shared), window)
+        # the first stages lead the parameter vector, so they are its prefix
+        size = sum(t.value.size for name, t in params.tensors.items()
+                   if not name.startswith("stage2."))
+        short = model.forward(model.ModelParams(short_cfg, params.flat[:size]), window)
         assert len(full) == 3 and len(short) == 2
         for a, b in zip(full, short):
             assert np.array_equal(a.value, b.value)
@@ -162,7 +171,7 @@ class TestForward:
         feats[:, 0] += 10.0
         moved = model.forward(params, Window(features=feats, mask=window.mask,
                                              video_id="t", start_clip=0))
-        per_stage = model.locality_radius(1, cfg.num_layers, cfg.kernel_size)
+        per_stage = locality_radius(1, cfg.num_layers, cfg.kernel_size)
         assert per_stage == 7  # dilations 1+2+4, one tap each side
         for stage, (a, b) in enumerate(zip(base, moved)):
             radius = per_stage * (stage + 1)
@@ -170,37 +179,42 @@ class TestForward:
             # the boundary column itself is reached, pinning the 2^l schedule
             assert not np.array_equal(a.value[:, radius], b.value[:, radius])
         # published bound: at most 2*(2^L - 1)*(K//2) for this two-stage stack
-        assert model.locality_radius(2, cfg.num_layers, cfg.kernel_size) == 14
+        assert locality_radius(2, cfg.num_layers, cfg.kernel_size) == 14
 
 
 class TestForwardOracle:
-    @pytest.mark.parametrize("taped", [False, True])
+    @pytest.mark.parametrize("differentiate", [False, True])
     @pytest.mark.parametrize("real", [8, 5])
-    def test_equals_masking_every_window(self, real, taped):
-        # a window without padding skips the mask; scores and parameter
-        # gradients must equal masking it, bit for bit
+    def test_equals_taped_reference(self, real, differentiate):
+        # model.forward skips the mask on a window without padding, and
+        # model.backward writes each gradient once; scores and parameter
+        # gradients must equal the taped ops masking every window, bit for bit
         cfg = small_config()
         rng = np.random.default_rng(12)
         window = random_window(rng, cfg, real=real)
         targets = (rng.random(cfg.window_width) < 0.5).astype(float)
-        runs = []
-        for forward in (model.forward, masked_forward):
-            params = model.build(cfg, seed=12)
-            tape = Tape() if taped else None
-            outputs = forward(params, window, tape)
-            grads = []
-            if taped:
-                loss = training.total_loss(outputs, targets, window.mask,
-                                           training.TrainConfig(), tape)
-                tape.backward(loss.total)
-                grads = [tensor.grad for tensor in params.tensor_list()]
-                assert all(grad is not None for grad in grads)
-            runs.append(([stage.value for stage in outputs], grads))
-        (scores, grads), (want_scores, want_grads) = runs
-        assert len(scores) == len(want_scores) == cfg.num_stages
-        assert all(np.array_equal(a, b) for a, b in zip(scores, want_scores))
-        assert len(grads) == len(want_grads)
-        assert all(np.array_equal(a, b) for a, b in zip(grads, want_grads))
+        train_cfg = training.TrainConfig()
+
+        params = model.build(cfg, seed=12)
+        saved = []
+        outputs = model.forward(params, window, saved)
+        scores = [stage.value for stage in outputs]
+        value, mse, ad, score_grads = training.window_loss(scores, targets, window.mask,
+                                                           train_cfg)
+        grads = params.gradients()
+        model.backward(params, window, saved, score_grads, grads)
+
+        reference = model.build(cfg, seed=12)
+        tape = Tape() if differentiate else None
+        want = masked_forward(reference, window, tape)
+        assert len(scores) == len(want) == cfg.num_stages
+        assert all(np.array_equal(a, b.value) for a, b in zip(scores, want))
+        if differentiate:
+            loss = training.total_loss(want, targets, window.mask, train_cfg, tape)
+            assert (value, mse, ad) == (float(loss.total.value), loss.mse, loss.ad)
+            tape.backward(loss.total)
+            for name, tensor in reference.tensors.items():
+                assert np.array_equal(grads[name], tensor.grad), name
 
     @pytest.mark.parametrize("mask", [np.full(8, 0.5), np.r_[np.ones(7), 2.0],
                                       np.r_[np.ones(7), np.nan]])

@@ -1,11 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from adnet import numerics
+from adnet import kernels, numerics
 from adnet.errors import ConfigError, UsageError
 from adnet.numerics import Tape, Tensor
 
 from _gradcheck import max_rel_error, numerical_gradient, run_pullbacks
+from _oracles import adam_per_tensor
 
 
 def conv_reference(x, w, b, dilation):
@@ -88,6 +91,37 @@ class TestConv1dDilated:
         first = numerics.conv1d_dilated(Tensor(x), Tensor(w), Tensor(b), 4).value
         second = numerics.conv1d_dilated(Tensor(x), Tensor(w), Tensor(b), 4).value
         assert np.array_equal(first, second)
+
+
+def padded_input_gradient(w, gy, dilation):
+    """The input gradient of the dilated conv as the sum, tap by tap, of
+    each tap's full product into a zero-padded buffer, then cropped."""
+    cout, cin, k = w.shape
+    t = gy.shape[1]
+    pad = (k // 2) * dilation
+    buffer = np.zeros((cin, t + 2 * pad))
+    for j in range(k):
+        buffer[:, j * dilation:j * dilation + t] += w[:, :, j].T @ gy
+    return buffer[:, pad:pad + t]
+
+
+class TestConvBackwardKernel:
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("dilation", [1, 2, 8, 64])
+    @pytest.mark.parametrize("shape", [(64, 64, 64), (1, 64, 64), (6, 4, 9)])
+    def test_input_gradient_equals_the_padded_buffer(self, shape, dilation, k):
+        # the kernel adds each tap's product over its clipped column range
+        # only; it must keep the padded buffer's sums and their order, bit
+        # for bit, including taps that fall wholly into the padding
+        cin, cout, t = shape
+        rng = np.random.default_rng(cin + cout + t + dilation + k)
+        x = rng.normal(size=(cin, t))
+        w = rng.normal(size=(cout, cin, k))
+        gy = rng.normal(size=(cout, t))
+        gx, gw, gb = kernels.conv1d_dilated_bwd(x, w, gy, dilation)
+        assert gx.flags.c_contiguous
+        assert gx.tobytes() == padded_input_gradient(w, gy, dilation).tobytes()
+        assert gb.tobytes() == gy.sum(axis=1).tobytes()
 
 
 class TestPointwiseConv:
@@ -255,46 +289,83 @@ class TestGradientsAgainstFiniteDifferences:
         _gradcheck_op(seed, build)
 
 
+def flat_params(value, grad=None):
+    """What adam_step reads of a model's parameters: the flat vector and
+    its gradient twin."""
+    return SimpleNamespace(flat=np.asarray(value, dtype=np.float64),
+                           grad=None if grad is None else np.asarray(grad, dtype=np.float64))
+
+
 class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
-        p = Tensor(np.array([1.0, -2.0, 3.0]))
-        p.grad = np.zeros(3)
-        state = numerics.init_adam([p], lr=5e-4)
-        numerics.adam_step([p], state)
-        np.testing.assert_array_equal(p.value, [1.0, -2.0, 3.0])
+        p = flat_params([1.0, -2.0, 3.0], np.zeros(3))
+        state = numerics.init_adam(p, lr=5e-4)
+        numerics.adam_step(p, state)
+        np.testing.assert_array_equal(p.flat, [1.0, -2.0, 3.0])
         assert state.step_count == 1
 
     def test_first_step_moves_by_learning_rate(self):
         # with g=1 everywhere the bias-corrected first step is
         # -lr * 1 / (1 + eps), i.e. almost exactly -lr
-        p = Tensor(np.zeros(4))
-        p.grad = np.ones(4)
-        state = numerics.init_adam([p], lr=5e-4)
-        numerics.adam_step([p], state)
-        np.testing.assert_allclose(p.value, -5e-4 * np.ones(4), rtol=1e-6)
+        p = flat_params(np.zeros(4), np.ones(4))
+        state = numerics.init_adam(p, lr=5e-4)
+        numerics.adam_step(p, state)
+        np.testing.assert_allclose(p.flat, -5e-4 * np.ones(4), rtol=1e-6)
 
     def test_two_identical_runs_are_bit_identical(self):
         def run():
             rng = np.random.default_rng(11)
-            p = Tensor(rng.normal(size=(3, 3)))
-            state = numerics.init_adam([p], lr=1e-3)
+            p = flat_params(rng.normal(size=9))
+            state = numerics.init_adam(p, lr=1e-3)
             for _ in range(5):
-                p.grad = rng.normal(size=(3, 3))
-                numerics.adam_step([p], state)
-                p.zero_grad()
-            return p.value
+                p.grad = rng.normal(size=9)
+                numerics.adam_step(p, state)
+            return p.flat
         assert np.array_equal(run(), run())
 
     def test_step_count_increments_by_one(self):
-        p = Tensor(np.zeros(2))
-        state = numerics.init_adam([p], lr=1e-3)
+        p = flat_params(np.zeros(2), np.ones(2))
+        state = numerics.init_adam(p, lr=1e-3)
         for expected in (1, 2, 3):
-            p.grad = np.ones(2)
-            numerics.adam_step([p], state)
+            numerics.adam_step(p, state)
             assert state.step_count == expected
 
     def test_missing_gradient_rejected(self):
-        p = Tensor(np.zeros(2))
-        state = numerics.init_adam([p], lr=1e-3)
+        p = flat_params(np.zeros(2))
+        state = numerics.init_adam(p, lr=1e-3)
         with pytest.raises(UsageError):
-            numerics.adam_step([p], state)
+            numerics.adam_step(p, state)
+
+    def test_moments_of_another_size_rejected(self):
+        p = flat_params(np.zeros(2), np.ones(2))
+        state = numerics.init_adam(flat_params(np.zeros(3)), lr=1e-3)
+        with pytest.raises(ConfigError, match="one shape"):
+            numerics.adam_step(p, state)
+
+    # one chunk short of full, several chunks with a ragged last one
+    @pytest.mark.parametrize("size", [7, numerics.ADAM_CHUNK - 1, 3 * numerics.ADAM_CHUNK + 5])
+    def test_chunked_equals_per_tensor_reference(self, size):
+        # the flat vector cut into tensors of uneven sizes; steps 1 and 50
+        # are compared, with an all-zero gradient at step 2 and a zero
+        # tensor gradient throughout
+        rng = np.random.default_rng(size)
+        cuts = np.sort(rng.choice(np.arange(1, size), size=min(5, size - 1), replace=False))
+        p = flat_params(rng.normal(size=size), np.empty(size))
+        tensors = [Tensor(part.copy()) for part in np.split(p.flat, cuts)]
+        first = [np.zeros_like(t.value) for t in tensors]
+        second = [np.zeros_like(t.value) for t in tensors]
+        state = numerics.init_adam(p, lr=1e-3)
+        reference = numerics.init_adam(p, lr=1e-3)
+        for step in range(1, 51):
+            grad = np.zeros(size) if step == 2 else rng.normal(size=size) * 10.0 ** (step % 7 - 3)
+            grad[cuts[0]:cuts[1] if cuts.size > 1 else size] = 0.0
+            p.grad[:] = grad
+            for tensor, part in zip(tensors, np.split(grad, cuts)):
+                tensor.grad = part
+            numerics.adam_step(p, state)
+            adam_per_tensor(tensors, first, second, reference)
+            if step in (1, 2, 50):
+                assert np.array_equal(p.flat, np.concatenate([t.value for t in tensors]))
+                assert np.array_equal(state.first_moment, np.concatenate(first))
+                assert np.array_equal(state.second_moment, np.concatenate(second))
+        assert state.step_count == reference.step_count == 50

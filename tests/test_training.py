@@ -1,14 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adnet import model, synth, training
-from adnet.errors import ConfigError, InputError
+from adnet import io as storage
+from adnet import model, numerics, synth, training
+from adnet.errors import ConfigError, InputError, NumericError
 from adnet.numerics import Tape, Tensor
 from adnet.training import TrainConfig
+from adnet.windowing import Window
 
 from _gradcheck import end_to_end_gradient_error, numerical_gradient, run_pullbacks
+from _oracles import masked_forward
 
 
 class TestClipLabels:
@@ -287,6 +292,101 @@ class TestTrain:
                                 TrainConfig(seed=1, epochs=3))
         assert [entry.epoch for entry in result.log] == [0, 1, 2]
         assert result.epochs_completed == 3
+
+
+class TestArena:
+    def test_parameters_and_gradients_stay_in_one_vector_each(self, monkeypatch):
+        dataset = separable_dataset(num_videos=2)
+        cfg = model.ADNetConfig(**SMALL_MODEL)
+        steps = []
+        adam_step = numerics.adam_step
+
+        def spy(params, state):
+            steps.append((params.flat, params.grad, state.first_moment, state.second_moment))
+            adam_step(params, state)
+
+        monkeypatch.setattr(numerics, "adam_step", spy)
+        result = training.train(dataset, cfg, TrainConfig(seed=2, epochs=2))
+        assert len(steps) == 2 * len(training._window_items(dataset, cfg.window_width))
+        vectors = steps[0]
+        assert all(a is b for step in steps for a, b in zip(step, vectors))
+        flat, grad = result.params.flat, result.params.grad
+        assert (flat, grad) == vectors[:2] and flat.size == grad.size
+        offset = 0
+        for (name, tensor), view in zip(result.params.tensors.items(),
+                                        result.params.gradients().values()):
+            assert tensor.value.ctypes.data == flat.ctypes.data + 8 * offset, name
+            assert view.ctypes.data == grad.ctypes.data + 8 * offset, name
+            offset += tensor.value.size
+        assert offset == flat.size
+
+    def test_resume_adopts_the_checkpoint_buffer(self, tmp_path):
+        dataset = separable_dataset(num_videos=2)
+        cfg = model.ADNetConfig(**SMALL_MODEL)
+        first = training.train(dataset, cfg, TrainConfig(seed=2, epochs=1))
+        path = tmp_path / "model.adnc"
+        storage.save_checkpoint(storage.Checkpoint(
+            model_config=cfg, train_config=TrainConfig(seed=2), seed=2, frames_per_clip=16,
+            epochs_completed=1, params=first.params, adam=first.adam), path)
+        ckpt = storage.load_checkpoint(path)
+        loaded = (ckpt.params.flat, ckpt.adam.first_moment, ckpt.adam.second_moment)
+        resumed = training.train(dataset, cfg, TrainConfig(seed=2, epochs=1),
+                                 resume=training.TrainResult(ckpt.params, ckpt.adam, 1, []))
+        assert (resumed.params.flat, resumed.adam.first_moment,
+                resumed.adam.second_moment) == loaded
+        assert all(a is b for a, b in zip(loaded, (resumed.params.flat,
+                                                   resumed.adam.first_moment,
+                                                   resumed.adam.second_moment)))
+
+
+class TestScoreCheck:
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_activation_bound_covers_every_activation(self, seed):
+        # weights scaled by up to 1e100: the bound must cover every value of
+        # the taped forward, or be inf, never fall short of a value that is
+        # NaN or infinite
+        rng = np.random.default_rng(seed)
+        width = int(rng.choice([4, 8]))
+        cfg = model.ADNetConfig(
+            window_width=width, num_stages=int(rng.integers(1, 4)),
+            num_layers=int(rng.integers(1, model.max_layers(width, 3) + 1)),
+            input_dim=int(rng.integers(1, 5)), hidden_channels=int(rng.integers(1, 7)))
+        params = model.build(cfg, seed=int(rng.integers(1000)))
+        for tensor in params:
+            tensor.value *= 10.0 ** rng.uniform(0, 100) * rng.choice([-1, 1])
+        real = int(rng.integers(1, width + 1))
+        features = np.zeros((cfg.input_dim, width))
+        features[:, :real] = rng.normal(size=(cfg.input_dim, real)) * 10.0 ** rng.uniform(-3, 3)
+        mask = np.zeros(width)
+        mask[:real] = 1.0
+        tape = Tape()
+        with np.errstate(all="ignore"):
+            masked_forward(params, Window(features, mask, "b", 0), tape)
+        values = np.concatenate([output.value.ravel() for output, _ in tape._steps])
+        bound = model.activation_bound(params, float(np.abs(features).max()))
+        assert bound == math.inf or np.all(np.abs(values) <= bound)
+
+    def test_bound_of_a_trained_model_skips_the_exact_forward(self, monkeypatch):
+        dataset = separable_dataset(num_videos=2)
+        cfg = model.ADNetConfig(**SMALL_MODEL)
+        calls = []
+        forward = model.forward
+
+        def counted(*args):
+            calls.append(len(args))  # 3 in a training step, 2 when only scoring
+            return forward(*args)
+
+        monkeypatch.setattr(model, "forward", counted)
+        training.train(dataset, cfg, TrainConfig(seed=2, epochs=1))
+        assert calls == [3] * len(training._window_items(dataset, cfg.window_width))
+
+    def test_overflowing_parameters_raise(self):
+        # one window, one step at a rate that leaves every weight near 1e200
+        dataset = [(np.random.default_rng(0).normal(size=(8, 4)), np.array([0, 1, 1, 0]))]
+        cfg = model.ADNetConfig(window_width=4, num_stages=2, num_layers=2, input_dim=8)
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="non-finite score"):
+            training.train(dataset, cfg, TrainConfig(seed=0, epochs=1, learning_rate=1e200))
 
 
 class TestTrainConfigValidation:

@@ -278,6 +278,9 @@ def _parse_ks(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad k list {text!r}: {exc}")
     if not ks:
         raise argparse.ArgumentTypeError("k list is empty")
+    for index, k in enumerate(ks):
+        if k in ks[:index]:
+            raise argparse.ArgumentTypeError(f"bad k list {text!r}: k {k} is given twice")
     return ks
 
 

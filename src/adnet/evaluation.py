@@ -138,15 +138,21 @@ def _claim_iou(pred, gt) -> np.ndarray:
     return claims
 
 
-def _counts(claims: np.ndarray, pred_label: np.ndarray, gt_label: np.ndarray,
-            k: float, scope: str) -> tuple[int, int, int]:
-    """(TP, FP, FN) at IoU >= k percent within a scope: a ground-truth
-    segment is found when some prediction that picks it clears k."""
-    labels = SCOPES[scope]
-    in_scope = np.isin(gt_label, labels)
-    tp = int(np.count_nonzero(claims[in_scope] >= k / 100.0))
-    predicted = int(np.count_nonzero(np.isin(pred_label, labels)))
-    return tp, predicted - tp, int(np.count_nonzero(in_scope)) - tp
+def _label_counts(claims: np.ndarray, pred_label: np.ndarray, gt_label: np.ndarray,
+                  ks: Sequence[float]) -> np.ndarray:
+    """(TP, FP, FN) at IoU >= k percent per label and k, shape (2, len(ks), 3):
+    a ground-truth segment is found when some prediction that picks it
+    clears k. Predictions match only segments of their own label, so a
+    scope's counts are the sum of its labels' rows."""
+    thresholds = np.asarray(ks, dtype=np.float64)[:, None] / 100.0
+    counts = np.empty((2, len(ks), 3), dtype=np.int64)
+    for label in (0, 1):
+        label_claims = claims[gt_label == label]
+        tp = np.count_nonzero(label_claims >= thresholds, axis=1)
+        counts[label, :, 0] = tp
+        counts[label, :, 1] = np.count_nonzero(pred_label == label) - tp
+        counts[label, :, 2] = label_claims.size - tp
+    return counts
 
 
 def _segment_runs(segments: Sequence[TemporalSegment]):
@@ -175,7 +181,8 @@ def match_counts(pred: Sequence[TemporalSegment], gt: Sequence[TemporalSegment],
             f"prediction covers {pred_extent} frames, ground truth {gt_extent}")
     pred_runs = _segment_runs(pred)
     gt_runs = _segment_runs(gt)
-    return _counts(_claim_iou(pred_runs, gt_runs), pred_runs[2], gt_runs[2], k, scope)
+    counts = _label_counts(_claim_iou(pred_runs, gt_runs), pred_runs[2], gt_runs[2], (k,))
+    return tuple(int(count) for count in counts[list(SCOPES[scope]), 0].sum(axis=0))
 
 
 def precision_recall_f1(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
@@ -195,7 +202,19 @@ def f1_at_k(pred: Sequence[TemporalSegment], gt: Sequence[TemporalSegment],
 
 
 def frame_auc(frame_scores, frame_labels) -> float:
-    """Exact ROC AUC via midranks."""
+    """Exact ROC AUC via midranks, ranking runs rather than frames.
+
+    The input is first merged into its R maximal runs of equal (score,
+    label); every frame of a run shares its rank, so only the R run scores
+    are sorted, and a tie group's midrank comes from the cumulative frame
+    counts of the runs it spans. The cost is O(F + R log R) for F frames;
+    a clip score repeated over its frames makes R about F / frames_per_clip.
+
+    Every rank is a half-integer, and so is every partial sum of rank times
+    frame count; each lies below F**2, where float64 holds half-integers
+    exactly while F < 2**26. The sum is then exact in any order and the
+    result equals that of a per-frame rank sum bit for bit.
+    """
     scores = np.asarray(frame_scores, dtype=np.float64).reshape(-1)
     labels = np.asarray(frame_labels).reshape(-1)
     if scores.shape != labels.shape:
@@ -205,18 +224,24 @@ def frame_auc(frame_scores, frame_labels) -> float:
         raise InputError("labels must be 0 or 1")
     if not np.all(np.isfinite(scores)):  # NaN would sort last and rank as a high score
         raise InputError("scores must be finite")
-    num_pos = int((labels == 1).sum())
+    positive = labels == 1
+    num_pos = int(np.count_nonzero(positive))
     num_neg = labels.size - num_pos
     if num_pos == 0 or num_neg == 0:
         raise MetricError("AUC is undefined when only one class is present")
-    order = np.argsort(scores, kind="stable")
-    ordered = scores[order]
-    bounds = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
-    starts = np.concatenate(([0], bounds))
-    ends = np.concatenate((bounds, [scores.size]))
-    ranks = np.empty(scores.size)
-    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)  # tie-run midranks
-    u = ranks[labels == 1].sum() - num_pos * (num_pos + 1) / 2.0
+    run_starts = np.flatnonzero(np.concatenate((
+        [True], (scores[1:] != scores[:-1]) | (positive[1:] != positive[:-1]))))
+    order = np.argsort(scores[run_starts])  # ties share a midrank: stability is moot
+    lengths = np.diff(run_starts, append=scores.size)[order]
+    firsts = run_starts[order]  # first frame of each run, in score order
+    ordered = scores[firsts]
+    last = np.flatnonzero(np.concatenate((ordered[1:] != ordered[:-1], [True])))
+    # a tie group holds ranks group_start + 1 .. group_end
+    group_ends = np.cumsum(lengths)[last]
+    group_starts = np.concatenate(([0], group_ends[:-1]))
+    midranks = np.repeat(0.5 * (group_starts + 1 + group_ends), np.diff(last, prepend=-1))
+    abnormal = positive[firsts]
+    u = (lengths[abnormal] * midranks[abnormal]).sum() - num_pos * (num_pos + 1) / 2.0
     return float(u / (num_pos * num_neg))
 
 
@@ -247,40 +272,37 @@ def evaluate(pred_clip_scores: Mapping[str, np.ndarray],
              threshold: float = 0.5) -> EvalReport:
     """Corpus-level report over matching video id sets.
 
-    Clip scores must be finite and in [0, 1]. They are expanded to frames
-    against each video's ground-truth frame count, thresholded into
-    segments, and counted into pooled TP/FP/FN per scope and k; AUC runs
-    over all frames concatenated.
+    Clip scores must be finite and in [0, 1], and no k may repeat. Scores
+    are expanded to frames against each video's ground-truth frame count,
+    thresholded into segments, and counted into pooled TP/FP/FN per scope
+    and k. Frame AUC ranks the expanded frames of all videos together: one
+    pooled statistic, not a mean of per-video AUCs.
     """
     ks = tuple(int(k) for k in ks)
-    for k in ks:
+    for index, k in enumerate(ks):
         if not 0 < k <= 100:
             raise InputError(f"k must lie in (0, 100], got {k}")
+        if k in ks[:index]:
+            raise InputError(f"k {k} is given twice")
     pred_ids = set(pred_clip_scores)
     gt_ids = set(gt_frame_labels)
     if pred_ids != gt_ids:
         raise InputError(
             f"prediction and ground-truth video sets differ: {sorted(pred_ids ^ gt_ids)}")
-    counts = {scope: {k: [0, 0, 0] for k in ks} for scope in SCOPES}
+    counts = np.zeros((2, len(ks), 3), dtype=np.int64)
     scores_parts = []
     labels_parts = []
     for video_id in sorted(gt_ids):
         labels = np.asarray(gt_frame_labels[video_id]).reshape(-1)
         clip_scores = check_scores(pred_clip_scores[video_id], f"video {video_id!r}")
         scores = expand_to_frames(clip_scores, frames_per_clip, labels.size)
-        pred_runs = _runs((scores >= threshold).astype(np.int64))
+        pred_runs = _runs(scores >= threshold)
         gt_runs = _runs(labels)
-        claims = _claim_iou(pred_runs, gt_runs)
-        for scope in SCOPES:
-            for k in ks:
-                tp, fp, fn = _counts(claims, pred_runs[2], gt_runs[2], k, scope)
-                bucket = counts[scope][k]
-                bucket[0] += tp
-                bucket[1] += fp
-                bucket[2] += fn
+        counts += _label_counts(_claim_iou(pred_runs, gt_runs), pred_runs[2], gt_runs[2], ks)
         scores_parts.append(scores)
         labels_parts.append(labels)
     auc = frame_auc(np.concatenate(scores_parts), np.concatenate(labels_parts))
-    scopes = {scope: {k: precision_recall_f1(*counts[scope][k]) for k in ks}
-              for scope in SCOPES}
+    scopes = {scope: {k: precision_recall_f1(*(int(count) for count in row))
+                      for k, row in zip(ks, counts[list(labels)].sum(axis=0))}
+              for scope, labels in SCOPES.items()}
     return EvalReport(ks=ks, frame_auc=auc, scopes=scopes)

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own matching/ranking code paths:
 `greedy_counts` is the greedy matcher as a double loop over prediction x
 ground-truth pairs, `optimal_counts` an exhaustive maximum bipartite
-matching, and the AUC oracle counts every abnormal/normal pair directly.
+matching, `pairwise_auc` counts every abnormal/normal pair directly, and
+`frame_auc_per_frame` ranks every frame, where the library ranks runs.
 `masked_forward` is the model's forward pass on the taped ops, masking
 every window, padded or not; `taped_train` is the training loop on it,
 with the tape's generic backward and `adam_per_tensor`, Adam one tensor
@@ -109,6 +110,24 @@ def pairwise_auc(scores, labels):
     wins = (pos[:, None] > neg[None, :]).sum()
     ties = (pos[:, None] == neg[None, :]).sum()
     return (wins + 0.5 * ties) / (pos.size * neg.size)
+
+
+def frame_auc_per_frame(scores, labels):
+    """Mann-Whitney AUC from one midrank per frame: a stable arg-sort of
+    all frame scores, each tie run ranked by its middle position."""
+    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
+    labels = np.asarray(labels).reshape(-1)
+    num_pos = int((labels == 1).sum())
+    num_neg = labels.size - num_pos
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    bounds = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    starts = np.concatenate(([0], bounds))
+    ends = np.concatenate((bounds, [scores.size]))
+    ranks = np.empty(scores.size)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
+    u = ranks[labels == 1].sum() - num_pos * (num_pos + 1) / 2.0
+    return float(u / (num_pos * num_neg))
 
 
 def masked_forward(params, window, tape=None):

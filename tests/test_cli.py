@@ -1170,6 +1170,12 @@ class TestUsageErrors:
             cli.main(["eval", "--pred", "p", "--gt", "g", "--k", "10,banana"])
         assert excinfo.value.code == 1
 
+    def test_repeated_k(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["eval", "--pred", "p", "--gt", "g", "--k", "25,10,010"])
+        assert excinfo.value.code == 1
+        assert "k 10 is given twice" in capsys.readouterr().err
+
 
 def test_readme_config_reference_matches_the_defaults():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -1,13 +1,19 @@
+import importlib
+import math
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from adnet import evaluation
 from adnet.errors import InputError, MetricError
 from adnet.evaluation import TemporalSegment, segments_from_labels
 
-from _oracles import greedy_counts, optimal_counts, pairwise_auc, random_partition
+from _oracles import (_iou, frame_auc_per_frame, greedy_counts, optimal_counts, pairwise_auc,
+                      random_partition)
 
 
 def seg(start, end, label):
@@ -29,6 +35,29 @@ def partitions(draw, frames):
 def timeline_pairs(draw):
     frames = draw(st.integers(1, 40))
     return draw(partitions(frames)), draw(partitions(frames))
+
+
+def alternating_labels(lengths, first):
+    """A frame-label timeline of consecutive runs of the given lengths,
+    labels alternating from first."""
+    return np.repeat((first + np.arange(len(lengths))) % 2, lengths)
+
+
+@st.composite
+def clip_timelines(draw):
+    """Frame scores expanded from quantized clip scores, so that runs and
+    ties abound, against frame labels that change anywhere, mid-clip too;
+    the last clip may be short, and both classes are present."""
+    n = draw(st.integers(1, 32))
+    clips = draw(st.integers(1, 40))
+    levels = draw(st.sampled_from([1, 2, 4, 10, 1000]))
+    clip_scores = np.array(draw(st.lists(st.integers(0, levels), min_size=clips,
+                                         max_size=clips))) / levels
+    frames = n * (clips - 1) + draw(st.integers(1, n))
+    assume(frames >= 2)
+    cuts = sorted(draw(st.sets(st.integers(1, frames - 1), min_size=1, max_size=8)))
+    labels = alternating_labels(np.diff([0, *cuts, frames]), draw(st.integers(0, 1)))
+    return evaluation.expand_to_frames(clip_scores, n, frames), labels
 
 
 class TestExpandToFrames:
@@ -179,9 +208,31 @@ class TestFrameAuc:
     def test_three_of_four_pairs(self):
         assert evaluation.frame_auc([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1]) == 0.75
 
-    def test_single_class_rejected(self):
+    @pytest.mark.parametrize("scores", [[0.1, 0.9], [0.4, 0.4]])  # two runs, one run
+    def test_single_class_rejected(self, scores):
         with pytest.raises(MetricError):
-            evaluation.frame_auc([0.1, 0.9], [1, 1])
+            evaluation.frame_auc(scores, [1, 1])
+
+    def test_one_score_over_the_whole_timeline(self):
+        scores = np.full(50, 0.3)
+        labels = alternating_labels([20, 30], 0)
+        assert evaluation.frame_auc(scores, labels) == 0.5
+        assert frame_auc_per_frame(scores, labels) == 0.5
+
+    @given(clip_timelines())
+    @settings(max_examples=300)
+    def test_equals_per_frame_ranking(self, timeline):
+        scores, labels = timeline
+        assert evaluation.frame_auc(scores, labels) == frame_auc_per_frame(scores, labels)
+
+    def test_long_clip_timeline_equals_per_frame_ranking(self):
+        rng = np.random.default_rng(12)
+        clips, n = 10_000, 16
+        frames = clips * n
+        scores = evaluation.expand_to_frames(np.round(rng.random(clips), 3), n, frames)
+        cuts = np.sort(rng.choice(np.arange(1, frames), size=300, replace=False))
+        labels = alternating_labels(np.diff([0, *cuts, frames]), 0)
+        assert evaluation.frame_auc(scores, labels) == frame_auc_per_frame(scores, labels)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_scores_rejected(self, bad):
@@ -317,3 +368,95 @@ class TestEvaluate:
         assert list(doc) == ["frame_auc", "segmental"]
         assert list(doc["segmental"]) == ["abnormal", "normal", "all"]
         assert list(doc["segmental"]["all"]) == ["f1@10", "f1@25", "f1@50"]
+
+    def test_repeated_k_rejected(self):
+        with pytest.raises(InputError, match="k 10 is given twice"):
+            evaluation.evaluate({"a": np.array([0.1, 0.9])}, {"a": np.array([0, 1])}, 1,
+                                ks=(10, 25, 10))
+
+
+@st.composite
+def shifted_timelines(draw):
+    """(k, frames per clip, ground-truth clip labels, the same timeline with
+    every inner boundary shifted): each segment's ends move by at most
+    d <= L (1 - k/100) / (2 (1 + k/100)) clips, so its IoU with its shifted
+    self, at least (L - 2d) / (L + 2d), clears k/100."""
+    k = draw(st.sampled_from([10, 25, 50, 75]))
+    kappa = k / 100.0
+    lengths = draw(st.lists(st.integers(4, 60), min_size=2, max_size=8))
+    limits = [math.floor(length * (1 - kappa) / (2 * (1 + kappa))) for length in lengths]
+    shifts = [draw(st.integers(-min(a, b), min(a, b))) for a, b in zip(limits, limits[1:])]
+    assume(any(shifts))
+    first = draw(st.integers(0, 1))
+    bounds = np.cumsum(lengths)
+    shifted = np.diff([0, *(bounds[:-1] + shifts), bounds[-1]])
+    return (k, draw(st.integers(1, 4)), alternating_labels(lengths, first),
+            alternating_labels(shifted, first))
+
+
+@st.composite
+def false_positive_insertions(draw):
+    """(k, frames per clip, ground-truth clip labels, clip scores of a
+    perfect prediction at threshold 0.5, the same scores with one-clip
+    abnormal predictions inserted inside normal ground truth, clear of
+    every other abnormal clip, and how many were inserted)."""
+    lengths = draw(st.lists(st.integers(1, 30), min_size=2, max_size=8))
+    clip_labels = alternating_labels(lengths, draw(st.integers(0, 1)))
+    abnormal = st.integers(50, 100).map(lambda level: level / 100.0)
+    normal = st.integers(0, 49).map(lambda level: level / 100.0)
+    scores = np.array([draw(abnormal if label else normal) for label in clip_labels])
+    padded = np.pad(clip_labels, 1)
+    inside = np.flatnonzero(padded[:-2] + padded[1:-1] + padded[2:] == 0)
+    picked = sorted(draw(st.sets(st.sampled_from(inside.tolist()), min_size=1))
+                    if inside.size else [])
+    positions = [p for i, p in enumerate(picked) if i == 0 or p > picked[i - 1] + 1]
+    assume(positions)
+    inserted = scores.copy()
+    inserted[positions] = [draw(abnormal) for _ in positions]
+    return (draw(st.sampled_from([10, 25, 50])), draw(st.integers(1, 4)), clip_labels,
+            scores, inserted, len(positions))
+
+
+class TestAbstractClaims:
+    """The abstract's two claims for F1@k over frame AUC, as properties of
+    evaluate: minor temporal shifts cost F1@k nothing but lower frame
+    AUC, and short false positives cost abnormal precision one count each
+    while frame AUC moves by at most their share of the normal frames."""
+
+    @given(shifted_timelines())
+    @settings(max_examples=150)
+    def test_minor_shifts_keep_f1_and_lower_auc(self, case):
+        k, n, gt_clips, shifted_clips = case
+        for pred, gt in zip(segments_from_labels(shifted_clips), segments_from_labels(gt_clips),
+                            strict=True):
+            assert _iou(pred, gt) >= k / 100.0
+        gt = {"v": np.repeat(gt_clips, n)}
+        perfect = evaluation.evaluate({"v": 0.1 + 0.8 * gt_clips}, gt, n, ks=(k,))
+        shifted = evaluation.evaluate({"v": 0.1 + 0.8 * shifted_clips}, gt, n, ks=(k,))
+        assert perfect.frame_auc == 1.0
+        assert shifted.scopes == perfect.scopes
+        assert shifted.frame_auc < perfect.frame_auc
+
+    @given(false_positive_insertions())
+    @settings(max_examples=150)
+    def test_short_false_positives_cost_precision_not_auc(self, case):
+        k, n, gt_clips, scores, inserted, count = case
+        gt_frames = np.repeat(gt_clips, n)
+        tp, fp, fn = evaluation.match_counts(segments_from_labels(np.repeat(scores >= 0.5, n)),
+                                             segments_from_labels(gt_frames), k, "abnormal")
+        gt = {"v": gt_frames}
+        before = evaluation.evaluate({"v": scores}, gt, n, ks=(k,))
+        after = evaluation.evaluate({"v": inserted}, gt, n, ks=(k,))
+        precision, recall, _ = after.scopes["abnormal"][k]
+        assert precision == 100.0 * tp / (tp + fp + count)
+        assert recall == before.scopes["abnormal"][k][1]
+        share = count * n / np.count_nonzero(gt_frames == 0)
+        assert abs(after.frame_auc - before.frame_auc) <= share + 1e-12
+
+    def test_readme_table_names_these_tests(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("\n## The abstract's claims\n", 1)[1].split("\n## ", 1)[0]
+        nodes = re.findall(r"`tests/(\w+)\.py::(\w+)::(\w+)`", table)
+        assert len(nodes) == 2
+        for module, owner, name in nodes:
+            assert hasattr(getattr(importlib.import_module(module), owner), name)

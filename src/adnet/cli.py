@@ -279,6 +279,9 @@ def _parse_ks(text: str) -> tuple[int, ...]:
     if not ks:
         raise argparse.ArgumentTypeError("k list is empty")
     for index, k in enumerate(ks):
+        if not 0 < k <= 100:
+            raise argparse.ArgumentTypeError(f"bad k list {text!r}: k must lie in (0, 100], "
+                                             f"got {k}")
         if k in ks[:index]:
             raise argparse.ArgumentTypeError(f"bad k list {text!r}: k {k} is given twice")
     return ks

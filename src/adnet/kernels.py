@@ -1,7 +1,17 @@
-"""The dilated convolution kernels, the hot loop of training.
+"""The dilated convolution kernels, the hot loop of training and inference.
 
 One BLAS matmul per kernel tap over a zero-padded copy of the input.
 Both kernels expect C-contiguous float64 arrays.
+
+The forward kernel also runs a stack of B equal-width windows: x holds
+their channels one window after another, (B*Cin, T), and y comes back the
+same way, (B*Cout, T). Each row is padded on its own, so no tap reads
+across from one window into the next, and each tap is one matmul over the
+(B, Cin, T) view. numpy runs that as B separate (Cout x Cin) @ (Cin x T)
+BLAS products, the very product a single window gets, so a window's
+output is bit for bit the same in a stack of any size. One (Cin, B*T)
+product per tap would be faster still, but BLAS rounds a wider product
+differently (by 1.1e-16 at T=10 from B=3 on).
 """
 
 import numpy as np
@@ -13,16 +23,21 @@ def backend():
 
 
 def conv1d_dilated_fwd(x, w, b, dilation):
-    cin, t = x.shape
-    cout, _, k = w.shape
+    """y = b + sum over taps j of w[:, :, j] @ x shifted by j*dilation - pad,
+    for each of the B windows whose channels x stacks as (B*Cin, T)."""
+    rows, t = x.shape
+    cout, cin, k = w.shape
     pad = (k // 2) * dilation
-    xp = np.zeros((cin, t + 2 * pad))
+    xp = np.zeros((rows, t + 2 * pad))
     xp[:, pad:pad + t] = x
-    y = np.empty((cout, t))
+    xp = xp.reshape(rows // cin, cin, t + 2 * pad)
+    taps = np.ascontiguousarray(w.transpose(2, 0, 1))  # (K, Cout, Cin), read once
+    y = np.empty((rows // cin, cout, t))
     y[:] = b[:, None]
+    product = np.empty_like(y)
     for j in range(k):
-        y += w[:, :, j] @ xp[:, j * dilation:j * dilation + t]
-    return y
+        y += np.matmul(taps[j], xp[:, :, j * dilation:j * dilation + t], out=product)
+    return y.reshape(-1, t)
 
 
 def conv1d_dilated_bwd(x, w, gy, dilation):

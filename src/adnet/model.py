@@ -8,6 +8,13 @@ through its own projection and refines it the same way. The padding mask
 re-zeroes masked columns after the projection, after every block, and
 after each head, so padded positions can never influence real ones.
 
+forward scores one window, or a list of equal-width windows as one
+(B, C, W) stack: every matmul of the stack is numpy's loop of B
+(Cout x Cin) @ (Cin x W) products, the one-window product, and the dilated
+conv kernel keeps that for each tap (see kernels), so a window scores bit
+for bit the same alone or at any place in a stack. score_sequence runs a
+video's windows BLOCK at a time.
+
 The architecture is fixed, so its gradient is written out by hand:
 forward keeps the activations that backward reads, and backward walks the
 stages in reverse and writes each parameter's gradient once. Every
@@ -26,6 +33,11 @@ from . import evaluation, kernels, numerics, windowing
 from .errors import ConfigError, InternalError
 from .numerics import Tensor
 from .windowing import Window
+
+# Windows per forward in score_sequence. At the default geometry 8 ran
+# faster than 16, and 4 no faster than 8; all of a long video's windows at
+# once, whose stack outgrows L2, ran slower than one window at a time.
+BLOCK = 8
 
 
 def max_layers(window_width: int, kernel_size: int) -> int:
@@ -158,33 +170,47 @@ class StageActivations:
     sigmoid: np.ndarray           # the head's sigmoid output, before the mask
 
 
-def _masking(window: Window, config: ADNetConfig) -> np.ndarray | None:
-    """The window's mask as float64, or None for a window without padding:
-    x * 1.0 is x bit for bit, so such a window skips the masking."""
+def _inputs(windows: Window | list[Window],
+            config: ADNetConfig) -> tuple[np.ndarray, np.ndarray | None]:
+    """The features and the float64 mask of one window, (D0, W) and (W,),
+    or of a list of windows as (B, D0, W) and (B, 1, W) stacks. The mask
+    is None when no window is padded: x * 1.0 is x bit for bit, so such a
+    stack skips the masking."""
+    single = isinstance(windows, Window)
+    group = [windows] if single else windows
+    if not group:
+        raise ConfigError("forward needs at least one window")
     expected = (config.input_dim, config.window_width)
-    if window.features.shape != expected:
-        raise ConfigError(
-            f"window features have shape {window.features.shape}, model expects {expected}")
-    if window.mask.shape != (config.window_width,):
-        raise ConfigError(
-            f"window mask has shape {window.mask.shape}, model expects ({config.window_width},)")
-    mask = np.ascontiguousarray(window.mask, dtype=np.float64)
+    for window in group:
+        if window.features.shape != expected:
+            raise ConfigError(
+                f"window features have shape {window.features.shape}, model expects {expected}")
+        if window.mask.shape != (config.window_width,):
+            raise ConfigError(f"window mask has shape {window.mask.shape}, "
+                              f"model expects ({config.window_width},)")
+    if single:  # no copy: training runs one window per step
+        features = np.asarray(windows.features, dtype=np.float64, order="C")
+        mask = np.asarray(windows.mask, dtype=np.float64)
+    else:
+        features = np.stack([window.features for window in group]).astype(np.float64, copy=False)
+        mask = np.stack([window.mask for window in group]).astype(np.float64, copy=False)[:, None]
     if np.all(mask == 1.0):
-        return None
+        return features, None
     if not np.all((mask == 0.0) | (mask == 1.0)):
         raise ConfigError("mask entries must be 0 or 1")
-    return mask
+    return features, mask
 
 
-def forward(params: ModelParams, window: Window,
+def forward(params: ModelParams, windows: Window | list[Window],
             saved: list[StageActivations] | None = None) -> list[Tensor]:
-    """Per-stage score sequences, each a (1, W) tensor in [0, 1] with
-    masked columns exactly 0. With saved, each stage appends what backward
-    reads of it."""
+    """Per-stage score sequences in [0, 1] with masked columns exactly 0:
+    for one window each a (1, W) tensor, for a list of B equal-width
+    windows each a (B, 1, W) tensor, window b's scores at [b] bit for bit
+    what forward gives that window alone. With saved, each stage appends
+    what backward reads of it; backward reads one window's."""
     cfg = params.config
-    mask = _masking(window, cfg)
+    current, mask = _inputs(windows, cfg)
     t = {name: tensor.value for name, tensor in params.tensors.items()}
-    current = np.asarray(window.features, dtype=np.float64, order="C")
     outputs: list[Tensor] = []
     for s in range(cfg.num_stages):
         v = t[f"stage{s}.proj.weight"] @ current + t[f"stage{s}.proj.bias"][:, None]
@@ -193,9 +219,11 @@ def forward(params: ModelParams, window: Window,
         blocks = []
         for layer in range(cfg.num_layers):
             block = f"stage{s}.block{layer}"
-            # looked up on the module at call time so perfbench/layers.py can wrap it
-            h = kernels.conv1d_dilated_fwd(v, t[f"{block}.dilated.weight"],
-                                           t[f"{block}.dilated.bias"], 1 << layer)
+            # looked up on the module at call time so perfbench/layers.py can wrap
+            # it; the kernel takes the stack's channels as rows, (B*C, W)
+            h = kernels.conv1d_dilated_fwd(v.reshape(-1, cfg.window_width),
+                                           t[f"{block}.dilated.weight"],
+                                           t[f"{block}.dilated.bias"], 1 << layer).reshape(v.shape)
             r = np.maximum(h, 0.0)
             blocks.append((v, r))
             v = v + (t[f"{block}.pointwise.weight"] @ r + t[f"{block}.pointwise.bias"][:, None])
@@ -223,7 +251,7 @@ def backward(params: ModelParams, window: Window, saved: list[StageActivations],
     conv's gx. The mask is applied where forward applied it.
     """
     cfg = params.config
-    mask = _masking(window, cfg)
+    mask = _inputs(window, cfg)[1]
     t = {name: tensor.value for name, tensor in params.tensors.items()}
     pullback = None
     for s in reversed(range(cfg.num_stages)):
@@ -297,12 +325,16 @@ def predict_labels(scores, threshold: float) -> np.ndarray:
 
 def score_sequence(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """Score a whole T-clip sequence: plan half-overlapping windows, run
-    the final stage on each, and average overlaps back into one timeline."""
+    the final stage on them BLOCK windows per forward, and average
+    overlaps back into one timeline."""
     feats = np.asarray(features, dtype=np.float64)
     total = feats.shape[1]
     plan = windowing.plan_windows(total, params.config.window_width)
+    windows = windowing.materialize(feats, "", plan)
     scored = []
-    for window in windowing.materialize(feats, "", plan):
-        outputs = forward(params, window)
-        scored.append((window.start_clip, window.mask, outputs[-1].value.ravel()))
+    for first in range(0, len(windows), BLOCK):
+        block = windows[first:first + BLOCK]
+        scores = forward(params, block)[-1].value
+        scored += [(window.start_clip, window.mask, row.ravel())
+                   for window, row in zip(block, scores)]
     return windowing.merge_scores(scored, total)

@@ -310,7 +310,9 @@ def _check_scores_finite(params: ModelParams, items, epochs: int) -> None:
     feature_bound = max(float(np.abs(window.features).max()) for window, _ in items)
     if architecture.activation_bound(params, feature_bound) <= 1e300:
         return
-    for window, _ in items:
-        if not np.all(np.isfinite(architecture.forward(params, window)[-1].value)):
+    windows = [window for window, _ in items]
+    for first in range(0, len(windows), architecture.BLOCK):
+        scores = architecture.forward(params, windows[first:first + architecture.BLOCK])
+        if not np.all(np.isfinite(scores[-1].value)):
             raise NumericError(f"non-finite score on the training windows after "
                                f"{epochs} epochs")

@@ -1176,6 +1176,14 @@ class TestUsageErrors:
         assert excinfo.value.code == 1
         assert "k 10 is given twice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["0", "101", "-1"])
+    def test_k_outside_the_percent_range(self, capsys, k):
+        # refused while parsing, before any document is read: p and g do not exist
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["eval", "--pred", "p", "--gt", "g", "--k", f"10,{k}"])
+        assert excinfo.value.code == 1
+        assert f"k must lie in (0, 100], got {k}" in capsys.readouterr().err
+
 
 def test_readme_config_reference_matches_the_defaults():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adnet import model, training
+from adnet import model, training, windowing
 from adnet.errors import ConfigError, InputError
 from adnet.model import ADNetConfig
 from adnet.numerics import Tape
@@ -274,6 +276,71 @@ class TestScoreSequence:
         window = Window(features=feats, mask=np.ones(8), video_id="t", start_clip=0)
         direct = model.forward(params, window)[-1].value.ravel()
         np.testing.assert_array_equal(model.score_sequence(params, feats), direct)
+
+
+@st.composite
+def stack_cases(draw):
+    """A random model and a clip count T whose plan has a drawn number of
+    windows: 1, around one and two blocks, 15 to 17, or any count up to
+    past two blocks, its last window padded or exactly full."""
+    width = draw(st.sampled_from([2, 8, 10, 32, 64]))
+    config = ADNetConfig(window_width=width, num_stages=draw(st.integers(1, 3)),
+                         num_layers=draw(st.integers(1, model.max_layers(width, 3))),
+                         input_dim=draw(st.integers(1, 5)),
+                         hidden_channels=draw(st.integers(1, 16)))
+    block = model.BLOCK
+    count = draw(st.one_of(st.sampled_from([1, block - 1, block, block + 1, 15, 16, 17,
+                                            2 * block, 2 * block + 1]),
+                           st.integers(1, max(2 * block, 17) + 3)))
+    stride = width // 2
+    # the plan has count windows iff T lies in (this low, this high]
+    low = 0 if count == 1 else stride * (count - 2) + width
+    high = stride * (count - 1) + width
+    total = draw(st.one_of(st.just(high), st.integers(low + 1, high)))
+    return config, total, draw(st.integers(0, 2**32 - 1))
+
+
+class TestStackedForward:
+    @given(stack_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_score_sequence_equals_window_by_window(self, case):
+        # score_sequence runs BLOCK windows per forward; every score must be
+        # what one forward per window and merge_scores give, bit for bit
+        config, total, seed = case
+        params = model.build(config, seed=seed % 1000)
+        features = np.random.default_rng(seed).normal(size=(config.input_dim, total))
+        plan = windowing.plan_windows(total, config.window_width)
+        scored = [(window.start_clip, window.mask, model.forward(params, window)[-1].value.ravel())
+                  for window in windowing.materialize(features, "", plan)]
+        expected = windowing.merge_scores(scored, total)
+        assert model.score_sequence(params, features).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("reals", [[8, 8, 8], [5, 8, 0, 8, 1], [3], [8], [2, 7, 4]])
+    def test_every_stage_equals_each_window_alone(self, reals):
+        # padded and unpadded windows in one stack, and stacks with no
+        # padding at all, which skip the mask
+        cfg = small_config(num_stages=3)
+        params = model.build(cfg, seed=9)
+        rng = np.random.default_rng(len(reals))
+        windows = [random_window(rng, cfg, real=real) for real in reals]
+        stacked = model.forward(params, windows)
+        assert len(stacked) == cfg.num_stages
+        for stage, scores in enumerate(stacked):
+            assert scores.value.shape == (len(reals), 1, cfg.window_width)
+            for index, window in enumerate(windows):
+                alone = model.forward(params, window)[stage].value
+                assert scores.value[index].tobytes() == alone.tobytes(), (stage, index)
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(ConfigError, match="at least one window"):
+            model.forward(model.build(small_config(), seed=0), [])
+
+    def test_a_window_of_another_width_rejected(self):
+        cfg = small_config()
+        rng = np.random.default_rng(0)
+        narrow = random_window(rng, small_config(window_width=6, num_layers=2))
+        with pytest.raises(ConfigError, match="model expects"):
+            model.forward(model.build(cfg, seed=0), [random_window(rng, cfg), narrow])
 
 
 GOLDEN_STAGE0 = np.array([

@@ -93,6 +93,27 @@ class TestConv1dDilated:
         assert np.array_equal(first, second)
 
 
+class TestConvForwardStack:
+    @pytest.mark.parametrize("t", [8, 10, 64])
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("cin,cout", [(1, 1), (6, 4), (64, 64)])
+    @pytest.mark.parametrize("batch", [1, 3, 16])
+    def test_stack_equals_one_call_per_window(self, batch, cin, cout, k, t):
+        # B windows stacked as (B*Cin, T) rows must give each window's
+        # single-call output bit for bit, also where the dilation puts whole
+        # taps into the padding (|offset| >= T)
+        rng = np.random.default_rng([batch, cin, k, t])
+        x = rng.normal(size=(batch * cin, t))
+        w = rng.normal(size=(cout, cin, k))
+        b = rng.normal(size=cout)
+        for dilation in sorted({1, 2, 3, t // 2, t - 1, t, t + 1, 2 * t}):
+            stacked = kernels.conv1d_dilated_fwd(x, w, b, dilation)
+            assert stacked.shape == (batch * cout, t) and stacked.flags.c_contiguous
+            single = [kernels.conv1d_dilated_fwd(x[i * cin:(i + 1) * cin], w, b, dilation)
+                      for i in range(batch)]
+            assert stacked.tobytes() == np.concatenate(single).tobytes(), dilation
+
+
 def padded_input_gradient(w, gy, dilation):
     """The input gradient of the dilated conv as the sum, tap by tap, of
     each tap's full product into a zero-padded buffer, then cropped."""

@@ -134,18 +134,16 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _frame_labels(path, manifest: storage.AnnotationManifest, num_clips: int) -> np.ndarray:
-    """A manifest's frame labels, allocated only once its total_frames is
-    known to fit num_clips clips (the last may be short)."""
-    n = manifest.frames_per_clip
-    if not n * (num_clips - 1) < manifest.total_frames <= n * num_clips:
-        raise InputError(f"{path}: total_frames {manifest.total_frames} does not fit "
-                         f"{num_clips} clips at {n} frames per clip")
+def _segments(path, manifest: storage.AnnotationManifest, num_clips: int):
+    """A manifest's segments, once its total_frames is known to fit
+    num_clips clips (evaluation.clip_edges)."""
     try:
-        return storage.frame_labels(manifest)
-    except (MemoryError, ValueError) as exc:  # numpy: cannot allocate, or too big to try
-        raise InputError(f"{path}: frame labels for total_frames {manifest.total_frames} "
-                         f"do not fit in memory ({exc})") from exc
+        evaluation.clip_edges(num_clips, manifest.frames_per_clip, manifest.total_frames)
+    except InputError:
+        raise InputError(f"{path}: total_frames {manifest.total_frames} does not fit "
+                         f"{num_clips} clips at {manifest.frames_per_clip} frames per "
+                         f"clip") from None
+    return manifest.segments
 
 
 def _read_manifests(gt_dir: Path, video_ids, source: str) -> dict:
@@ -192,8 +190,8 @@ def cmd_train(args) -> int:
     sequences = [storage.read_features(path) for path in feature_paths]
     input_dim = _agreed("feature dim", [(path, seq.dim)
                                         for path, seq in zip(feature_paths, sequences)])
-    dataset = [(seq.features, training.clip_labels_from_frames(
-        _frame_labels(*manifests[seq.video_id], seq.num_clips), frames_per_clip,
+    dataset = [(seq.features, training.clip_labels(
+        _segments(*manifests[seq.video_id], seq.num_clips), frames_per_clip, seq.num_clips,
         train_config.clip_label_fraction)) for seq in sequences]
     model_config = _model_config(doc, input_dim)
     log_path = None if out_dir is None else out_dir / "train_log.jsonl"
@@ -345,9 +343,9 @@ def cmd_eval(args) -> int:
     manifests = _read_manifests(gt_dir, pred_scores, "prediction")
     frames_per_clip = _agreed("frames_per_clip", frames + [
         (path, manifest.frames_per_clip) for path, manifest in manifests.values()])
-    gt_labels = {video_id: _frame_labels(path, manifest, pred_scores[video_id].size)
-                 for video_id, (path, manifest) in manifests.items()}
-    report = evaluation.evaluate(pred_scores, gt_labels, frames_per_clip,
+    gt_segments = {video_id: _segments(path, manifest, pred_scores[video_id].size)
+                   for video_id, (path, manifest) in manifests.items()}
+    report = evaluation.evaluate(pred_scores, gt_segments, frames_per_clip,
                                  ks=args.k, threshold=threshold)
     doc = _document_header({
         "pred": str(pred_dir), "gt": str(gt_dir), "ks": list(args.k),

@@ -49,24 +49,31 @@ def check_scores(scores, source: str) -> np.ndarray:
     return values
 
 
-def expand_to_frames(clip_values, frames_per_clip: int, total_frames: int) -> np.ndarray:
-    """Copy clip value i to frames [n*i, n*(i+1)); no interpolation. The
-    last clip may cover fewer than n frames."""
-    values = np.asarray(clip_values, dtype=np.float64).reshape(-1)
+def clip_edges(num_clips: int, frames_per_clip: int, total_frames: int) -> np.ndarray:
+    """The frame edges of a video's clips: clip i covers frames
+    [edges[i], edges[i + 1]) = [n*i, n*(i+1)), except that the last clip
+    ends at total_frames, which must leave it 1 to n frames."""
     n = frames_per_clip
     if n < 1:
         raise InputError(f"frames_per_clip must be >= 1, got {n}")
-    if values.size == 0:
+    if num_clips < 1:
         raise InputError("no clip values to expand")
-    low = n * (values.size - 1) + 1
-    high = n * values.size
+    low = n * (num_clips - 1) + 1
+    high = n * num_clips
     if not low <= total_frames <= high:
         raise InputError(
-            f"{total_frames} frames is inconsistent with {values.size} clips of "
+            f"{total_frames} frames is inconsistent with {num_clips} clips of "
             f"{n} frames (expected {low}..{high})")
-    # n < total_frames unless there is one clip, which may cover far fewer
-    # frames than n: allocate only those
-    return np.repeat(values, min(n, total_frames))[:total_frames]
+    # a lone clip may cover fewer than n frames; no other edge passes the end
+    edges = np.arange(num_clips + 1, dtype=np.int64) * min(n, total_frames)
+    edges[-1] = total_frames
+    return edges
+
+
+def expand_to_frames(clip_values, frames_per_clip: int, total_frames: int) -> np.ndarray:
+    """Copy clip value i to every frame of clip i (clip_edges)."""
+    values = np.asarray(clip_values, dtype=np.float64).reshape(-1)
+    return np.repeat(values, np.diff(clip_edges(values.size, frames_per_clip, total_frames)))
 
 
 def _runs(frame_labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -155,7 +162,8 @@ def _label_counts(claims: np.ndarray, pred_label: np.ndarray, gt_label: np.ndarr
     return counts
 
 
-def _segment_runs(segments: Sequence[TemporalSegment]):
+def segment_runs(segments: Sequence[TemporalSegment]):
+    """Starts, exclusive ends and labels of segments, as int64 arrays."""
     return tuple(np.array([getattr(seg, field) for seg in segments], dtype=np.int64)
                  for field in ("start_frame", "end_frame", "label"))
 
@@ -179,8 +187,8 @@ def match_counts(pred: Sequence[TemporalSegment], gt: Sequence[TemporalSegment],
     if pred_extent != gt_extent:
         raise InputError(
             f"prediction covers {pred_extent} frames, ground truth {gt_extent}")
-    pred_runs = _segment_runs(pred)
-    gt_runs = _segment_runs(gt)
+    pred_runs = segment_runs(pred)
+    gt_runs = segment_runs(gt)
     counts = _label_counts(_claim_iou(pred_runs, gt_runs), pred_runs[2], gt_runs[2], (k,))
     return tuple(int(count) for count in counts[list(SCOPES[scope]), 0].sum(axis=0))
 
@@ -201,20 +209,29 @@ def f1_at_k(pred: Sequence[TemporalSegment], gt: Sequence[TemporalSegment],
     return precision_recall_f1(*match_counts(pred, gt, k, scope))
 
 
+def _run_auc(scores: np.ndarray, positive: np.ndarray, lengths: np.ndarray) -> float:
+    """Exact ROC AUC of runs, run j being lengths[j] frames of score
+    scores[j], abnormal where positive[j]: each abnormal frame counts the
+    normal frames of lower score and half of those of equal score, summed
+    per tie group of the sorted runs. Every term and partial sum is a
+    multiple of 1/2 up to P * N (abnormal times normal frames), exact in
+    float64 while P * N <= 2**52, so however the frames are cut into runs
+    the result is the per-frame rank statistic bit for bit; beyond that,
+    no term is negative, so nothing cancels."""
+    abnormal = np.where(positive, lengths, 0.0)
+    normal = lengths - abnormal
+    num_pos, num_neg = abnormal.sum(), normal.sum()
+    if num_pos == 0 or num_neg == 0:
+        raise MetricError("AUC is undefined when only one class is present")
+    _, group = np.unique(scores, return_inverse=True)  # tie groups in score order
+    abnormal = np.bincount(group, weights=abnormal)
+    normal = np.bincount(group, weights=normal)
+    u = (abnormal * (np.cumsum(normal) - normal / 2)).sum()
+    return float(u / (num_pos * num_neg))
+
+
 def frame_auc(frame_scores, frame_labels) -> float:
-    """Exact ROC AUC via midranks, ranking runs rather than frames.
-
-    The input is first merged into its R maximal runs of equal (score,
-    label); every frame of a run shares its rank, so only the R run scores
-    are sorted, and a tie group's midrank comes from the cumulative frame
-    counts of the runs it spans. The cost is O(F + R log R) for F frames;
-    a clip score repeated over its frames makes R about F / frames_per_clip.
-
-    Every rank is a half-integer, and so is every partial sum of rank times
-    frame count; each lies below F**2, where float64 holds half-integers
-    exactly while F < 2**26. The sum is then exact in any order and the
-    result equals that of a per-frame rank sum bit for bit.
-    """
+    """Exact ROC AUC (_run_auc) of per-frame scores and labels."""
     scores = np.asarray(frame_scores, dtype=np.float64).reshape(-1)
     labels = np.asarray(frame_labels).reshape(-1)
     if scores.shape != labels.shape:
@@ -224,25 +241,7 @@ def frame_auc(frame_scores, frame_labels) -> float:
         raise InputError("labels must be 0 or 1")
     if not np.all(np.isfinite(scores)):  # NaN would sort last and rank as a high score
         raise InputError("scores must be finite")
-    positive = labels == 1
-    num_pos = int(np.count_nonzero(positive))
-    num_neg = labels.size - num_pos
-    if num_pos == 0 or num_neg == 0:
-        raise MetricError("AUC is undefined when only one class is present")
-    run_starts = np.flatnonzero(np.concatenate((
-        [True], (scores[1:] != scores[:-1]) | (positive[1:] != positive[:-1]))))
-    order = np.argsort(scores[run_starts])  # ties share a midrank: stability is moot
-    lengths = np.diff(run_starts, append=scores.size)[order]
-    firsts = run_starts[order]  # first frame of each run, in score order
-    ordered = scores[firsts]
-    last = np.flatnonzero(np.concatenate((ordered[1:] != ordered[:-1], [True])))
-    # a tie group holds ranks group_start + 1 .. group_end
-    group_ends = np.cumsum(lengths)[last]
-    group_starts = np.concatenate(([0], group_ends[:-1]))
-    midranks = np.repeat(0.5 * (group_starts + 1 + group_ends), np.diff(last, prepend=-1))
-    abnormal = positive[firsts]
-    u = (lengths[abnormal] * midranks[abnormal]).sum() - num_pos * (num_pos + 1) / 2.0
-    return float(u / (num_pos * num_neg))
+    return _run_auc(scores, labels == 1, np.ones(scores.size))
 
 
 @dataclass(frozen=True)
@@ -266,17 +265,19 @@ class EvalReport:
 
 
 def evaluate(pred_clip_scores: Mapping[str, np.ndarray],
-             gt_frame_labels: Mapping[str, np.ndarray],
+             gt_segments: Mapping[str, Sequence[TemporalSegment]],
              frames_per_clip: int,
              ks: Sequence[int] = DEFAULT_KS,
              threshold: float = 0.5) -> EvalReport:
     """Corpus-level report over matching video id sets.
 
-    Clip scores must be finite and in [0, 1], and no k may repeat. Scores
-    are expanded to frames against each video's ground-truth frame count,
-    thresholded into segments, and counted into pooled TP/FP/FN per scope
-    and k. Frame AUC ranks the expanded frames of all videos together: one
-    pooled statistic, not a mean of per-video AUCs.
+    Clip scores must be finite and in [0, 1], each video's ground-truth
+    segments must partition its frames (partition_extent) and fit its
+    clips (clip_edges), and no k may repeat. Runs of thresholded clips,
+    mapped to frames through the clip edges, are matched against the
+    ground-truth segments into pooled TP/FP/FN per scope and k. Frame AUC
+    ranks the runs cut at every clip edge and segment start of every
+    video together: one pooled statistic, not a mean of per-video AUCs.
     """
     ks = tuple(int(k) for k in ks)
     for index, k in enumerate(ks):
@@ -285,23 +286,29 @@ def evaluate(pred_clip_scores: Mapping[str, np.ndarray],
         if k in ks[:index]:
             raise InputError(f"k {k} is given twice")
     pred_ids = set(pred_clip_scores)
-    gt_ids = set(gt_frame_labels)
+    gt_ids = set(gt_segments)
     if pred_ids != gt_ids:
         raise InputError(
             f"prediction and ground-truth video sets differ: {sorted(pred_ids ^ gt_ids)}")
     counts = np.zeros((2, len(ks), 3), dtype=np.int64)
-    scores_parts = []
-    labels_parts = []
+    runs = []
     for video_id in sorted(gt_ids):
-        labels = np.asarray(gt_frame_labels[video_id]).reshape(-1)
-        clip_scores = check_scores(pred_clip_scores[video_id], f"video {video_id!r}")
-        scores = expand_to_frames(clip_scores, frames_per_clip, labels.size)
-        pred_runs = _runs(scores >= threshold)
-        gt_runs = _runs(labels)
+        total_frames = partition_extent(gt_segments[video_id], f"video {video_id!r} ground truth")
+        clip_scores = check_scores(pred_clip_scores[video_id], f"video {video_id!r}").reshape(-1)
+        edges = clip_edges(clip_scores.size, frames_per_clip, total_frames)
+        starts, ends, labels = _runs(clip_scores >= threshold)
+        pred_runs = edges[starts], edges[ends], labels
+        seg_starts, _, seg_labels = segment_runs(gt_segments[video_id])
+        bounds = np.append(seg_starts, total_frames)
+        starts, ends, labels = _runs(seg_labels)  # neighbours of one label are one segment
+        gt_runs = bounds[starts], bounds[ends], labels
         counts += _label_counts(_claim_iou(pred_runs, gt_runs), pred_runs[2], gt_runs[2], ks)
-        scores_parts.append(scores)
-        labels_parts.append(labels)
-    auc = frame_auc(np.concatenate(scores_parts), np.concatenate(labels_parts))
+        cuts = np.union1d(edges[:-1], gt_runs[0])
+        clip = np.searchsorted(edges, cuts, side="right") - 1
+        segment = np.searchsorted(gt_runs[0], cuts, side="right") - 1
+        runs.append((clip_scores[clip], gt_runs[2][segment] == 1,
+                     np.diff(cuts, append=total_frames)))
+    auc = _run_auc(*(np.concatenate(column) for column in zip(*runs)))
     scopes = {scope: {k: precision_recall_f1(*(int(count) for count in row))
                       for k, row in zip(ks, counts[list(labels)].sum(axis=0))}
               for scope, labels in SCOPES.items()}

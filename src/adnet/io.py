@@ -146,19 +146,14 @@ class AnnotationManifest:
     def __post_init__(self):
         if self.frames_per_clip < 1:
             raise InputError(f"frames_per_clip must be >= 1, got {self.frames_per_clip}")
+        if self.total_frames >= 2 ** 63:  # frame indices are int64
+            raise InputError(f"total_frames must be < 2**63, got {self.total_frames}")
         segments = tuple(sorted(self.segments, key=lambda seg: seg.start_frame))
         object.__setattr__(self, "segments", segments)
         extent = partition_extent(segments, "annotation")
         if extent != self.total_frames:
             raise InputError(
                 f"annotation segments end at frame {extent}, total_frames is {self.total_frames}")
-
-
-def frame_labels(manifest: AnnotationManifest) -> np.ndarray:
-    labels = np.zeros(manifest.total_frames, dtype=np.int64)
-    for seg in manifest.segments:
-        labels[seg.start_frame:seg.end_frame] = seg.label
-    return labels
 
 
 def write_annotations(manifest: AnnotationManifest, path) -> None:

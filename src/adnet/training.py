@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from . import model as architecture
-from . import numerics, windowing
+from . import evaluation, numerics, windowing
 from .errors import ConfigError, InputError, NumericError
 from .model import ADNetConfig, ModelParams
 from .numerics import AdamState, Tape, Tensor
@@ -60,26 +60,19 @@ class TrainConfig:
                 f"clip_label_fraction must lie in (0, 1], got {self.clip_label_fraction}")
 
 
-def clip_labels_from_frames(frame_labels, frames_per_clip: int,
-                            fraction: float = 0.5) -> np.ndarray:
-    """Collapse frame labels to clip labels: clip i covers frames
-    [n*i, n*(i+1)) and is abnormal when its abnormal-frame share reaches
-    the fraction (>=, so an exact tie is abnormal). The last clip may
-    cover fewer than n frames."""
-    labels = np.asarray(frame_labels)
-    if labels.size == 0:
-        raise InputError("frame label vector is empty")
-    if frames_per_clip < 1:
-        raise ConfigError(f"frames_per_clip must be >= 1, got {frames_per_clip}")
-    if not np.all((labels == 0) | (labels == 1)):
-        raise InputError("frame labels must be 0 or 1")
-    num_clips = -(-labels.size // frames_per_clip)
-    out = np.zeros(num_clips, dtype=np.int64)
-    for i in range(num_clips):
-        chunk = labels[i * frames_per_clip:(i + 1) * frames_per_clip]
-        if chunk.sum() >= fraction * chunk.size:
-            out[i] = 1
-    return out
+def clip_labels(segments: Sequence[evaluation.TemporalSegment], frames_per_clip: int,
+                num_clips: int, fraction: float = 0.5) -> np.ndarray:
+    """Clip labels from the segments that partition a video's frames: a
+    clip (evaluation.clip_edges) is abnormal when its abnormal-frame share
+    reaches the fraction (>=, so an exact tie is abnormal)."""
+    edges = evaluation.clip_edges(num_clips, frames_per_clip,
+                                  evaluation.partition_extent(segments, "annotation"))
+    starts, ends, labels = evaluation.segment_runs(segments)
+    abnormal = labels * (ends - starts)
+    # abnormal frames before each edge, in the segments before it and in its own
+    inside = np.searchsorted(starts, edges, side="right") - 1
+    before = (np.cumsum(abnormal) - abnormal)[inside] + labels[inside] * (edges - starts[inside])
+    return (np.diff(before) >= fraction * np.diff(edges)).astype(np.int64)
 
 
 def _flat_inputs(scores: Tensor, targets, mask):

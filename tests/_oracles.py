@@ -5,6 +5,13 @@ These deliberately avoid the library's own matching/ranking code paths:
 ground-truth pairs, `optimal_counts` an exhaustive maximum bipartite
 matching, `pairwise_auc` counts every abnormal/normal pair directly, and
 `frame_auc_per_frame` ranks every frame, where the library ranks runs.
+`evaluate_per_frame` is the report of `evaluation.evaluate` from
+per-frame arrays: scores copied to every frame of their clip, labels
+written into every frame of their segment, both cut into maximal runs
+frame by frame, counted with `greedy_counts` and ranked with
+`frame_auc_per_frame` over the frames of all videos pooled;
+`clip_labels_per_frame` counts abnormal frames one clip at a time,
+where the library counts them between clip edges from the segments.
 `masked_forward` is the model's forward pass on the taped ops, masking
 every window, padded or not; `taped_train` is the training loop on it,
 with the tape's generic backward and `adam_per_tensor`, Adam one tensor
@@ -128,6 +135,65 @@ def frame_auc_per_frame(scores, labels):
     ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
     u = ranks[labels == 1].sum() - num_pos * (num_pos + 1) / 2.0
     return float(u / (num_pos * num_neg))
+
+
+def expand_per_frame(clip_values, frames_per_clip, total_frames):
+    """Clip value i copied to frames [n*i, n*(i+1)), cut at total_frames,
+    which must leave the last clip between 1 and n frames."""
+    values = np.asarray(clip_values, dtype=np.float64).reshape(-1)
+    n = frames_per_clip
+    assert n * (values.size - 1) < total_frames <= n * values.size
+    return np.repeat(values, n)[:total_frames]
+
+
+def frame_labels(segments):
+    """The label of every frame of the timeline that segments partition."""
+    labels = np.zeros(segments[-1].end_frame, dtype=np.int64)
+    for seg in segments:
+        labels[seg.start_frame:seg.end_frame] = seg.label
+    return labels
+
+
+def frame_segments(labels):
+    """The maximal constant-label runs of a frame-label timeline."""
+    labels = np.asarray(labels).reshape(-1)
+    bounds = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(), labels.size]
+    return [TemporalSegment(a, b, int(labels[a])) for a, b in zip(bounds, bounds[1:])]
+
+
+def evaluate_per_frame(pred_clip_scores, gt_segments, frames_per_clip, ks, threshold):
+    """evaluation.evaluate(...).as_dict(), computed frame by frame."""
+    counts = {scope: {k: np.zeros(3, dtype=np.int64) for k in ks}
+              for scope in evaluation.SCOPES}
+    scores, labels = [], []
+    for video_id in sorted(gt_segments):
+        labels.append(frame_labels(gt_segments[video_id]))
+        scores.append(expand_per_frame(pred_clip_scores[video_id], frames_per_clip,
+                                       labels[-1].size))
+        pred = frame_segments(scores[-1] >= threshold)
+        gt = frame_segments(labels[-1])
+        for scope in evaluation.SCOPES:
+            for k in ks:
+                counts[scope][k] += greedy_counts(pred, gt, k, scope)
+    return evaluation.EvalReport(
+        ks=tuple(ks),
+        frame_auc=frame_auc_per_frame(np.concatenate(scores), np.concatenate(labels)),
+        scopes={scope: {k: evaluation.precision_recall_f1(*(int(c) for c in counts[scope][k]))
+                        for k in ks} for scope in evaluation.SCOPES}).as_dict()
+
+
+def clip_labels_per_frame(labels, frames_per_clip, fraction):
+    """Clip i covers frames [n*i, n*(i+1)) and is abnormal when its
+    abnormal-frame share reaches the fraction; the last clip may be
+    short."""
+    labels = np.asarray(labels)
+    num_clips = -(-labels.size // frames_per_clip)
+    out = np.zeros(num_clips, dtype=np.int64)
+    for i in range(num_clips):
+        chunk = labels[i * frames_per_clip:(i + 1) * frames_per_clip]
+        if chunk.sum() >= fraction * chunk.size:
+            out[i] = 1
+    return out
 
 
 def masked_forward(params, window, tape=None):

@@ -303,8 +303,8 @@ def test_criterion_7_learnability(tmp_path):
     for video_id in train_ids:
         seq = storage.read_features(features_dir / f"{video_id}.adnf")
         manifest = storage.read_annotations(annotations_dir / f"{video_id}.json")
-        clip_labels = training.clip_labels_from_frames(storage.frame_labels(manifest),
-                                                       manifest.frames_per_clip)
+        clip_labels = training.clip_labels(manifest.segments, manifest.frames_per_clip,
+                                           seq.num_clips)
         dataset.append((seq.features, clip_labels))
     model_cfg = model.ADNetConfig(window_width=64, num_stages=2, num_layers=6,
                                   input_dim=16, hidden_channels=64)
@@ -315,7 +315,7 @@ def test_criterion_7_learnability(tmp_path):
         seq = storage.read_features(features_dir / f"{video_id}.adnf")
         manifest = storage.read_annotations(annotations_dir / f"{video_id}.json")
         preds[video_id] = model.score_sequence(result.params, seq.features)
-        gts[video_id] = storage.frame_labels(manifest)
+        gts[video_id] = manifest.segments
     report_card = evaluation.evaluate(preds, gts, frames_per_clip=16)
     _, _, f1_all_50 = report_card.scopes["all"][50]
     assert f1_all_50 >= 90.0, f"all-segments F1@50 = {f1_all_50:.2f} < 90"
@@ -327,7 +327,8 @@ def test_criterion_7_learnability(tmp_path):
 
 def test_criterion_8_auc_f1_divergence():
     budget = Budget(10.0)
-    gt = {"v": np.repeat(np.array([0] * 30 + [1] * 40 + [0] * 30), 10)}
+    gt = {"v": evaluation.segments_from_labels(
+        np.repeat(np.array([0] * 30 + [1] * 40 + [0] * 30), 10))}
     scores = np.full(100, 0.1)
     scores[30:70] = 0.9
     scores[list(range(35, 70, 5))] = 0.1  # slice the abnormal run into fragments
@@ -372,7 +373,7 @@ def test_criterion_9_determinism(tmp_path):
             preds[doc["video_id"]] = np.asarray(doc["clip_scores"])
         for manifest_path in sorted((corpus / "annotations").glob("*.json")):
             manifest = storage.read_annotations(manifest_path)
-            gts[manifest.video_id] = storage.frame_labels(manifest)
+            gts[manifest.video_id] = manifest.segments
         report_card = evaluation.evaluate(preds, gts, frames_per_clip=16)
         outputs.append({
             "checkpoint": (root / "model.adnc").read_bytes(),

@@ -51,7 +51,8 @@ ONE_VIDEO_MANIFEST = {"video_id": "v", "frames_per_clip": 1, "total_frames": 4,
 
 def huge_clip_manifest(frames_per_clip, total_frames):
     """A one-clip video's manifest: one frame of label 0, the rest label 1.
-    Frame counts of 10**15 and more cannot be allocated on any machine."""
+    Frame counts of 10**15 and more could not be allocated frame by frame
+    on any machine."""
     return {"video_id": "v", "frames_per_clip": frames_per_clip, "total_frames": total_frames,
             "segments": [{"start_frame": 0, "end_frame": 1, "label": 0},
                          {"start_frame": 1, "end_frame": total_frames, "label": 1}]}
@@ -315,8 +316,10 @@ class TestTrain:
         assert err == (f"adnet: error: {bad}: total_frames {10 ** 15} does not fit "
                        f"{clips} clips at 16 frames per clip\n")
 
-    @pytest.mark.parametrize("frames", [10 ** 15, 10 ** 20])
-    def test_frame_labels_beyond_memory_name_the_file(self, tmp_path, capsys, frames):
+    @staticmethod
+    def one_huge_clip(tmp_path, frames):
+        """The run config and annotation file of a one-clip video of the
+        given frame count."""
         corpus = tmp_path / "corpus"
         (corpus / "annotations").mkdir(parents=True)
         (corpus / "features").mkdir()
@@ -329,11 +332,20 @@ class TestTrain:
             "paths": {"features_dir": str(corpus / "features"),
                       "annotations_dir": str(corpus / "annotations"),
                       "checkpoint": str(tmp_path / "m.adnc")}})
+        return config, annotation
+
+    def test_clip_of_10_to_the_15_frames_trains(self, tmp_path, capsys):
+        config, _ = self.one_huge_clip(tmp_path, 10 ** 15)
+        code, _, err = run(capsys, ["train", "--config", config])
+        assert (code, err) == (0, "")
+        assert storage.load_checkpoint(tmp_path / "m.adnc").epochs_completed == 1
+
+    def test_total_frames_beyond_int64_names_the_file(self, tmp_path, capsys):
+        config, annotation = self.one_huge_clip(tmp_path, 10 ** 20)
         code, out, err = run(capsys, ["train", "--config", config])
         assert (code, out) == (2, "")
-        assert err.startswith(f"adnet: error: {annotation}: frame labels for total_frames "
-                              f"{frames} do not fit in memory (")
-        assert len(err.splitlines()) == 1
+        assert err == (f"adnet: error: {annotation}: total_frames must be < 2**63, "
+                       f"got {10 ** 20}\n")
 
     def test_missing_corpus(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json", {
@@ -839,17 +851,27 @@ class TestEval:
         assert (code, out) == (2, "")
         assert err == f"adnet: error: {gt / 'zzz.json'}: video_id 'v' is also in {gt / 'v.json'}\n"
 
-    @pytest.mark.parametrize("frames", [10 ** 15, 10 ** 20])
-    def test_frame_labels_beyond_memory_name_the_file(self, eval_dirs, capsys, frames):
+    def test_clip_of_10_to_the_15_frames_evaluates(self, eval_dirs, capsys):
+        # one clip scored at the threshold over one normal frame and the
+        # abnormal rest: both runs tie, and the prediction is abnormal
         argv, write = eval_dirs
-        write("v.json", frames_per_clip=frames, clip_scores=[0.5])
+        write("v.json", frames_per_clip=10 ** 15, clip_scores=[0.5])
+        (Path(argv[4]) / "v.json").write_text(json.dumps(huge_clip_manifest(10 ** 15, 10 ** 15)))
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["frame_auc"] == 0.5
+        assert doc["segmental"]["abnormal"]["f1@50"]["f1"] == 100.0
+        assert doc["segmental"]["normal"]["f1@50"]["f1"] == 0.0
+
+    def test_total_frames_beyond_int64_names_the_file(self, eval_dirs, capsys):
+        argv, write = eval_dirs
+        write("v.json", frames_per_clip=10 ** 20, clip_scores=[0.5])
         gt = Path(argv[4]) / "v.json"
-        gt.write_text(json.dumps(huge_clip_manifest(frames, frames)))
+        gt.write_text(json.dumps(huge_clip_manifest(10 ** 20, 10 ** 20)))
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
-        assert err.startswith(f"adnet: error: {gt}: frame labels for total_frames {frames} "
-                              f"do not fit in memory (")
-        assert len(err.splitlines()) == 1
+        assert err == f"adnet: error: {gt}: total_frames must be < 2**63, got {10 ** 20}\n"
 
     def test_lone_clip_longer_than_its_video(self, eval_dirs, capsys):
         # a clip of 10**15 frames over a 4-frame video covers 4 frames

@@ -12,8 +12,8 @@ from adnet import evaluation
 from adnet.errors import InputError, MetricError
 from adnet.evaluation import TemporalSegment, segments_from_labels
 
-from _oracles import (_iou, frame_auc_per_frame, greedy_counts, optimal_counts, pairwise_auc,
-                      random_partition)
+from _oracles import (_iou, evaluate_per_frame, frame_auc_per_frame, greedy_counts,
+                      optimal_counts, pairwise_auc, random_partition)
 
 
 def seg(start, end, label):
@@ -35,6 +35,25 @@ def partitions(draw, frames):
 def timeline_pairs(draw):
     frames = draw(st.integers(1, 40))
     return draw(partitions(frames)), draw(partitions(frames))
+
+
+@st.composite
+def corpora(draw):
+    """(clip scores, ground-truth segments, frames per clip, ks, threshold)
+    of 1 to 5 videos. Scores are drawn from a few levels, some exactly at
+    the threshold, or freely; each video's last clip covers 1 to n frames;
+    segment boundaries fall anywhere, inside clips too; ks include 100."""
+    n = draw(st.integers(1, 32))
+    threshold = draw(st.sampled_from([0.25, 0.5, 0.75]))
+    levels = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+    scores, segments = {}, {}
+    for video in range(draw(st.integers(1, 5))):
+        clips = draw(st.integers(1, 12))
+        scores[f"v{video}"] = np.array(draw(st.lists(levels | st.floats(0.0, 1.0),
+                                                     min_size=clips, max_size=clips)))
+        segments[f"v{video}"] = draw(partitions(n * (clips - 1) + draw(st.integers(1, n))))
+    ks = draw(st.permutations([100, *draw(st.sets(st.integers(1, 99), max_size=4))]))
+    return scores, segments, n, ks, threshold
 
 
 def alternating_labels(lengths, first):
@@ -292,7 +311,7 @@ class TestExpandSegmentsConsistency:
 
 class TestEvaluate:
     def test_perfect_predictions(self):
-        gt = {"a": np.array([0] * 30 + [1] * 20 + [0] * 10)}
+        gt = {"a": segments_from_labels([0] * 30 + [1] * 20 + [0] * 10)}
         pred = {"a": np.array([0.0] * 3 + [1.0] * 2 + [0.0] * 1)}
         report = evaluation.evaluate(pred, gt, frames_per_clip=10)
         assert report.frame_auc == 1.0
@@ -302,24 +321,24 @@ class TestEvaluate:
 
     def test_missing_video_rejected(self):
         with pytest.raises(InputError):
-            evaluation.evaluate({"a": np.zeros(2)}, {"b": np.zeros(4)}, 2)
+            evaluation.evaluate({"a": np.zeros(2)}, {"b": segments_from_labels([0] * 4)}, 2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 7.0, -0.1])
     def test_scores_outside_unit_interval_rejected(self, bad):
-        gt = {"a": np.array([0, 1]), "b": np.array([0, 1])}
+        gt = {"a": segments_from_labels([0, 1]), "b": segments_from_labels([0, 1])}
         pred = {"a": np.array([0.1, 0.9]), "b": np.array([0.1, bad])}
         with pytest.raises(InputError, match="video 'b'"):
             evaluation.evaluate(pred, gt, frames_per_clip=1)
 
     def test_unit_interval_endpoints_accepted(self):
-        report = evaluation.evaluate({"a": np.array([0.0, 1.0])}, {"a": np.array([0, 1])},
-                                     frames_per_clip=1)
+        report = evaluation.evaluate({"a": np.array([0.0, 1.0])},
+                                     {"a": segments_from_labels([0, 1])}, frames_per_clip=1)
         assert report.frame_auc == 1.0
 
     def test_pooled_normal_recall_across_videos(self):
         # second video is all normal and predicted perfectly; its normal
         # segment joins the corpus pool
-        gt = {"a": np.array([0, 0, 1, 1]), "b": np.array([0, 0, 0, 0])}
+        gt = {"a": segments_from_labels([0, 0, 1, 1]), "b": segments_from_labels([0, 0, 0, 0])}
         pred = {"a": np.array([0.1, 0.1, 0.9, 0.9]), "b": np.array([0.1] * 4)}
         report = evaluation.evaluate(pred, gt, frames_per_clip=1)
         assert report.scopes["normal"][50] == (100.0, 100.0, 100.0)
@@ -328,7 +347,7 @@ class TestEvaluate:
     def test_fragmented_prediction_diverges_from_auc(self):
         # high frame AUC, terrible segmental score: many short fragments
         # inside one long abnormal stretch
-        gt = {"v": np.repeat(np.array([0] * 30 + [1] * 40 + [0] * 30), 10)}
+        gt = {"v": segments_from_labels(np.repeat(np.array([0] * 30 + [1] * 40 + [0] * 30), 10))}
         scores = np.full(100, 0.1)
         scores[30:70] = 0.9
         scores[list(range(35, 70, 5))] = 0.1  # fragment the abnormal run
@@ -348,11 +367,11 @@ class TestEvaluate:
         pooled = {scope: {k: np.zeros(3, dtype=int) for k in ks} for scope in evaluation.SCOPES}
         for video in "abc":
             clips = int(rng.integers(1, 30))
-            gt[video] = rng.integers(0, 2, size=2 * clips)
-            gt[video][:2] = (0, 1)  # both classes, so that AUC is defined
+            labels = rng.integers(0, 2, size=2 * clips)
+            labels[:2] = (0, 1)  # both classes, so that AUC is defined
             pred[video] = np.round(rng.random(clips), 1)
             pred_segments = segments_from_labels(np.repeat(pred[video] >= 0.5, 2).astype(int))
-            gt_segments = segments_from_labels(gt[video])
+            gt[video] = gt_segments = segments_from_labels(labels)
             for scope in evaluation.SCOPES:
                 for k in ks:
                     pooled[scope][k] += greedy_counts(pred_segments, gt_segments, k, scope)
@@ -361,8 +380,19 @@ class TestEvaluate:
             scope: {k: evaluation.precision_recall_f1(*pooled[scope][k]) for k in ks}
             for scope in evaluation.SCOPES}
 
+    @given(corpora())
+    @settings(max_examples=300)
+    def test_equals_per_frame_evaluation(self, corpus):
+        scores, segments, n, ks, threshold = corpus
+        if len({seg.label for video in segments.values() for seg in video}) == 1:
+            with pytest.raises(MetricError):
+                evaluation.evaluate(scores, segments, n, ks, threshold)
+        else:
+            assert evaluation.evaluate(scores, segments, n, ks, threshold).as_dict() == \
+                evaluate_per_frame(scores, segments, n, ks, threshold)
+
     def test_report_dict_field_order(self):
-        gt = {"a": np.array([0, 1])}
+        gt = {"a": segments_from_labels([0, 1])}
         pred = {"a": np.array([0.1, 0.9])}
         doc = evaluation.evaluate(pred, gt, 1).as_dict()
         assert list(doc) == ["frame_auc", "segmental"]
@@ -371,8 +401,8 @@ class TestEvaluate:
 
     def test_repeated_k_rejected(self):
         with pytest.raises(InputError, match="k 10 is given twice"):
-            evaluation.evaluate({"a": np.array([0.1, 0.9])}, {"a": np.array([0, 1])}, 1,
-                                ks=(10, 25, 10))
+            evaluation.evaluate({"a": np.array([0.1, 0.9])}, {"a": segments_from_labels([0, 1])},
+                                1, ks=(10, 25, 10))
 
 
 @st.composite
@@ -430,7 +460,7 @@ class TestAbstractClaims:
         for pred, gt in zip(segments_from_labels(shifted_clips), segments_from_labels(gt_clips),
                             strict=True):
             assert _iou(pred, gt) >= k / 100.0
-        gt = {"v": np.repeat(gt_clips, n)}
+        gt = {"v": segments_from_labels(np.repeat(gt_clips, n))}
         perfect = evaluation.evaluate({"v": 0.1 + 0.8 * gt_clips}, gt, n, ks=(k,))
         shifted = evaluation.evaluate({"v": 0.1 + 0.8 * shifted_clips}, gt, n, ks=(k,))
         assert perfect.frame_auc == 1.0
@@ -444,7 +474,7 @@ class TestAbstractClaims:
         gt_frames = np.repeat(gt_clips, n)
         tp, fp, fn = evaluation.match_counts(segments_from_labels(np.repeat(scores >= 0.5, n)),
                                              segments_from_labels(gt_frames), k, "abnormal")
-        gt = {"v": gt_frames}
+        gt = {"v": segments_from_labels(gt_frames)}
         before = evaluation.evaluate({"v": scores}, gt, n, ks=(k,))
         after = evaluation.evaluate({"v": inserted}, gt, n, ks=(k,))
         precision, recall, _ = after.scopes["abnormal"][k]

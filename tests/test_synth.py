@@ -36,8 +36,9 @@ class TestGenerate:
 
     def test_clip_labels_match_manifest(self):
         for video in synth.generate(SynthConfig(num_videos=5, seed=5)):
-            derived = training.clip_labels_from_frames(
-                storage.frame_labels(video.manifest), video.manifest.frames_per_clip)
+            derived = training.clip_labels(video.manifest.segments,
+                                           video.manifest.frames_per_clip,
+                                           video.features.num_clips)
             np.testing.assert_array_equal(derived, video.clip_labels)
 
     def test_class_means_separated(self):
@@ -80,7 +81,7 @@ class TestSeparationControlsLearnability:
         for video in videos[6:]:
             vid = video.features.video_id
             preds[vid] = model.score_sequence(result.params, video.features.features)
-            gts[vid] = storage.frame_labels(video.manifest)
+            gts[vid] = video.manifest.segments
         report = evaluation.evaluate(preds, gts, cfg.frames_per_clip)
         assert report.frame_auc < 0.75
         _, _, f1_abnormal = report.scopes["abnormal"][50]

@@ -2,43 +2,69 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adnet import io as storage
 from adnet import model, numerics, synth, training
 from adnet.errors import ConfigError, InputError, NumericError
+from adnet.evaluation import TemporalSegment, segments_from_labels
 from adnet.numerics import Tape, Tensor
 from adnet.training import TrainConfig
 from adnet.windowing import Window
 
 from _gradcheck import end_to_end_gradient_error, numerical_gradient, run_pullbacks
-from _oracles import masked_forward
+from _oracles import clip_labels_per_frame, frame_labels, masked_forward
+
+
+@st.composite
+def clip_timelines(draw):
+    """(segments, frames per clip, clip count) of a video whose last clip
+    covers 1 to n frames, its segment boundaries anywhere, inside clips
+    too, and neighbouring segments possibly of one label."""
+    n = draw(st.integers(1, 32))
+    clips = draw(st.integers(1, 12))
+    frames = n * (clips - 1) + draw(st.integers(1, n))
+    cuts = draw(st.sets(st.integers(1, frames - 1), max_size=8)) if frames > 1 else set()
+    bounds = [0, *sorted(cuts), frames]
+    return ([TemporalSegment(a, b, draw(st.integers(0, 1)))
+             for a, b in zip(bounds, bounds[1:])], n, clips)
 
 
 class TestClipLabels:
     def test_all_abnormal(self):
-        labels = training.clip_labels_from_frames(np.ones(48, dtype=int), 16)
+        labels = training.clip_labels(segments_from_labels(np.ones(48, dtype=int)), 16, 3)
         np.testing.assert_array_equal(labels, [1, 1, 1])
 
     def test_boundary_fraction_is_abnormal(self):
         frames = np.zeros(16, dtype=int)
         frames[:8] = 1  # exactly half
-        assert training.clip_labels_from_frames(frames, 16)[0] == 1
+        assert training.clip_labels(segments_from_labels(frames), 16, 1)[0] == 1
 
     def test_below_fraction_is_normal(self):
         frames = np.zeros(16, dtype=int)
         frames[:7] = 1
-        assert training.clip_labels_from_frames(frames, 16)[0] == 0
+        assert training.clip_labels(segments_from_labels(frames), 16, 1)[0] == 0
 
     def test_short_tail_clip(self):
         frames = np.array([0] * 16 + [1] * 5)  # tail clip has 5 frames, all abnormal
         np.testing.assert_array_equal(
-            training.clip_labels_from_frames(frames, 16), [0, 1])
+            training.clip_labels(segments_from_labels(frames), 16, 2), [0, 1])
 
-    def test_empty_rejected(self):
-        with pytest.raises(InputError):
-            training.clip_labels_from_frames(np.array([], dtype=int), 16)
+    @given(clip_timelines(), st.sampled_from([1 / 3, 0.5, 1.0]))
+    @settings(max_examples=300)
+    # exact ties: 2 of 6 frames at 1/3, 2 of 4 at 0.5, 3 of 3 at 1.0
+    @example(([TemporalSegment(0, 2, 1), TemporalSegment(2, 7, 0)], 6, 2), 1 / 3)
+    @example(([TemporalSegment(0, 2, 0), TemporalSegment(2, 5, 1)], 4, 2), 0.5)
+    @example(([TemporalSegment(0, 3, 1), TemporalSegment(3, 4, 0)], 3, 2), 1.0)
+    # a one-frame last clip, abnormal and normal
+    @example(([TemporalSegment(0, 16, 0), TemporalSegment(16, 17, 1)], 16, 2), 0.5)
+    @example(([TemporalSegment(0, 16, 1), TemporalSegment(16, 17, 0)], 16, 2), 1 / 3)
+    def test_equals_per_clip_loop(self, timeline, fraction):
+        segments, n, clips = timeline
+        np.testing.assert_array_equal(
+            training.clip_labels(segments, n, clips, fraction),
+            clip_labels_per_frame(frame_labels(segments), n, fraction))
 
 
 class TestMseLoss:

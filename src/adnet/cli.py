@@ -297,7 +297,8 @@ def _clip_scores(path, value) -> np.ndarray:
 
 
 # The members of a prediction document that eval reads; the others
-# (frame_scores, clip_labels, ...) are checked as JSON but not built.
+# (frame_scores, clip_labels, ...) are checked by JSON's scanner, but
+# their floats are not converted.
 PREDICTION_MEMBERS = frozenset({"video_id", "clip_scores", "frames_per_clip", "config"})
 
 

@@ -27,7 +27,6 @@ import math
 import os
 import re
 import struct
-import sys
 import tempfile
 import typing
 from collections.abc import Collection
@@ -174,8 +173,9 @@ def read_text(path, what: str) -> str:
 def read_json(path, what: str, members: Collection[str] | None = None):
     """Parse a JSON file; a file that cannot be read, is not UTF-8 or is
     not JSON raises FormatError. With members, an object comes back with
-    only those of its members: the file is still checked whole as JSON,
-    but the others are not built."""
+    only those of its members: the others are still checked by JSON's own
+    scanner, so the file is accepted exactly when json.loads accepts it,
+    but their floats are not converted."""
     text = read_text(path, what)
     if members is not None:
         doc = _object_members(text, members)
@@ -190,25 +190,19 @@ def read_json(path, what: str, members: Collection[str] | None = None):
     return doc
 
 
-# A JSON array of numbers, matched without building it. The quantifiers
-# are possessive, so a match keeps no backtracking state per element.
-# Whitespace is JSON's, and an integer has at most as many digits as
-# Python converts under its smallest integer-string limit, so every text
-# it matches is one json.loads accepts.
-_WHITESPACE = re.compile(r"[ \t\n\r]*+")
-_NUMBER = (r"-?+(?:0|[1-9][0-9]{0,%d}+)(?:\.[0-9]++)?+(?:[eE][-+]?+[0-9]++)?+"
-           % (sys.int_info.str_digits_check_threshold - 1))
-_NUMBER_ARRAY = re.compile(r"\[{ws}(?:{num}(?:{ws},{ws}{num})*+{ws})?+\]".format(
-    ws=_WHITESPACE.pattern, num=_NUMBER))
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
 _scan_value = json.JSONDecoder().scan_once
+# Scans a value as json.loads does, but hands each float's text to type,
+# which returns the str class instead of converting it. Used for members
+# whose value is thrown away.
+_skip_value = json.JSONDecoder(parse_float=type).scan_once
 
 
 def _object_members(text: str, members: Collection[str]) -> dict | None:
     """The given members of the JSON object text, decoded as json.loads
-    decodes them, the last of duplicate keys winning; a flat number array
-    that is not wanted is only matched. None when text is anything else
-    or any deviation from JSON is seen, for json.loads to decide and
-    report."""
+    decodes them, the last of duplicate keys winning; a member that is not
+    wanted is only scanned. None when text is anything else or any
+    deviation from JSON is seen, for json.loads to decide and report."""
     index = _WHITESPACE.match(text).end()
     if not text.startswith("{", index):
         return None
@@ -221,13 +215,10 @@ def _object_members(text: str, members: Collection[str]) -> dict | None:
             if not text.startswith(":", index):
                 return None
             index = _WHITESPACE.match(text, index + 1).end()
-            numbers = key not in members and _NUMBER_ARRAY.match(text, index)
-            if numbers:
-                index = numbers.end()
+            if key in members:
+                doc[key], index = _scan_value(text, index)
             else:
-                value, index = _scan_value(text, index)
-                if key in members:
-                    doc[key] = value
+                index = _skip_value(text, index)[1]
             index = _WHITESPACE.match(text, index).end()
             if text.startswith("}", index):
                 return doc if _WHITESPACE.match(text, index + 1).end() == len(text) else None

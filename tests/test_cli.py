@@ -995,6 +995,17 @@ def prediction_texts(draw):
     return text[:index] + draw(st.sampled_from(MALFORMED)) + text[index:]
 
 
+# An infer-sized unread frame_scores, far longer than the drawn arrays
+# (which stop at 6 items), and the same with one malformed token among its
+# last elements; named, as the texts would be megabyte-long test ids.
+LONG_NUMBERS = [str(i) if i % 3 == 0 else f"{(-1) ** i * i / 7:.17g}" if i % 3 == 1
+                else f"{i}e-5" for i in range(100_000)]
+LONG_FRAME_SCORES = [
+    pytest.param(object_text(INFER_MEMBERS[:-1] + [('"frame_scores"', "[" + ", ".join(
+        LONG_NUMBERS[:-3] + token + LONG_NUMBERS[-3:]) + "]")]), id=f"100000-numbers{name}")
+    for name, token in [("", []), ("-01", ["01"]), ("-1.", ["1."])]]
+
+
 # The inputs a member-selecting read must treat as json.loads does, each
 # named once: values of members that eval does not build, escaped and
 # repeated keys, and documents that are not one JSON object.
@@ -1003,6 +1014,7 @@ LISTED_DOCUMENTS = [
         "[NaN, -Infinity, 1e999, -0.0]", "[" + "1" * 5000 + "]", "[-" + "9" * 4301 + "]",
         "[" + "1" * 4300 + "]", '["0.5", "x"]', "[[0.5], [1, [2]]]", "[]", "NaN", "1e999",
         "[1e999, -1e999]", "[0.5,\x0b0.5]", "[0.5\xa0]", "[01]", "[1.]", "[0.5,]"]],
+    *LONG_FRAME_SCORES,
     object_text(INFER_MEMBERS + [(r'"clip_\u0073cores"', "[0.5, 0.5, 0.5, 0.5]")]),
     object_text(INFER_MEMBERS + [(r'"frame\u005fscores"', "[1, 2")]),
     object_text([('"video_id"', '"w"')] + INFER_MEMBERS),

@@ -271,18 +271,9 @@ def cmd_infer(args) -> int:
 
 def _parse_ks(text: str) -> tuple[int, ...]:
     try:
-        ks = tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
+        return evaluation.check_ks([int(part) for part in text.split(",")])
+    except (ValueError, InputError) as exc:
         raise argparse.ArgumentTypeError(f"bad k list {text!r}: {exc}")
-    if not ks:
-        raise argparse.ArgumentTypeError("k list is empty")
-    for index, k in enumerate(ks):
-        if not 0 < k <= 100:
-            raise argparse.ArgumentTypeError(f"bad k list {text!r}: k must lie in (0, 100], "
-                                             f"got {k}")
-        if k in ks[:index]:
-            raise argparse.ArgumentTypeError(f"bad k list {text!r}: k {k} is given twice")
-    return ks
 
 
 def _clip_scores(path, value) -> np.ndarray:

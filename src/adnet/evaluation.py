@@ -264,6 +264,18 @@ class EvalReport:
         return doc
 
 
+def check_ks(ks: Sequence[int]) -> tuple[int, ...]:
+    """The IoU percentages as a tuple of integers; raises InputError unless
+    each lies in (0, 100] and none repeats."""
+    ks = tuple(int(k) for k in ks)
+    for index, k in enumerate(ks):
+        if not 0 < k <= 100:
+            raise InputError(f"k must lie in (0, 100], got {k}")
+        if k in ks[:index]:
+            raise InputError(f"k {k} is given twice")
+    return ks
+
+
 def evaluate(pred_clip_scores: Mapping[str, np.ndarray],
              gt_segments: Mapping[str, Sequence[TemporalSegment]],
              frames_per_clip: int,
@@ -279,12 +291,7 @@ def evaluate(pred_clip_scores: Mapping[str, np.ndarray],
     ranks the runs cut at every clip edge and segment start of every
     video together: one pooled statistic, not a mean of per-video AUCs.
     """
-    ks = tuple(int(k) for k in ks)
-    for index, k in enumerate(ks):
-        if not 0 < k <= 100:
-            raise InputError(f"k must lie in (0, 100], got {k}")
-        if k in ks[:index]:
-            raise InputError(f"k {k} is given twice")
+    ks = check_ks(ks)
     pred_ids = set(pred_clip_scores)
     gt_ids = set(gt_segments)
     if pred_ids != gt_ids:

@@ -12,7 +12,7 @@ num_clips*dim little-endian f32, clip-major.
 Checkpoint layout:  "ADNC" | u32 version=1 | u32 header_len | header JSON
 (configs, seed, epoch counters, tensor names and shapes in order) |
 concatenated f64 tensor payloads in header order. The order is a function
-of the model config (_layout): the parameters, then their first and then
+of the model config (_roster): the parameters, then their first and then
 their second Adam moments.
 """
 
@@ -239,25 +239,16 @@ def read_annotations(path) -> AnnotationManifest:
         raise FormatError(path, str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class TensorEntry:
-    """One entry of a checkpoint header's tensor roster, in payload order."""
-
-    name: str
-    shape: tuple[int, ...]
-
-
 # Dataclasses are the schema of the JSON objects they are read from: run
-# configs (ADNetConfig, TrainConfig, SynthConfig), annotation manifests
-# and the checkpoint header's tensor roster. Each field is one key of the
-# field's type. A field named after a Python keyword ends in an underscore
-# that its key drops (TrainConfig.lambda_ is "lambda"), a tuple field is a
-# JSON list, and a dataclass field is an object.
+# configs (ADNetConfig, TrainConfig, SynthConfig) and annotation
+# manifests. Each field is one key of the field's type. A field named
+# after a Python keyword ends in an underscore that its key drops
+# (TrainConfig.lambda_ is "lambda"), a tuple field is a JSON list, and a
+# dataclass field is an object.
 TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
               str: "a string", tuple[int, int]: "a list of two integers",
               tuple[int, ...]: "a non-empty list of integers",
-              tuple[TemporalSegment, ...]: "a non-empty list of objects",
-              tuple[TensorEntry, ...]: "a non-empty list of objects"}
+              tuple[TemporalSegment, ...]: "a non-empty list of objects"}
 
 
 @functools.cache  # get_type_hints is slow, and a manifest decodes one class per segment
@@ -278,7 +269,7 @@ class _Kind:
     fields: tuple[tuple[str, str, bool], ...]  # a dataclass's (attribute, key, required)
 
 
-@functools.cache  # a checkpoint roster decodes the same few types 420 times
+@functools.cache  # a manifest decodes the same few types once per segment
 def _kind(kind) -> _Kind:
     if dataclasses.is_dataclass(kind):
         fields = tuple((field.name, field.name.rstrip("_"), field.default is dataclasses.MISSING)
@@ -393,13 +384,22 @@ ADAM_SCALARS = {name: kind for name, kind in typing.get_type_hints(AdamState).it
                 if kind in (int, float)}
 
 
-def _layout(config: ADNetConfig, with_adam: bool) -> list[TensorEntry]:
-    """The checkpoint payload's tensors in order: the parameters in
+def _roster(config: ADNetConfig, with_adam: bool) -> list[dict]:
+    """The checkpoint header's tensors, in payload order: the parameters in
     parameter_shapes order, then with_adam the first and the second
     moments of the same parameters."""
     prefixes = ("", "optimizer.m.", "optimizer.v.") if with_adam else ("",)
-    return [TensorEntry(prefix + name, shape) for prefix in prefixes
+    return [{"name": prefix + name, "shape": list(shape)} for prefix in prefixes
             for name, shape in architecture.parameter_shapes(config).items()]
+
+
+def _json(value) -> str:
+    """A JSON value as text with sorted keys: two values are the same JSON
+    exactly when their texts are equal, so 8 differs from 8.0, true and "8"."""
+    try:
+        return json.dumps(value, sort_keys=True)
+    except RecursionError:  # a value nested near the interpreter's recursion limit
+        return "a value nested too deeply"
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -407,7 +407,6 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     if ckpt.adam is not None:
         arrays += [ckpt.adam.first_moment, ckpt.adam.second_moment]
     arrays = [np.ascontiguousarray(array, dtype="<f8") for array in arrays]
-    layout = _layout(ckpt.model_config, ckpt.adam is not None)
     header = {
         "format_version": CHECKPOINT_VERSION,
         "model": config_to_dict(ckpt.model_config),
@@ -415,16 +414,12 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         **{name: getattr(ckpt, name) for name in HEADER_SCALARS},
         "adam": None if ckpt.adam is None else {
             name: getattr(ckpt.adam, name) for name in ADAM_SCALARS},
-        "tensors": [{"name": entry.name, "shape": list(entry.shape)} for entry in layout],
+        "tensors": _roster(ckpt.model_config, ckpt.adam is not None),
     }
     header_bytes = json.dumps(header).encode("utf-8")
     atomic_write_bytes(path, CHECKPOINT_MAGIC,
                        struct.pack("<II", CHECKPOINT_VERSION, len(header_bytes)),
                        header_bytes, *arrays)
-
-
-def _entry_text(entry: TensorEntry | None) -> str:
-    return "nothing" if entry is None else f"{entry.name!r} of shape {entry.shape}"
 
 
 def _header_config(cls, header: dict, section: str):
@@ -473,31 +468,35 @@ def _read_checkpoint(path, handle, expect_model_config, params_only) -> Checkpoi
         if adam_meta is not None:
             adam_meta = check_types(ADAM_SCALARS, {name: adam_meta[name] for name in ADAM_SCALARS},
                                     "adam")
-        roster = _decode(header["tensors"], tuple[TensorEntry, ...], "tensors")
+        roster = header["tensors"]
     except (KeyError, TypeError, ConfigError) as exc:
         raise FormatError(path, f"malformed header: {exc}", offset=12) from exc
+    if not isinstance(roster, list):
+        raise CheckpointError(f"{path}: tensors is {_json(roster)}, expected a list")
     # every stage stores a projection and a tensor per block, so a corrupt
     # stage or layer count is caught before it sizes the layout
     if model_config.num_stages * (model_config.num_layers + 1) > len(roster):
         raise CheckpointError(f"{path}: {len(roster)} tensors cannot hold "
                               f"{model_config.num_stages} stages of "
                               f"{model_config.num_layers} layers")
-    layout = _layout(model_config, adam_meta is not None)
-    for index, (entry, expected) in enumerate(itertools.zip_longest(roster, layout)):
-        if entry != expected:
-            raise CheckpointError(f"{path}: tensors[{index}] is {_entry_text(entry)}, "
-                                  f"expected {_entry_text(expected)}")
+    layout = _roster(model_config, adam_meta is not None)
+    if _json(roster) != _json(layout):
+        # the first entry that differs, where "nothing" stands past an end
+        found, wanted = ([*map(_json, entries), "nothing"] for entries in (roster, layout))
+        index = next(index for index, (a, b) in enumerate(zip(found, wanted)) if a != b)
+        raise CheckpointError(f"{path}: tensors[{index}] is {found[index]}, "
+                              f"expected {wanted[index]}")
     if expect_model_config is not None and model_config != expect_model_config:
         raise CheckpointError(
             f"{path}: checkpoint model config {config_to_dict(model_config)} is "
             f"incompatible with requested {config_to_dict(expect_model_config)}")
     start = 12 + header_len
     # where each tensor begins and ends in the payload, counted in elements
-    ends = list(itertools.accumulate(math.prod(entry.shape) for entry in layout))
+    ends = list(itertools.accumulate(math.prod(entry["shape"]) for entry in layout))
     begins = [0, *ends[:-1]]
     for entry, begin, end in zip(layout, begins, ends):
         if start + 8 * end > size:
-            raise FormatError(path, f"truncated payload for tensor {entry.name!r}",
+            raise FormatError(path, f"truncated payload for tensor {entry['name']!r}",
                               offset=start + 8 * begin)
     offset = start + 8 * ends[-1]
     if offset != size:
@@ -516,7 +515,7 @@ def _read_checkpoint(path, handle, expect_model_config, params_only) -> Checkpoi
     elif wanted > n and flat[ends[2 * n - 1]:].min() < 0:  # a second moment
         bad, what = ends[2 * n - 1] + int(np.argmax(flat[ends[2 * n - 1]:] < 0)), "negative"
     if bad is not None:
-        name = layout[bisect.bisect_right(ends, bad)].name
+        name = layout[bisect.bisect_right(ends, bad)]["name"]
         raise FormatError(path, f"{what} value in tensor {name!r}", offset=start + 8 * bad)
     # the parameters and both moments stay views into the one buffer read
     size = ends[n - 1]

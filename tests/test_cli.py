@@ -608,8 +608,8 @@ class TestInferCheckpointRead:
         code, out, err = self.run_infer(capsys, checkpoint, corpus, tmp_path)
         assert (code, out) == (2, "")
         assert err == (f"adnet: error: {checkpoint}: tensors[{index}] is "
-                       f"{found['name']!r} of shape {tuple(found['shape'])}, expected "
-                       f"{expected['name']!r} of shape {tuple(expected['shape'])}\n")
+                       f"{json.dumps(found, sort_keys=True)}, expected "
+                       f"{json.dumps(expected, sort_keys=True)}\n")
 
 
 def set_field(header, field, value):
@@ -656,8 +656,93 @@ class TestCheckpointHeader:
                                     "--features", str(corpus / "features"),
                                     "--out", str(tmp_path / "pred")])
         assert code == 2
+        assert err == (f"adnet: error: {checkpoint}: tensors[0] is "
+                       '{"name": "stage0.proj.weight", "shape": [8.0, 5.0]}, expected '
+                       '{"name": "stage0.proj.weight", "shape": [8, 5]}\n')
+
+    # single edits of the roster of SMALL_MODEL, whose entries 1, 3, 5 and 7
+    # all have shape [8]: (index of the first entry that differs, edit)
+    ROSTER_EDITS = {
+        "dropped": (3, lambda roster: roster.pop(3)),
+        "last dropped": (47, lambda roster: roster.pop()),
+        "appended": (48, lambda roster: roster.append(roster[0])),
+        "duplicated": (4, lambda roster: roster.insert(4, roster[3])),
+        "swapped": (5, lambda roster: roster.__setitem__(slice(5, 8, 2), roster[7:4:-2])),
+        "renamed": (2, lambda roster: roster[2].update(name=roster[2]["name"] + "x")),
+        "float shape": (1, lambda roster: roster[1].update(shape=[8.0])),
+        "bool shape": (1, lambda roster: roster[1].update(shape=[True])),
+        "string shape": (1, lambda roster: roster[1].update(shape=["8"])),
+        "extra key": (0, lambda roster: roster[0].update(dtype="<f8")),
+        "missing key": (0, lambda roster: roster[0].pop("shape")),
+        "shape nested 500 deep": (1, lambda roster: roster[1].update(
+            shape=json.loads("[" * 500 + "8" + "]" * 500))),
+    }
+
+    def load_command(self, tmp_path, corpus, checkpoint, params_only):
+        """infer reads the parameters only, train --resume the whole file."""
+        if params_only:
+            return ["infer", "--checkpoint", str(checkpoint),
+                    "--features", str(corpus / "features"), "--out", str(tmp_path / "pred")]
+        return ["train", "--resume", "--config", write_config(tmp_path / "c.json", {
+            "model": SMALL_MODEL, "train": {"epochs": 1, "seed": 3},
+            "paths": {"features_dir": str(corpus / "features"),
+                      "annotations_dir": str(corpus / "annotations"),
+                      "checkpoint": str(checkpoint)}})]
+
+    @pytest.mark.parametrize("params_only", [True, False], ids=["params_only", "full"])
+    @pytest.mark.parametrize("edit", [*ROSTER_EDITS, "{}", "[]", "null", "5", "nested 990 deep"])
+    def test_roster_edit_refused(self, pipeline, tmp_path, capsys, edit, params_only):
+        root, corpus, _ = pipeline
+        raw = (root / "model.adnc").read_bytes()
+        header_len = struct.unpack_from("<I", raw, 8)[0]
+        header = json.loads(raw[12:12 + header_len])
+        expected = header["tensors"]
+        roster = json.loads(json.dumps(expected))
+        if edit in self.ROSTER_EDITS:
+            index, change = self.ROSTER_EDITS[edit]
+            change(roster)
+            found, wanted = (json.dumps(entries[index], sort_keys=True)
+                             if index < len(entries) else "nothing"
+                             for entries in (roster, expected))
+            message = f"tensors[{index}] is {found}, expected {wanted}"
+            text = json.dumps({**header, "tensors": roster})
+        elif edit == "[]":
+            message, text = "0 tensors cannot hold 1 stages of 3 layers", json.dumps(
+                {**header, "tensors": []})
+        elif edit == "nested 990 deep":
+            # json.dumps stops near depth 1000, so the text is spliced in; at
+            # CPython 3.11's recursion limit json.loads refuses it too
+            message = ("invalid header JSON: maximum recursion depth exceeded"
+                       if sys.version_info < (3, 12) else "tensors[0] is ")
+            shape = "[" * 990 + "8" + "]" * 990
+            text = json.dumps({**header, "tensors": ["@"]}).replace(
+                '"@"', '{"name": "stage0.proj.weight", "shape": ' + shape + "}")
+        else:
+            message, text = f"tensors is {edit}, expected a list", json.dumps(
+                {**header, "tensors": json.loads(edit)})
+        checkpoint = tmp_path / "m.adnc"
+        checkpoint.write_bytes(raw[:8] + struct.pack("<I", len(text)) + text.encode()
+                               + raw[12 + header_len:])
+        code, out, err = run(capsys, self.load_command(tmp_path, corpus, checkpoint, params_only))
+        assert (code, out) == (2, "")
         assert err.startswith(f"adnet: error: {checkpoint}") and err.count("\n") == 1
-        assert "tensors[0].shape must be " in err
+        assert message in err
+
+    @pytest.mark.parametrize("params_only", [True, False], ids=["params_only", "full"])
+    def test_roster_with_reordered_keys_loads(self, pipeline, tmp_path, params_only):
+        root, _, _ = pipeline
+        checkpoint = tmp_path / "m.adnc"
+        checkpoint.write_bytes((root / "model.adnc").read_bytes())
+        rewrite_header(checkpoint, lambda header: header.update(tensors=[
+            {"shape": entry["shape"], "name": entry["name"]} for entry in header["tensors"]]))
+        assert b'{"shape": [8, 5], "name": "stage0.proj.weight"}' in checkpoint.read_bytes()
+        back = storage.load_checkpoint(checkpoint, params_only=params_only)
+        original = storage.load_checkpoint(root / "model.adnc", params_only=params_only)
+        assert back.params.flat.tobytes() == original.params.flat.tobytes()
+        if not params_only:
+            for moment in ("first_moment", "second_moment"):
+                assert (getattr(back.adam, moment).tobytes()
+                        == getattr(original.adam, moment).tobytes())
 
 
 class TestEval:

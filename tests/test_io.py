@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -396,6 +397,20 @@ class TestCheckpoints:
         assert path.read_bytes() == (b"ADNC" + struct.pack("<II", 1, len(header)) + header
                                      + payload)
 
+    def test_stored_checkpoint_loads_and_saves_byte_for_byte(self, tmp_path):
+        # a guard on the on-disk format: the file was written by an earlier
+        # save_checkpoint (1 stage, 1 layer, hidden width 2, Adam state)
+        stored = Path(__file__).parent / "data" / "format_v1.adnc"
+        ckpt = storage.load_checkpoint(stored)
+        payload = b"".join(vector.tobytes() for vector in (
+            ckpt.params.flat, ckpt.adam.first_moment, ckpt.adam.second_moment))
+        assert hashlib.sha256(payload).hexdigest() == (
+            "2f1be9c0122b54b9fda02f36774b2543e0ac4c2d1bed4930f17ab75c49142dca")
+        params_only = storage.load_checkpoint(stored, params_only=True)
+        assert params_only.params.flat.tobytes() == ckpt.params.flat.tobytes()
+        storage.save_checkpoint(ckpt, tmp_path / "again.adnc")
+        assert (tmp_path / "again.adnc").read_bytes() == stored.read_bytes()
+
     def test_loaded_tensors_are_aligned_float64(self, tmp_path):
         path = tmp_path / "model.adnc"
         storage.save_checkpoint(trained_checkpoint(), path)
@@ -503,9 +518,11 @@ class TestCheckpoints:
         path = tmp_path / "model.adnc"
         storage.save_checkpoint(trained_checkpoint(), path)
         rewrite_header(path, lambda header: header["tensors"][0].update(shape=[8.0, 4.0]))
-        with pytest.raises(FormatError, match=r"tensors\[0\]\.shape must be a non-empty "
-                                              r"list of integers, got \[8\.0, 4\.0\]"):
+        with pytest.raises(CheckpointError) as excinfo:
             storage.load_checkpoint(path)
+        assert str(excinfo.value) == (
+            f"{path}: tensors[0] is " '{"name": "stage0.proj.weight", "shape": [8.0, 4.0]}, '
+            'expected {"name": "stage0.proj.weight", "shape": [8, 4]}')
 
     def test_stage_count_beyond_roster_rejected_before_sizing_it(self, tmp_path):
         path = tmp_path / "model.adnc"

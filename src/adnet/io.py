@@ -247,7 +247,6 @@ def read_annotations(path) -> AnnotationManifest:
 # dataclass field is an object.
 TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
               str: "a string", tuple[int, int]: "a list of two integers",
-              tuple[int, ...]: "a non-empty list of integers",
               tuple[TemporalSegment, ...]: "a non-empty list of objects"}
 
 
@@ -382,6 +381,17 @@ HEADER_SCALARS = {name: kind for name, kind in typing.get_type_hints(Checkpoint)
                   if kind is int}
 ADAM_SCALARS = {name: kind for name, kind in typing.get_type_hints(AdamState).items()
                 if kind in (int, float)}
+# The ranges of those values that a training run writes: field -> (test, rule).
+HEADER_RANGES = {
+    "seed": (lambda value: value >= 0, ">= 0"),
+    "frames_per_clip": (lambda value: value >= 1, ">= 1"),
+    "epochs_completed": (lambda value: value >= 0, ">= 0"),
+    "adam.lr": (lambda value: value > 0, "> 0"),
+    "adam.beta1": (lambda value: 0 <= value < 1, "in [0, 1)"),
+    "adam.beta2": (lambda value: 0 <= value < 1, "in [0, 1)"),
+    "adam.epsilon": (lambda value: value > 0, "> 0"),
+    "adam.step_count": (lambda value: value >= 0, ">= 0"),
+}
 
 
 def _roster(config: ADNetConfig, with_adam: bool) -> list[dict]:
@@ -468,6 +478,10 @@ def _read_checkpoint(path, handle, expect_model_config, params_only) -> Checkpoi
         if adam_meta is not None:
             adam_meta = check_types(ADAM_SCALARS, {name: adam_meta[name] for name in ADAM_SCALARS},
                                     "adam")
+        found = {**scalars, **{f"adam.{name}": value for name, value in (adam_meta or {}).items()}}
+        for name, (holds, rule) in HEADER_RANGES.items():
+            if name in found and not holds(found[name]):
+                raise ConfigError(f"{name} must be {rule}, got {_json(found[name])}")
         roster = header["tensors"]
     except (KeyError, TypeError, ConfigError) as exc:
         raise FormatError(path, f"malformed header: {exc}", offset=12) from exc

@@ -168,6 +168,7 @@ class StageActivations:
     blocks: list[tuple[np.ndarray, np.ndarray]]  # per block: its input, its ReLU output
     head_input: np.ndarray
     sigmoid: np.ndarray           # the head's sigmoid output, before the mask
+    mask: np.ndarray | None       # the window's, as forward checked it; None when unpadded
 
 
 def _inputs(windows: Window | list[Window],
@@ -207,7 +208,7 @@ def forward(params: ModelParams, windows: Window | list[Window],
     for one window each a (1, W) tensor, for a list of B equal-width
     windows each a (B, 1, W) tensor, window b's scores at [b] bit for bit
     what forward gives that window alone. With saved, each stage appends
-    what backward reads of it; backward reads one window's."""
+    what backward reads of it, the mask too; backward reads one window's."""
     cfg = params.config
     current, mask = _inputs(windows, cfg)
     t = {name: tensor.value for name, tensor in params.tensors.items()}
@@ -232,18 +233,18 @@ def forward(params: ModelParams, windows: Window | list[Window],
         y = numerics.logistic(t[f"stage{s}.head.weight"] @ v + t[f"stage{s}.head.bias"][:, None])
         scores = y if mask is None else y * mask
         if saved is not None:
-            saved.append(StageActivations(current, blocks, v, y))
+            saved.append(StageActivations(current, blocks, v, y, mask))
         outputs.append(Tensor(scores))
         current = scores
     return outputs
 
 
-def backward(params: ModelParams, window: Window, saved: list[StageActivations],
+def backward(params: ModelParams, saved: list[StageActivations],
              score_grads: list[np.ndarray], grads: dict[str, np.ndarray]) -> None:
     """Write into grads (views into params.grad) the gradient of a loss
-    with respect to every parameter. score_grads[s] is the gradient of the
-    loss terms of stage s with respect to its (1, W) scores, and saved is
-    what forward kept of the same window.
+    with respect to every parameter. saved is what forward kept of one
+    window, its mask included, and score_grads[s] is the gradient of the
+    loss terms of stage s with respect to that window's (1, W) scores.
 
     The tape this replaces fixed the order of every sum: a stage's score
     gradient is its own loss gradient plus the next stage's projection
@@ -251,14 +252,13 @@ def backward(params: ModelParams, window: Window, saved: list[StageActivations],
     conv's gx. The mask is applied where forward applied it.
     """
     cfg = params.config
-    mask = _inputs(window, cfg)[1]
     t = {name: tensor.value for name, tensor in params.tensors.items()}
     pullback = None
     for s in reversed(range(cfg.num_stages)):
         stage = saved[s]
         g = score_grads[s] if pullback is None else score_grads[s] + pullback
-        if mask is not None:
-            g = g * mask
+        if stage.mask is not None:
+            g = g * stage.mask
         y = stage.sigmoid
         g = g * y * (1.0 - y)
         gv = t[f"stage{s}.head.weight"].T @ g
@@ -267,8 +267,8 @@ def backward(params: ModelParams, window: Window, saved: list[StageActivations],
         for layer in reversed(range(cfg.num_layers)):
             block = f"stage{s}.block{layer}"
             v, r = stage.blocks[layer]
-            if mask is not None:
-                gv = gv * mask
+            if stage.mask is not None:
+                gv = gv * stage.mask
             gr = t[f"{block}.pointwise.weight"].T @ gv
             np.matmul(gv, r.T, out=grads[f"{block}.pointwise.weight"])
             np.sum(gv, axis=1, out=grads[f"{block}.pointwise.bias"])
@@ -277,8 +277,8 @@ def backward(params: ModelParams, window: Window, saved: list[StageActivations],
             grads[f"{block}.dilated.weight"][...] = gw
             grads[f"{block}.dilated.bias"][...] = gb
             gv = gv + gx
-        if mask is not None:
-            gv = gv * mask
+        if stage.mask is not None:
+            gv = gv * stage.mask
         np.matmul(gv, stage.inputs.T, out=grads[f"stage{s}.proj.weight"])
         np.sum(gv, axis=1, out=grads[f"stage{s}.proj.bias"])
         if s > 0:  # the features need no gradient

@@ -285,7 +285,7 @@ def train(dataset: Sequence[tuple[np.ndarray, np.ndarray]],
                 [scores.value for scores in outputs], targets, window.mask, train_config)
             if not math.isfinite(value):
                 raise NumericError(f"non-finite loss at epoch {epoch}")
-            architecture.backward(params, window, saved, score_grads, grads)
+            architecture.backward(params, saved, score_grads, grads)
             numerics.adam_step(params, adam)
             mse_sum += mse
             ad_sum += ad

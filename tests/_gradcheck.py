@@ -77,7 +77,7 @@ def end_to_end_gradient_error(seed, h=1e-6, coords_per_draw=12):
     saved = []
     *_, score_grads = loss(saved)
     grads = params.gradients()
-    model.backward(params, window, saved, score_grads, grads)
+    model.backward(params, saved, score_grads, grads)
     scale = max(np.abs(params.grad).max(), 1e-8)
 
     names = list(params.tensors)

@@ -624,26 +624,40 @@ class TestCheckpointHeader:
         ("infer", "model.num_stages", 2.0), ("infer", "model.window_width", 8.0),
         ("infer", "frames_per_clip", "16"), ("train", "epochs_completed", "1"),
         ("infer", "train.epochs", 1.5), ("infer", "train.seed", True),
-        ("train", "adam.step_count", 1.5)])
+        ("train", "adam.step_count", 1.5),
+        # values of the right type that no training run writes
+        ("infer", "seed", -1), ("infer", "frames_per_clip", -3), ("infer", "frames_per_clip", 0),
+        ("train", "epochs_completed", -5), ("train", "adam.lr", 0.0),
+        ("train", "adam.lr", -1e-3), ("train", "adam.beta1", -0.1), ("train", "adam.beta1", 1.0),
+        ("train", "adam.beta2", 1.0), ("train", "adam.beta2", -0.5),
+        ("train", "adam.epsilon", 0.0), ("train", "adam.step_count", -1),
+        ("infer", "adam.beta2", 1.0)])
     def test_wrong_type_names_the_field(self, pipeline, tmp_path, capsys,
                                         command, field, value):
         root, corpus, _ = pipeline
         checkpoint = tmp_path / "m.adnc"
         checkpoint.write_bytes((root / "model.adnc").read_bytes())
         rewrite_header(checkpoint, lambda header: set_field(header, field, value))
-        if command == "infer":
-            argv = ["infer", "--checkpoint", str(checkpoint),
-                    "--features", str(corpus / "features"), "--out", str(tmp_path / "pred")]
-        else:
-            argv = ["train", "--resume", "--config", write_config(tmp_path / "c.json", {
-                "model": SMALL_MODEL, "train": {"epochs": 1, "seed": 3},
-                "paths": {"features_dir": str(corpus / "features"),
-                          "annotations_dir": str(corpus / "annotations"),
-                          "checkpoint": str(checkpoint)}})]
-        code, _, err = run(capsys, argv)
+        edited = checkpoint.read_bytes()
+        code, _, err = run(capsys, self.load_command(tmp_path, corpus, checkpoint,
+                                                     params_only=command == "infer"))
         assert code == 2
         assert err.startswith("adnet: error: ") and err.count("\n") == 1
         assert f"{field} must be " in err
+        assert checkpoint.read_bytes() == edited and not (tmp_path / "pred").exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("epochs_completed", 0), ("adam.step_count", 0), ("adam.beta1", 0.0)])
+    def test_range_boundary_loads(self, pipeline, tmp_path, capsys, field, value):
+        root, corpus, _ = pipeline
+        checkpoint = tmp_path / "m.adnc"
+        checkpoint.write_bytes((root / "model.adnc").read_bytes())
+        rewrite_header(checkpoint, lambda header: set_field(header, field, value))
+        code, _, err = run(capsys, self.load_command(tmp_path, corpus, checkpoint,
+                                                     params_only=False))
+        assert (code, err) == (0, "")
+        assert storage.load_checkpoint(checkpoint).epochs_completed == (
+            1 if field == "epochs_completed" else 4)
 
 
     def test_roster_shape_of_floats_names_the_entry(self, pipeline, tmp_path, capsys):

@@ -204,7 +204,7 @@ class TestForwardOracle:
         value, mse, ad, score_grads = training.window_loss(scores, targets, window.mask,
                                                            train_cfg)
         grads = params.gradients()
-        model.backward(params, window, saved, score_grads, grads)
+        model.backward(params, saved, score_grads, grads)
 
         reference = model.build(cfg, seed=12)
         tape = Tape() if differentiate else None

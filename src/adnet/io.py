@@ -18,10 +18,8 @@ their second Adam moments.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
@@ -442,6 +440,15 @@ def _header_config(cls, header: dict, section: str):
     return config
 
 
+def _entry_at(layout: list[dict], element: int) -> tuple[str, int]:
+    """The name and the first value's index of the roster entry holding payload value element."""
+    begin = 0
+    for entry in layout:
+        if element < begin + math.prod(entry["shape"]):
+            return entry["name"], begin
+        begin += math.prod(entry["shape"])
+
+
 def load_checkpoint(path, expect_model_config: ADNetConfig | None = None,
                     params_only: bool = False) -> Checkpoint:
     """Read and check a checkpoint. With params_only the optimizer moments
@@ -471,6 +478,9 @@ def _read_checkpoint(path, handle, expect_model_config, params_only) -> Checkpoi
     except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, too long or too deep
         raise FormatError(path, f"invalid header JSON: {exc}", offset=12) from exc
     try:
+        format_version = _json(header["format_version"])
+        if format_version != _json(CHECKPOINT_VERSION):
+            raise ConfigError(f"format_version must be {CHECKPOINT_VERSION}, got {format_version}")
         model_config = _header_config(ADNetConfig, header, "model")
         train_config = _header_config(TrainConfig, header, "train")
         scalars = check_types(HEADER_SCALARS, {name: header[name] for name in HEADER_SCALARS})
@@ -493,6 +503,9 @@ def _read_checkpoint(path, handle, expect_model_config, params_only) -> Checkpoi
         raise CheckpointError(f"{path}: {len(roster)} tensors cannot hold "
                               f"{model_config.num_stages} stages of "
                               f"{model_config.num_layers} layers")
+    # the payload is the parameter vector, then with Adam state its two moments
+    count = sum(map(math.prod, architecture.parameter_shapes(model_config).values()))
+    copies = 1 if adam_meta is None else 3
     layout = _roster(model_config, adam_meta is not None)
     if _json(roster) != _json(layout):
         # the first entry that differs, where "nothing" stands past an end
@@ -505,38 +518,27 @@ def _read_checkpoint(path, handle, expect_model_config, params_only) -> Checkpoi
             f"{path}: checkpoint model config {config_to_dict(model_config)} is "
             f"incompatible with requested {config_to_dict(expect_model_config)}")
     start = 12 + header_len
-    # where each tensor begins and ends in the payload, counted in elements
-    ends = list(itertools.accumulate(math.prod(entry["shape"]) for entry in layout))
-    begins = [0, *ends[:-1]]
-    for entry, begin, end in zip(layout, begins, ends):
-        if start + 8 * end > size:
-            raise FormatError(path, f"truncated payload for tensor {entry['name']!r}",
-                              offset=start + 8 * begin)
-    offset = start + 8 * ends[-1]
-    if offset != size:
-        raise FormatError(path, f"{size - offset} trailing bytes after last tensor",
-                          offset=offset)
-    n = len(architecture.parameter_shapes(model_config))
-    wanted = n if params_only else len(layout)  # the parameters come first
-    flat = np.empty(ends[wanted - 1], dtype="<f8")
-    got = handle.readinto(flat)
-    if got != flat.nbytes:
+    end = start + 8 * copies * count
+    if end > size:
+        name, begin = _entry_at(layout, (size - start) // 8)
+        raise FormatError(path, f"truncated payload for tensor {name!r}", offset=start + 8 * begin)
+    if end != size:
+        raise FormatError(path, f"{size - end} trailing bytes after last tensor", offset=end)
+    vectors = np.empty((1 if params_only else copies, count), dtype="<f8")
+    got = handle.readinto(vectors)
+    if got != vectors.nbytes:
         raise FormatError(path, "file shrank while being read", offset=start + got)
     # no training run writes these values, so they are the file's fault
     bad = None
-    if not (math.isfinite(flat.min()) and math.isfinite(flat.max())):  # NaN spreads to both
-        bad, what = int(np.argmin(np.isfinite(flat))), "non-finite"
-    elif wanted > n and flat[ends[2 * n - 1]:].min() < 0:  # a second moment
-        bad, what = ends[2 * n - 1] + int(np.argmax(flat[ends[2 * n - 1]:] < 0)), "negative"
+    if not (math.isfinite(vectors.min()) and math.isfinite(vectors.max())):  # NaN spreads to both
+        bad, what = int(np.argmin(np.isfinite(vectors))), "non-finite"
+    elif len(vectors) == 3 and vectors[2].min() < 0:  # a second moment
+        bad, what = 2 * count + int(np.argmax(vectors[2] < 0)), "negative"
     if bad is not None:
-        name = layout[bisect.bisect_right(ends, bad)]["name"]
+        name, _ = _entry_at(layout, bad)
         raise FormatError(path, f"{what} value in tensor {name!r}", offset=start + 8 * bad)
-    # the parameters and both moments stay views into the one buffer read
-    size = ends[n - 1]
-    params = ModelParams(model_config, flat[:size])
-    adam = None
-    if wanted > n:
-        adam = AdamState(**adam_meta, first_moment=flat[size:2 * size],
-                         second_moment=flat[2 * size:])
+    params = ModelParams(model_config, vectors[0])
+    adam = None if len(vectors) == 1 else AdamState(**adam_meta, first_moment=vectors[1],
+                                                    second_moment=vectors[2])
     return Checkpoint(model_config=model_config, train_config=train_config, **scalars,
                       params=params, adam=adam)

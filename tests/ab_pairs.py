@@ -7,9 +7,18 @@ once in each checkout per seed, PARENT first on the first seed, CHANGE
 first on the next, and so on. T is `run_seconds` of PARENT's
 BENCHMARK.json. Each run's end-to-end line goes to standard error as it
 finishes. Standard output then gets, for every end-to-end metric of
-BENCHMARK.json, each side's median and quartiles and the number of pairs
-in which CHANGE reads better (ties count for neither side), then the
-failed and attempted operations of each side.
+BENCHMARK.json, each side's median and quartiles, the number of pairs
+in which CHANGE reads better (ties count for neither side) and a verdict,
+then the failed and attempted operations of each side. The verdict is
+the first that holds of
+  gain        at least 10 pairs ran, CHANGE wins at least 9 in 10 of them,
+              and its median is better than PARENT's by more than
+              PARENT's interquartile range;
+  worse       CHANGE's median is worse than PARENT's by more than the
+              metric's bound, a fraction of PARENT's median;
+  unresolved  either side's interquartile range is wider than the bound,
+              and not every CHANGE run reads better than every PARENT run;
+  same        anything else.
 The checkouts are only read; pytest does not collect this file.
 """
 
@@ -38,6 +47,23 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def verdict(parent: list[float], change: list[float], wins: int, sign: int,
+            bound: float) -> str:
+    """gain, worse, unresolved or same, as the module docstring defines
+    them; sign is 1 where higher reads better and -1 where lower does."""
+    (p1, parent_median, p3), (c1, change_median, c3) = quartiles(parent), quartiles(change)
+    allowed = bound * abs(parent_median)
+    if len(parent) >= 10 and wins >= 0.9 * len(parent) \
+            and sign * (change_median - parent_median) > p3 - p1:
+        return "gain"
+    if sign * (parent_median - change_median) > allowed:
+        return "worse"
+    if max(p3 - p1, c3 - c1) > allowed and \
+            min(sign * value for value in change) <= max(sign * value for value in parent):
+        return "unresolved"
+    return "same"
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=("train", "infer", "eval"))
@@ -59,7 +85,7 @@ def main() -> None:
     print(f"{args.workload}: {len(args.seeds)} pairs, seeds {' '.join(map(str, args.seeds))}, "
           f"{seconds:g} s runs")
     print(f"{'metric':<20} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} "
-          f"{'change wins':>11}")
+          f"{'change wins':>11} {'verdict':>10}")
     for metric in benchmark["end_to_end"]:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
         values = {side: [line["metrics"][name]["value"] for line in lines[side]]
@@ -69,7 +95,8 @@ def main() -> None:
         for side in sides:
             q1, median, q3 = quartiles(values[side])
             cells.append(f"{median:.6g} [{q1:.6g}, {q3:.6g}]")
-        print(f"{name:<20} {cells[0]:>34} {cells[1]:>34} {wins:>5}/{len(args.seeds)}")
+        print(f"{name:<20} {cells[0]:>34} {cells[1]:>34} {wins:>5}/{len(args.seeds)} "
+              f"{verdict(values['parent'], values['change'], wins, sign, metric['bound']):>10}")
     for side in sides:
         failed = sum(line["failed"] for line in lines[side])
         attempted = sum(line["attempted"] for line in lines[side])

@@ -631,7 +631,10 @@ class TestCheckpointHeader:
         ("train", "adam.lr", -1e-3), ("train", "adam.beta1", -0.1), ("train", "adam.beta1", 1.0),
         ("train", "adam.beta2", 1.0), ("train", "adam.beta2", -0.5),
         ("train", "adam.epsilon", 0.0), ("train", "adam.step_count", -1),
-        ("infer", "adam.beta2", 1.0)])
+        ("infer", "adam.beta2", 1.0),
+        # save_checkpoint writes format 1, and no other format is read
+        ("infer", "format_version", 99), ("train", "format_version", "one"),
+        ("infer", "format_version", 1.0), ("train", "format_version", True)])
     def test_wrong_type_names_the_field(self, pipeline, tmp_path, capsys,
                                         command, field, value):
         root, corpus, _ = pipeline
@@ -644,6 +647,19 @@ class TestCheckpointHeader:
         assert code == 2
         assert err.startswith("adnet: error: ") and err.count("\n") == 1
         assert f"{field} must be " in err
+        assert checkpoint.read_bytes() == edited and not (tmp_path / "pred").exists()
+
+    @pytest.mark.parametrize("params_only", [True, False], ids=["params_only", "full"])
+    def test_removed_format_version_names_the_field(self, pipeline, tmp_path, capsys,
+                                                     params_only):
+        root, corpus, _ = pipeline
+        checkpoint = tmp_path / "m.adnc"
+        checkpoint.write_bytes((root / "model.adnc").read_bytes())
+        rewrite_header(checkpoint, lambda header: header.pop("format_version"))
+        edited = checkpoint.read_bytes()
+        code, _, err = run(capsys, self.load_command(tmp_path, corpus, checkpoint, params_only))
+        assert code == 2
+        assert err == f"adnet: error: {checkpoint} @ byte 12: malformed header: 'format_version'\n"
         assert checkpoint.read_bytes() == edited and not (tmp_path / "pred").exists()
 
     @pytest.mark.parametrize("field,value", [

@@ -1,4 +1,6 @@
+import bisect
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -348,6 +350,35 @@ def payload_offsets(raw: bytes) -> dict:
     return offsets
 
 
+def per_entry_walk(raw: bytes, params_only: bool):
+    """The payload check of a checkpoint whose header is sound, made entry
+    by entry from a table of where every roster entry begins and ends:
+    (message, byte offset) of the first fault, or None. The reader sizes
+    the payload as copies of the parameter vector instead."""
+    header_len = struct.unpack_from("<I", raw, 8)[0]
+    header = json.loads(raw[12:12 + header_len])
+    layout, start, size = header["tensors"], 12 + header_len, len(raw)
+    ends = list(itertools.accumulate(math.prod(entry["shape"]) for entry in layout))
+    begins = [0, *ends[:-1]]
+    for entry, begin, end in zip(layout, begins, ends):
+        if start + 8 * end > size:
+            return f"truncated payload for tensor {entry['name']!r}", start + 8 * begin
+    offset = start + 8 * ends[-1]
+    if offset != size:
+        return f"{size - offset} trailing bytes after last tensor", offset
+    n = len(layout) // (1 if header["adam"] is None else 3)
+    wanted = n if params_only else len(layout)
+    flat = np.frombuffer(raw, "<f8", count=ends[wanted - 1], offset=start)
+    if not np.isfinite(flat).all():
+        bad, what = int(np.argmin(np.isfinite(flat))), "non-finite"
+    elif wanted > n and flat[ends[2 * n - 1]:].min() < 0:
+        bad, what = ends[2 * n - 1] + int(np.argmax(flat[ends[2 * n - 1]:] < 0)), "negative"
+    else:
+        return None
+    name = layout[bisect.bisect_right(ends, bad)]["name"]
+    return f"{what} value in tensor {name!r}", start + 8 * bad
+
+
 @pytest.fixture(scope="module")
 def checkpoint_bytes(tmp_path_factory):
     path = tmp_path_factory.mktemp("checkpoint") / "model.adnc"
@@ -410,6 +441,52 @@ class TestCheckpoints:
         assert params_only.params.flat.tobytes() == ckpt.params.flat.tobytes()
         storage.save_checkpoint(ckpt, tmp_path / "again.adnc")
         assert (tmp_path / "again.adnc").read_bytes() == stored.read_bytes()
+
+    @given(with_adam=st.booleans(),
+           values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=81, max_size=81),
+           negative=st.floats(max_value=0, exclude_max=True, allow_infinity=False))
+    @settings(max_examples=4, deadline=None)
+    def test_payload_faults_match_the_per_entry_walk(self, with_adam, values, negative):
+        # every truncation, a NaN at every value and a negative value at
+        # every second moment name the tensor and byte that the walk names
+        ckpt = storage.load_checkpoint(Path(__file__).parent / "data" / "format_v1.adnc")
+        count = ckpt.params.flat.size  # 27, so 81 values with the moments
+        ckpt.params.flat[:] = values[:count]
+        ckpt.adam.first_moment[:] = values[count:2 * count]
+        ckpt.adam.second_moment[:] = np.abs(values[2 * count:])
+        if not with_adam:
+            ckpt.adam = None
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.adnc"
+            storage.save_checkpoint(ckpt, path)
+            raw = path.read_bytes()
+            start = len(raw) - 8 * count * (3 if with_adam else 1)
+
+            def edited(element, value):
+                edit = bytearray(raw)
+                struct.pack_into("<d", edit, start + 8 * element, value)
+                return bytes(edit)
+
+            variants = [raw[:length] for length in range(start, len(raw))]
+            variants += [edited(element, np.nan) for element in range((len(raw) - start) // 8)]
+            if with_adam:
+                variants += [edited(element, negative) for element in range(2 * count, 3 * count)]
+            for variant, params_only in itertools.product(variants, (True, False)):
+                path.write_bytes(variant)
+                expected = per_entry_walk(variant, params_only)
+                if expected is None:  # a moment, which a params_only load does not read
+                    assert params_only and len(variant) == len(raw)
+                    storage.load_checkpoint(path, params_only=True)
+                    continue
+                with pytest.raises(FormatError) as excinfo:
+                    storage.load_checkpoint(path, params_only=params_only)
+                assert str(excinfo.value) == f"{path} @ byte {expected[1]}: {expected[0]}"
+            path.write_bytes(raw + b"\0")
+            with pytest.raises(FormatError) as excinfo:
+                storage.load_checkpoint(path)
+            assert str(excinfo.value) == (f"{path} @ byte {len(raw)}: "
+                                          "1 trailing bytes after last tensor")
 
     def test_loaded_tensors_are_aligned_float64(self, tmp_path):
         path = tmp_path / "model.adnc"

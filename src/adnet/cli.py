@@ -26,7 +26,7 @@ from . import model as architecture
 from . import synth as generator
 from . import training
 from .errors import (AdnetError, CheckpointError, ConfigError, FormatError, InputError,
-                     MetricError, NumericError, UsageError)
+                     InternalError, NumericError)
 from .model import ADNetConfig
 from .training import TrainConfig
 
@@ -414,12 +414,11 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"adnet: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, InputError, FormatError, CheckpointError, MetricError,
-            UsageError) as exc:
-        print(f"adnet: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except AdnetError as exc:  # internal errors: still report, same class of exit
+    except InternalError as exc:  # still reported, with the same exit code
         print(f"adnet: internal error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except AdnetError as exc:
+        print(f"adnet: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

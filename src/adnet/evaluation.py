@@ -163,14 +163,19 @@ def _label_counts(claims: np.ndarray, pred_label: np.ndarray, gt_label: np.ndarr
 
 
 def segment_runs(segments: Sequence[TemporalSegment]):
-    """Starts, exclusive ends and labels of segments, as int64 arrays."""
-    return tuple(np.array([getattr(seg, field) for seg in segments], dtype=np.int64)
-                 for field in ("start_frame", "end_frame", "label"))
+    """Starts, exclusive ends and labels, as int64 arrays, of the maximal
+    constant-label runs of segments that partition a timeline: neighbours
+    of one label are one run."""
+    starts, ends, labels = (np.array([getattr(seg, field) for seg in segments], dtype=np.int64)
+                            for field in ("start_frame", "end_frame", "label"))
+    first, stop, labels = _runs(labels)
+    return starts[first], ends[stop - 1], labels
 
 
 def match_counts(pred: Sequence[TemporalSegment], gt: Sequence[TemporalSegment],
                  k: float, scope: str = "all") -> tuple[int, int, int]:
-    """Greedy (TP, FP, FN) at IoU >= k percent within a label scope.
+    """Greedy (TP, FP, FN) at IoU >= k percent within a label scope, of
+    the maximal constant-label runs (segment_runs) of pred and gt.
 
     Predictions are visited in temporal order; each claims its best-IoU
     same-label ground-truth segment if that segment is unclaimed and the
@@ -281,7 +286,7 @@ def evaluate(pred_clip_scores: Mapping[str, np.ndarray],
              frames_per_clip: int,
              ks: Sequence[int] = DEFAULT_KS,
              threshold: float = 0.5) -> EvalReport:
-    """Corpus-level report over matching video id sets.
+    """Corpus-level report over matching, non-empty video id sets.
 
     Clip scores must be finite and in [0, 1], each video's ground-truth
     segments must partition its frames (partition_extent) and fit its
@@ -297,6 +302,8 @@ def evaluate(pred_clip_scores: Mapping[str, np.ndarray],
     if pred_ids != gt_ids:
         raise InputError(
             f"prediction and ground-truth video sets differ: {sorted(pred_ids ^ gt_ids)}")
+    if not gt_ids:
+        raise InputError("no videos to evaluate")
     counts = np.zeros((2, len(ks), 3), dtype=np.int64)
     runs = []
     for video_id in sorted(gt_ids):
@@ -305,10 +312,7 @@ def evaluate(pred_clip_scores: Mapping[str, np.ndarray],
         edges = clip_edges(clip_scores.size, frames_per_clip, total_frames)
         starts, ends, labels = _runs(clip_scores >= threshold)
         pred_runs = edges[starts], edges[ends], labels
-        seg_starts, _, seg_labels = segment_runs(gt_segments[video_id])
-        bounds = np.append(seg_starts, total_frames)
-        starts, ends, labels = _runs(seg_labels)  # neighbours of one label are one segment
-        gt_runs = bounds[starts], bounds[ends], labels
+        gt_runs = segment_runs(gt_segments[video_id])
         counts += _label_counts(_claim_iou(pred_runs, gt_runs), pred_runs[2], gt_runs[2], ks)
         cuts = np.union1d(edges[:-1], gt_runs[0])
         clip = np.searchsorted(edges, cuts, side="right") - 1

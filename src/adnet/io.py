@@ -241,8 +241,8 @@ def read_annotations(path) -> AnnotationManifest:
 # configs (ADNetConfig, TrainConfig, SynthConfig) and annotation
 # manifests. Each field is one key of the field's type. A field named
 # after a Python keyword ends in an underscore that its key drops
-# (TrainConfig.lambda_ is "lambda"), a tuple field is a JSON list, and a
-# dataclass field is an object.
+# (TrainConfig.lambda_ is "lambda"), and a tuple field is a JSON list,
+# whose entries are objects where its item type is a dataclass.
 TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
               str: "a string", tuple[int, int]: "a list of two integers",
               tuple[TemporalSegment, ...]: "a non-empty list of objects"}
@@ -302,11 +302,10 @@ def has_type(value, kind) -> bool:
 
 def _decode(value, kind, name: str):
     """A JSON value as a value of a field's type, or ConfigError naming the
-    field: a list becomes a tuple and an object the dataclass it holds."""
+    field: a list becomes a tuple, and each object in it the dataclass it
+    holds."""
     if not has_type(value, kind):
         raise ConfigError(f"{name} must be {_kind(kind).what}, got {json.dumps(value)}")
-    if isinstance(value, dict):
-        return config_from_dict(kind, value, name)
     if isinstance(value, list):
         item = _kind(kind).items[0]
         if _kind(item).record:

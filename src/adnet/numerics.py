@@ -39,10 +39,6 @@ class Tensor:
         self.value = np.asarray(value, dtype=np.float64, order="C")
         self.grad = None
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def accumulate_grad(self, delta) -> None:
         if self.grad is None:
             self.grad = np.zeros_like(self.value)
@@ -50,9 +46,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def __repr__(self):
-        return f"Tensor(shape={self.value.shape})"
 
 
 class Tape:
@@ -247,10 +240,9 @@ class AdamState:
     scratch: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
 
-def init_adam(params, lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, epsilon: float = 1e-8) -> AdamState:
+def init_adam(params, lr: float) -> AdamState:
     """Zero moments for params, whose flat holds every parameter."""
-    return AdamState(lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon, step_count=0,
+    return AdamState(lr=lr, beta1=0.9, beta2=0.999, epsilon=1e-8, step_count=0,
                      first_moment=np.zeros_like(params.flat),
                      second_moment=np.zeros_like(params.flat))
 

@@ -222,23 +222,30 @@ class TrainResult:
     log: list[EpochStats]
 
 
-def _window_items(dataset, width: int):
-    """All (window, padded targets) pairs across the dataset."""
+def _window_items(dataset, config: ADNetConfig):
+    """All (window, padded targets) pairs across the dataset, and the
+    largest |feature| among the windows; InputError names the first
+    sequence of a wrong feature dim or label count."""
     items = []
+    feature_bound = 0.0
     for index, (features, labels) in enumerate(dataset):
         feats = np.asarray(features, dtype=np.float64)
         labs = np.asarray(labels)
+        if feats.shape[0] != config.input_dim:
+            raise InputError(f"sequence {index} has feature dim {feats.shape[0]}, model "
+                             f"expects {config.input_dim}")
         total = feats.shape[1]
         if labs.shape != (total,):
             raise InputError(
                 f"sequence {index}: {total} clips but {labs.shape[0] if labs.ndim else 0} labels")
-        plan = windowing.plan_windows(total, width)
+        plan = windowing.plan_windows(total, config.window_width)
         for window in windowing.materialize(feats, f"seq{index}", plan):
             real = int(window.mask.sum())
-            targets = np.zeros(width)
+            targets = np.zeros(config.window_width)
             targets[:real] = labs[window.start_clip:window.start_clip + real]
             items.append((window, targets))
-    return items
+            feature_bound = max(feature_bound, float(np.abs(window.features).max()))
+    return items, feature_bound
 
 
 def train(dataset: Sequence[tuple[np.ndarray, np.ndarray]],
@@ -252,13 +259,7 @@ def train(dataset: Sequence[tuple[np.ndarray, np.ndarray]],
     """
     if len(dataset) == 0:
         raise InputError("training dataset is empty")
-    for index, (features, _) in enumerate(dataset):
-        dim = np.asarray(features).shape[0]
-        if dim != model_config.input_dim:
-            raise InputError(
-                f"sequence {index} has feature dim {dim}, model expects "
-                f"{model_config.input_dim}")
-    items = _window_items(dataset, model_config.window_width)
+    items, feature_bound = _window_items(dataset, model_config)
     if resume is not None:
         if resume.params.config != model_config:
             raise ConfigError("resume parameters were built for a different model config")
@@ -292,15 +293,14 @@ def train(dataset: Sequence[tuple[np.ndarray, np.ndarray]],
             total_sum += value
         count = len(items)
         log.append(EpochStats(epoch, mse_sum / count, ad_sum / count, total_sum / count))
-    _check_scores_finite(params, items, end_epoch)
+    _check_scores_finite(params, items, feature_bound, end_epoch)
     return TrainResult(params=params, adam=adam, epochs_completed=end_epoch, log=log)
 
 
-def _check_scores_finite(params: ModelParams, items, epochs: int) -> None:
+def _check_scores_finite(params: ModelParams, items, feature_bound: float, epochs: int) -> None:
     """Raise NumericError when the parameters give a non-finite score on a
     training window. Scoring every window costs about a fifth of an epoch,
     so it runs only when the cheap activation bound exceeds 1e300."""
-    feature_bound = max(float(np.abs(window.features).max()) for window, _ in items)
     if architecture.activation_bound(params, feature_bound) <= 1e300:
         return
     windows = [window for window, _ in items]

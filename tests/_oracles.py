@@ -242,7 +242,7 @@ def adam_per_tensor(tensors, first_moment, second_moment, state):
 def taped_train(dataset, model_config, train_config):
     """training.train on the taped reference: (params, first moments,
     second moments, epoch log), the moments one array per tensor."""
-    items = training._window_items(dataset, model_config.window_width)
+    items = training._window_items(dataset, model_config)[0]
     params = model.build(model_config, train_config.seed)
     first = [np.zeros_like(t.value) for t in params]
     second = [np.zeros_like(t.value) for t in params]

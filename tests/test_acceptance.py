@@ -400,7 +400,7 @@ def test_criterion_10_training_matches_the_taped_reference(tmp_path):
     dataset = [(video.features.features, video.clip_labels) for video in videos]
     model_cfg = model.ADNetConfig(window_width=16, num_stages=3, num_layers=4,
                                   input_dim=8, hidden_channels=12)
-    windows = training._window_items(dataset, model_cfg.window_width)
+    windows = training._window_items(dataset, model_cfg)[0]
     assert any(window.mask.min() == 0.0 for window, _ in windows)
     for use_ad_loss in (True, False):
         config = TrainConfig(seed=3, epochs=2, learning_rate=2e-3, use_ad_loss=use_ad_loss)

@@ -356,6 +356,41 @@ class TestTrain:
         code, _, err = run(capsys, ["train", "--config", config])
         assert code == 2
 
+    def test_input_dim_unequal_to_the_features(self, pipeline, tmp_path, capsys):
+        _, corpus, _ = pipeline
+        config = write_config(tmp_path / "c.json", {
+            "model": {**SMALL_MODEL, "input_dim": 3}, "train": {"epochs": 1},
+            "paths": {"features_dir": str(corpus / "features"),
+                      "annotations_dir": str(corpus / "annotations"),
+                      "checkpoint": str(tmp_path / "m.adnc")}})
+        code, out, err = run(capsys, ["train", "--config", config])
+        assert (code, out) == (2, "")
+        assert err == "adnet: error: config says input_dim=3 but feature files carry 5\n"
+
+    def test_missing_paths_key(self, pipeline, tmp_path, capsys):
+        _, corpus, _ = pipeline
+        config = write_config(tmp_path / "c.json", {
+            "paths": {"features_dir": str(corpus / "features"),
+                      "annotations_dir": str(corpus / "annotations")}})
+        code, out, err = run(capsys, ["train", "--config", config])
+        assert (code, out) == (2, "")
+        assert err == "adnet: error: no 'checkpoint' given (config paths.checkpoint)\n"
+
+    def test_resume_from_a_checkpoint_without_optimizer_state(self, pipeline, tmp_path,
+                                                              capsys):
+        _, corpus, _ = pipeline
+        cfg = ADNetConfig(input_dim=5, **SMALL_MODEL)
+        path = tmp_path / "m.adnc"
+        storage.save_checkpoint(Checkpoint(
+            model_config=cfg, train_config=TrainConfig(seed=3), seed=3, frames_per_clip=16,
+            epochs_completed=1, params=model.build(cfg, seed=3)), path)
+        before = path.read_bytes()
+        config = small_train_config(tmp_path, corpus / "features", corpus / "annotations")
+        code, out, err = run(capsys, ["train", "--config", config, "--resume"])
+        assert (code, out) == (2, "")
+        assert err == f"adnet: error: {path}: no optimizer state to resume from\n"
+        assert path.read_bytes() == before
+
 
 class TestInfer:
     def test_documents_match_library_scores(self, pipeline):
@@ -403,6 +438,17 @@ class TestInfer:
                                     "--out", str(tmp_path / "pred")])
         assert code == 2
         assert "cannot read" in err
+
+    def test_directory_without_feature_files(self, pipeline, tmp_path, capsys):
+        root, _, _ = pipeline
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        code, out, err = run(capsys, ["infer", "--checkpoint", str(root / "model.adnc"),
+                                      "--features", str(empty),
+                                      "--out", str(tmp_path / "pred")])
+        assert (code, out) == (2, "")
+        assert err == f"adnet: error: no .adnf feature files in {empty}\n"
+        assert not (tmp_path / "pred").exists()
 
     def test_single_clip_video(self, pipeline, tmp_path, capsys):
         root, _, _ = pipeline

@@ -12,8 +12,9 @@ from adnet import evaluation
 from adnet.errors import InputError, MetricError
 from adnet.evaluation import TemporalSegment, segments_from_labels
 
-from _oracles import (_iou, evaluate_per_frame, frame_auc_per_frame, greedy_counts,
-                      optimal_counts, pairwise_auc, random_partition)
+from _oracles import (_iou, evaluate_per_frame, frame_auc_per_frame, frame_labels,
+                      frame_segments, greedy_counts, optimal_counts, pairwise_auc,
+                      random_partition)
 
 
 def seg(start, end, label):
@@ -77,6 +78,50 @@ def clip_timelines(draw):
     cuts = sorted(draw(st.sets(st.integers(1, frames - 1), min_size=1, max_size=8)))
     labels = alternating_labels(np.diff([0, *cuts, frames]), draw(st.integers(0, 1)))
     return evaluation.expand_to_frames(clip_scores, n, frames), labels
+
+
+class TestInputRules:
+    @pytest.mark.parametrize("args, message", [
+        ((3, 3, 0), "invalid segment [3, 3)"),
+        ((-1, 2, 0), "invalid segment [-1, 2)"),
+        ((0, 2, 2), "segment label must be 0 or 1, got 2"),
+    ])
+    def test_invalid_segment_rejected(self, args, message):
+        with pytest.raises(InputError) as info:
+            TemporalSegment(*args)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("args, message", [
+        ((2, 0, 2), "frames_per_clip must be >= 1, got 0"),
+        ((0, 4, 4), "no clip values to expand"),
+    ])
+    def test_clip_edges_rejected(self, args, message):
+        with pytest.raises(InputError) as info:
+            evaluation.clip_edges(*args)
+        assert str(info.value) == message
+
+    def test_non_binary_labels_rejected(self):
+        with pytest.raises(InputError) as info:
+            segments_from_labels([0, 2])
+        assert str(info.value) == "labels must be 0 or 1"
+
+    @pytest.mark.parametrize("segments, message", [
+        ([], "ground truth segment list is empty"),
+        ([seg(2, 4, 0)], "ground truth segments start at frame 2, not 0"),
+    ])
+    def test_partition_rejected(self, segments, message):
+        with pytest.raises(InputError) as info:
+            evaluation.partition_extent(segments, "ground truth")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("scores, labels, message", [
+        ([0.1, 0.2], [0], "scores (2) and labels (1) differ in length"),
+        ([0.1, 0.2], [0, 2], "labels must be 0 or 1"),
+    ])
+    def test_frame_auc_inputs_rejected(self, scores, labels, message):
+        with pytest.raises(InputError) as info:
+            evaluation.frame_auc(scores, labels)
+        assert str(info.value) == message
 
 
 class TestExpandToFrames:
@@ -195,10 +240,33 @@ class TestF1AtK:
     @example(([seg(0, 3, 1), seg(3, 6, 0)], [seg(0, 3, 0), seg(3, 6, 1)]))
     def test_equals_greedy_double_loop(self, timelines):
         pred, gt = timelines
+        # the oracle matches the maximal runs that match_counts merges neighbours into
+        runs_pred, runs_gt = (frame_segments(frame_labels(segs)) for segs in timelines)
         for scope in evaluation.SCOPES:
             for k in (1, 10, 25, 33, 50, 75, 100):
                 assert evaluation.match_counts(pred, gt, k, scope) == \
-                    greedy_counts(pred, gt, k, scope)
+                    greedy_counts(runs_pred, runs_gt, k, scope)
+
+    def test_neighbours_of_one_label_are_one_segment(self):
+        # as evaluate, which thresholds clip scores [0.1, 0.1, 0.9] at 16
+        # frames per clip into these maximal runs
+        gt = [seg(0, 16, 0), seg(16, 32, 0), seg(32, 48, 1)]
+        pred = [seg(0, 32, 0), seg(32, 48, 1)]
+        assert evaluation.f1_at_k(pred, gt, 50, "all") == (100.0, 100.0, 100.0)
+        assert evaluation.f1_at_k(gt, pred, 50, "all") == (100.0, 100.0, 100.0)
+        report = evaluation.evaluate({"v": np.array([0.1, 0.1, 0.9])}, {"v": gt}, 16)
+        assert report.scopes["all"][50] == (100.0, 100.0, 100.0)
+
+    def test_scope_and_k_rejected(self):
+        gt = [seg(0, 4, 0)]
+        with pytest.raises(InputError) as info:
+            evaluation.match_counts(gt, gt, 50, "both")
+        assert str(info.value) == \
+            "unknown scope 'both'; expected one of ['abnormal', 'all', 'normal']"
+        for k in (0, 100.5):
+            with pytest.raises(InputError) as info:
+                evaluation.match_counts(gt, gt, k)
+            assert str(info.value) == f"k must lie in (0, 100], got {k}"
 
     def test_greedy_rarely_diverges_from_optimal(self):
         rng = np.random.default_rng(0)
@@ -398,6 +466,10 @@ class TestEvaluate:
         assert list(doc) == ["frame_auc", "segmental"]
         assert list(doc["segmental"]) == ["abnormal", "normal", "all"]
         assert list(doc["segmental"]["all"]) == ["f1@10", "f1@25", "f1@50"]
+
+    def test_no_videos_rejected(self):
+        with pytest.raises(InputError, match="^no videos to evaluate$"):
+            evaluation.evaluate({}, {}, 16)
 
     def test_repeated_k_rejected(self):
         with pytest.raises(InputError, match="k 10 is given twice"):

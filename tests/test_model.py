@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adnet import model, training, windowing
-from adnet.errors import ConfigError, InputError
+from adnet.errors import ConfigError, InputError, InternalError
 from adnet.model import ADNetConfig
 from adnet.numerics import Tape
 from adnet.windowing import Window
@@ -103,6 +103,24 @@ class TestBuild:
         weight = params.tensors["stage0.block0.dilated.weight"].value
         bound = 1.0 / np.sqrt(8 * 3)
         assert np.all(np.abs(weight) <= bound)
+
+
+class TestParameterVector:
+    def test_vector_of_another_size_is_internal_error(self):
+        cfg = small_config()
+        size = model.build(cfg, seed=0).flat.size
+        with pytest.raises(InternalError) as info:
+            model.views(cfg, np.zeros(size + 1))
+        assert str(info.value) == f"the model holds {size} values, its vector {size + 1}"
+
+    @pytest.mark.parametrize("make", [lambda n: np.zeros(n, dtype=np.float32),
+                                      lambda n: np.zeros((n, 1)),
+                                      lambda n: np.zeros(2 * n)[::2]])
+    def test_vector_not_contiguous_float64_is_internal_error(self, make):
+        cfg = small_config()
+        with pytest.raises(InternalError) as info:
+            model.ModelParams(cfg, make(model.build(cfg, seed=0).flat.size))
+        assert str(info.value) == "parameters must be one contiguous float64 vector"
 
 
 class TestForward:
@@ -334,6 +352,13 @@ class TestStackedForward:
     def test_empty_list_rejected(self):
         with pytest.raises(ConfigError, match="at least one window"):
             model.forward(model.build(small_config(), seed=0), [])
+
+    def test_a_mask_of_another_width_rejected(self):
+        cfg = small_config()
+        window = Window(features=np.zeros((4, 8)), mask=np.ones(7), video_id="t", start_clip=0)
+        with pytest.raises(ConfigError) as info:
+            model.forward(model.build(cfg, seed=0), window)
+        assert str(info.value) == "window mask has shape (7,), model expects (8,)"
 
     def test_a_window_of_another_width_rejected(self):
         cfg = small_config()

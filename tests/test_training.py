@@ -278,6 +278,31 @@ class TestTrain:
             training.train(dataset, model.ADNetConfig(**SMALL_MODEL),
                            TrainConfig(seed=0, epochs=1))
 
+    @pytest.mark.parametrize("dataset, message", [
+        ([(np.zeros((8, 10)), np.zeros(9))], "sequence 0: 10 clips but 9 labels"),
+        ([(np.zeros((8, 10)), np.zeros(10)), (np.zeros((5, 10)), np.zeros(10))],
+         "sequence 1 has feature dim 5, model expects 8"),
+        # the dataset is read in one pass, so the earlier faulty sequence is named
+        ([(np.zeros((8, 10)), np.zeros(3)), (np.zeros((5, 10)), np.zeros(10))],
+         "sequence 0: 10 clips but 3 labels"),
+    ])
+    def test_faulty_sequence_named(self, dataset, message):
+        with pytest.raises(InputError) as info:
+            training.train(dataset, model.ADNetConfig(**SMALL_MODEL),
+                           TrainConfig(seed=0, epochs=1))
+        assert str(info.value) == message
+
+    def test_resume_with_another_model_config_rejected(self):
+        cfg = model.ADNetConfig(**SMALL_MODEL)
+        other = model.ADNetConfig(**{**SMALL_MODEL, "hidden_channels": 8})
+        params = model.build(other, seed=0)
+        resume = training.TrainResult(params=params, adam=numerics.init_adam(params, 5e-4),
+                                      epochs_completed=1, log=[])
+        with pytest.raises(ConfigError) as info:
+            training.train(separable_dataset(num_videos=1), cfg, TrainConfig(epochs=1),
+                           resume=resume)
+        assert str(info.value) == "resume parameters were built for a different model config"
+
     def test_deterministic_given_seed(self):
         dataset = separable_dataset(num_videos=3)
         cfg = model.ADNetConfig(**SMALL_MODEL)
@@ -333,7 +358,7 @@ class TestArena:
 
         monkeypatch.setattr(numerics, "adam_step", spy)
         result = training.train(dataset, cfg, TrainConfig(seed=2, epochs=2))
-        assert len(steps) == 2 * len(training._window_items(dataset, cfg.window_width))
+        assert len(steps) == 2 * len(training._window_items(dataset, cfg)[0])
         vectors = steps[0]
         assert all(a is b for step in steps for a, b in zip(step, vectors))
         flat, grad = result.params.flat, result.params.grad
@@ -405,7 +430,7 @@ class TestScoreCheck:
 
         monkeypatch.setattr(model, "forward", counted)
         training.train(dataset, cfg, TrainConfig(seed=2, epochs=1))
-        assert calls == [3] * len(training._window_items(dataset, cfg.window_width))
+        assert calls == [3] * len(training._window_items(dataset, cfg)[0])
 
     def test_overflowing_parameters_raise(self):
         # one window, one step at a rate that leaves every weight near 1e200
@@ -425,3 +450,37 @@ class TestTrainConfigValidation:
     def test_negative_alpha_rejected(self):
         with pytest.raises(ConfigError):
             TrainConfig(alpha=-0.1)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("learning_rate", 0.0, "learning_rate must be positive, got 0.0"),
+        ("epochs", 0, "epochs must be >= 1, got 0"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("clip_label_fraction", 0.0, "clip_label_fraction must lie in (0, 1], got 0.0"),
+        ("clip_label_fraction", 1.5, "clip_label_fraction must lie in (0, 1], got 1.5"),
+    ])
+    def test_value_rules_name_the_field(self, field, value, message):
+        with pytest.raises(ConfigError) as info:
+            TrainConfig(**{field: value})
+        assert str(info.value) == message
+
+
+class TestLossInputs:
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(InputError) as info:
+            training.mse_loss(Tensor(np.zeros((1, 3))), [0, 0], [1, 1, 1])
+        assert str(info.value) == "scores (3), targets (2) and mask (3) must have equal length"
+
+    def test_non_binary_mask_rejected(self):
+        with pytest.raises(InputError) as info:
+            training.ad_loss(Tensor(np.zeros((1, 2))), [0, 1], [1, 0.5], alpha=0.5)
+        assert str(info.value) == "mask entries must be 0 or 1"
+
+    def test_fully_masked_hinge_rejected(self):
+        with pytest.raises(InputError) as info:
+            training.margin_hinge(np.zeros(2), np.array([0.0, 1.0]), np.zeros(2), 0.5)
+        assert str(info.value) == "loss over a fully masked window is undefined"
+
+    def test_no_stage_outputs_rejected(self):
+        with pytest.raises(InputError) as info:
+            training.total_loss([], [0], [1], TrainConfig())
+        assert str(info.value) == "at least one stage output is required"

@@ -80,6 +80,16 @@ class TestMaterialize:
         assert int(tail.mask.sum()) == 36
         np.testing.assert_array_equal(tail.features[:, 36:], np.zeros((3, 28)))
 
+    def test_features_that_are_not_a_matrix_rejected(self):
+        with pytest.raises(InputError) as info:
+            windowing.materialize(np.zeros(4), "v", [(0, 4)])
+        assert str(info.value) == "features must be a (dim, num_clips) matrix, got shape (4,)"
+
+    def test_start_outside_the_sequence_rejected(self):
+        with pytest.raises(InputError) as info:
+            windowing.materialize(np.zeros((2, 4)), "v", [(4, 8)])
+        assert str(info.value) == "window start 4 lies outside the 4-clip sequence"
+
 
 class TestMergeScores:
     def test_single_window_identity(self):
@@ -138,3 +148,18 @@ class TestMergeScores:
     def test_non_prefix_mask_rejected(self):
         with pytest.raises(InputError):
             windowing.merge_scores([(0, np.array([1.0, 0.0, 1.0]), np.zeros(3))], 3)
+
+    def test_non_binary_mask_rejected(self):
+        with pytest.raises(InputError) as info:
+            windowing.merge_scores([(0, np.array([1.0, 0.5]), np.zeros(2))], 2)
+        assert str(info.value) == "window mask entries must be 0 or 1"
+
+    def test_scores_and_mask_of_unequal_length_rejected(self):
+        with pytest.raises(InputError) as info:
+            windowing.merge_scores([(0, np.ones(4), np.zeros(3))], 4)
+        assert str(info.value) == "scores and mask must have the same length"
+
+    def test_window_past_the_timeline_is_internal_error(self):
+        with pytest.raises(InternalError) as info:
+            windowing.merge_scores([(2, np.ones(4), np.zeros(4))], 4)
+        assert str(info.value) == "window at clip 2 with 4 real clips overruns the 4-clip timeline"

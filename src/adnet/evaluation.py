@@ -290,13 +290,16 @@ def evaluate(pred_clip_scores: Mapping[str, np.ndarray],
 
     Clip scores must be finite and in [0, 1], each video's ground-truth
     segments must partition its frames (partition_extent) and fit its
-    clips (clip_edges), and no k may repeat. Runs of thresholded clips,
+    clips (clip_edges), no k may repeat, and the threshold must lie in
+    (0, 1), as ADNetConfig's does. Runs of thresholded clips,
     mapped to frames through the clip edges, are matched against the
     ground-truth segments into pooled TP/FP/FN per scope and k. Frame AUC
     ranks the runs cut at every clip edge and segment start of every
     video together: one pooled statistic, not a mean of per-video AUCs.
     """
     ks = check_ks(ks)
+    if not 0.0 < threshold < 1.0:
+        raise InputError(f"threshold must lie in (0, 1), got {threshold}")
     pred_ids = set(pred_clip_scores)
     gt_ids = set(gt_segments)
     if pred_ids != gt_ids:

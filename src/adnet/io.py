@@ -255,40 +255,19 @@ def config_types(cls) -> dict:
     return {field.name.rstrip("_"): hints[field.name] for field in dataclasses.fields(cls)}
 
 
-@dataclass(frozen=True)
-class _Kind:
-    """What decoding a value of one field type reads of that type."""
-
-    what: str            # the type in an error message
-    record: bool         # a dataclass, decoded from an object
-    items: tuple | None  # a tuple's item types; tuple[X, ...] gives (X,)
-    repeat: bool         # tuple[X, ...]: any non-zero number of X
-    fields: tuple[tuple[str, str, bool], ...]  # a dataclass's (attribute, key, required)
-
-
-@functools.cache  # a manifest decodes the same few types once per segment
-def _kind(kind) -> _Kind:
-    if dataclasses.is_dataclass(kind):
-        fields = tuple((field.name, field.name.rstrip("_"), field.default is dataclasses.MISSING)
-                       for field in dataclasses.fields(kind))
-        return _Kind("an object", True, None, False, fields)
-    items = typing.get_args(kind) if typing.get_origin(kind) is tuple else None
-    repeat = items is not None and items[1:] == (Ellipsis,)
-    return _Kind(TYPE_NAMES.get(kind, str(kind)), False, items[:1] if repeat else items, repeat, ())
-
-
 def has_type(value, kind) -> bool:
     """Whether a JSON value has a field's type: a number field takes a
     finite float or an integer within float range, no numeric field takes
     a bool, a dataclass field takes an object, a tuple[X, Y] field a list
     of one X and one Y, and a tuple[X, ...] field a non-empty list of X."""
     if isinstance(value, dict):
-        return _kind(kind).record
+        return dataclasses.is_dataclass(kind)
     if isinstance(value, list):
-        info = _kind(kind)
-        if info.items is None:
+        if typing.get_origin(kind) is not tuple:
             return False
-        kinds = info.items * len(value) if info.repeat else info.items
+        kinds = typing.get_args(kind)
+        if kinds[1:] == (Ellipsis,):
+            kinds = kinds[:1] * len(value)
         return len(value) == len(kinds) > 0 and all(map(has_type, value, kinds))
     if isinstance(value, bool):
         return kind is bool
@@ -305,10 +284,11 @@ def _decode(value, kind, name: str):
     field: a list becomes a tuple, and each object in it the dataclass it
     holds."""
     if not has_type(value, kind):
-        raise ConfigError(f"{name} must be {_kind(kind).what}, got {json.dumps(value)}")
+        raise ConfigError(f"{name} must be {TYPE_NAMES.get(kind, str(kind))}, "
+                          f"got {json.dumps(value)}")
     if isinstance(value, list):
-        item = _kind(kind).items[0]
-        if _kind(item).record:
+        item = typing.get_args(kind)[0]
+        if dataclasses.is_dataclass(item):
             return tuple(config_from_dict(item, entry, f"{name}[{index}]")
                          for index, entry in enumerate(value))
         return tuple(value)
@@ -346,10 +326,11 @@ def config_from_dict(cls, doc, section: str, **given):
     check_types does. A key the object leaves out takes its value from
     given, else the field's default; a field with neither is an error."""
     values = check_types(config_types(cls), doc, section)
-    for attribute, key, required in _kind(cls).fields:
+    for field in dataclasses.fields(cls):
+        key = field.name.rstrip("_")
         if key in values:
-            given[attribute] = values[key]
-        elif attribute not in given and required:
+            given[field.name] = values[key]
+        elif field.name not in given and field.default is dataclasses.MISSING:
             raise ConfigError(f"{section}.{key} is missing" if section else f"{key} is missing")
     try:
         return cls(**given)

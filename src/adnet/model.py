@@ -12,8 +12,8 @@ forward scores one window, or a list of equal-width windows as one
 (B, C, W) stack: every matmul of the stack is numpy's loop of B
 (Cout x Cin) @ (Cin x W) products, the one-window product, and the dilated
 conv kernel keeps that for each tap (see kernels), so a window scores bit
-for bit the same alone or at any place in a stack. score_sequence runs a
-video's windows BLOCK at a time.
+for bit the same alone or at any place in a stack. score_windows runs a
+list of windows BLOCK at a time.
 
 The architecture is fixed, so its gradient is written out by hand:
 forward keeps the activations that backward reads, and backward walks the
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .errors import ConfigError, InternalError
 from .numerics import Tensor
 from .windowing import Window
 
-# Windows per forward in score_sequence. At the default geometry 8 ran
+# Windows per forward in score_windows. At the default geometry 8 ran
 # faster than 16, and 4 no faster than 8; all of a long video's windows at
 # once, whose stack outgrows L2, ran slower than one window at a time.
 BLOCK = 8
@@ -173,12 +174,11 @@ class StageActivations:
 
 def _inputs(windows: Window | list[Window],
             config: ADNetConfig) -> tuple[np.ndarray, np.ndarray | None]:
-    """The features and the float64 mask of one window, (D0, W) and (W,),
-    or of a list of windows as (B, D0, W) and (B, 1, W) stacks. The mask
-    is None when no window is padded: x * 1.0 is x bit for bit, so such a
-    stack skips the masking."""
-    single = isinstance(windows, Window)
-    group = [windows] if single else windows
+    """The features and the float64 mask of a list of windows as (B, D0, W)
+    and (B, 1, W) stacks, or of one window as (D0, W) and (1, W), the stacks
+    without their batch axis. The mask is None when no window is padded:
+    x * 1.0 is x bit for bit, so such a stack skips the masking."""
+    group = [windows] if isinstance(windows, Window) else windows
     if not group:
         raise ConfigError("forward needs at least one window")
     expected = (config.input_dim, config.window_width)
@@ -189,12 +189,10 @@ def _inputs(windows: Window | list[Window],
         if window.mask.shape != (config.window_width,):
             raise ConfigError(f"window mask has shape {window.mask.shape}, "
                               f"model expects ({config.window_width},)")
-    if single:  # no copy: training runs one window per step
-        features = np.asarray(windows.features, dtype=np.float64, order="C")
-        mask = np.asarray(windows.mask, dtype=np.float64)
-    else:
-        features = np.stack([window.features for window in group]).astype(np.float64, copy=False)
-        mask = np.stack([window.mask for window in group]).astype(np.float64, copy=False)[:, None]
+    features = np.stack([window.features for window in group]).astype(np.float64, copy=False)
+    mask = np.stack([window.mask for window in group]).astype(np.float64, copy=False)[:, None]
+    if isinstance(windows, Window):
+        features, mask = features[0], mask[0]
     if np.all(mask == 1.0):
         return features, None
     if not np.all((mask == 0.0) | (mask == 1.0)):
@@ -323,18 +321,21 @@ def predict_labels(scores, threshold: float) -> np.ndarray:
     return (values >= threshold).astype(np.int64)
 
 
-def score_sequence(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Score a whole T-clip sequence: plan half-overlapping windows, run
-    the final stage on them BLOCK windows per forward, and average
-    overlaps back into one timeline."""
-    feats = np.asarray(features, dtype=np.float64)
-    total = feats.shape[1]
-    plan = windowing.plan_windows(total, params.config.window_width)
-    windows = windowing.materialize(feats, "", plan)
-    scored = []
+def score_windows(params: ModelParams,
+                  windows: list[Window]) -> Iterator[tuple[Window, np.ndarray]]:
+    """Each window with its final-stage (1, W) scores, from one forward per
+    BLOCK windows."""
     for first in range(0, len(windows), BLOCK):
         block = windows[first:first + BLOCK]
-        scores = forward(params, block)[-1].value
-        scored += [(window.start_clip, window.mask, row.ravel())
-                   for window, row in zip(block, scores)]
-    return windowing.merge_scores(scored, total)
+        yield from zip(block, forward(params, block)[-1].value)
+
+
+def score_sequence(params: ModelParams, features: np.ndarray) -> np.ndarray:
+    """Score a whole T-clip sequence: cut it into half-overlapping windows,
+    score them (score_windows), and average overlaps back into one
+    timeline."""
+    feats = np.asarray(features, dtype=np.float64)
+    windows = windowing.materialize(feats, "", params.config.window_width)
+    scored = [(window.start_clip, window.mask, scores.ravel())
+              for window, scores in score_windows(params, windows)]
+    return windowing.merge_scores(scored, feats.shape[1])

@@ -225,21 +225,23 @@ class TrainResult:
 def _window_items(dataset, config: ADNetConfig):
     """All (window, padded targets) pairs across the dataset, and the
     largest |feature| among the windows; InputError names the first
-    sequence of a wrong feature dim or label count."""
+    sequence of a wrong feature dim, label count or label value."""
     items = []
     feature_bound = 0.0
     for index, (features, labels) in enumerate(dataset):
         feats = np.asarray(features, dtype=np.float64)
+        windows = windowing.materialize(feats, f"seq{index}", config.window_width)
         labs = np.asarray(labels)
-        if feats.shape[0] != config.input_dim:
-            raise InputError(f"sequence {index} has feature dim {feats.shape[0]}, model "
+        dim, total = feats.shape
+        if dim != config.input_dim:
+            raise InputError(f"sequence {index} has feature dim {dim}, model "
                              f"expects {config.input_dim}")
-        total = feats.shape[1]
         if labs.shape != (total,):
-            raise InputError(
-                f"sequence {index}: {total} clips but {labs.shape[0] if labs.ndim else 0} labels")
-        plan = windowing.plan_windows(total, config.window_width)
-        for window in windowing.materialize(feats, f"seq{index}", plan):
+            got = f"{labs.shape[0]} labels" if labs.ndim == 1 else f"labels of shape {labs.shape}"
+            raise InputError(f"sequence {index}: {total} clips but {got}")
+        if not np.isin(labs, (0, 1)).all():
+            raise InputError(f"sequence {index}: clip labels must be 0 or 1")
+        for window in windows:
             real = int(window.mask.sum())
             targets = np.zeros(config.window_width)
             targets[:real] = labs[window.start_clip:window.start_clip + real]
@@ -281,6 +283,9 @@ def train(dataset: Sequence[tuple[np.ndarray, np.ndarray]],
         for item in order:
             window, targets = items[item]
             saved = []
+            # saved stays positional: perfbench/layers.py hooks forward as
+            # _forward_begin(params, window, tape=None), so saved= would
+            # crash every traced run
             outputs = architecture.forward(params, window, saved)
             value, mse, ad, score_grads = window_loss(
                 [scores.value for scores in outputs], targets, window.mask, train_config)
@@ -303,9 +308,7 @@ def _check_scores_finite(params: ModelParams, items, feature_bound: float, epoch
     so it runs only when the cheap activation bound exceeds 1e300."""
     if architecture.activation_bound(params, feature_bound) <= 1e300:
         return
-    windows = [window for window, _ in items]
-    for first in range(0, len(windows), architecture.BLOCK):
-        scores = architecture.forward(params, windows[first:first + architecture.BLOCK])
-        if not np.all(np.isfinite(scores[-1].value)):
+    for _, scores in architecture.score_windows(params, [window for window, _ in items]):
+        if not np.all(np.isfinite(scores)):
             raise NumericError(f"non-finite score on the training windows after "
                                f"{epochs} epochs")

@@ -1,10 +1,12 @@
 """Fixed-width half-overlapping windows over clip feature sequences.
 
 A sequence of T clips is covered by windows of width W starting at
-multiples of W/2 (0-indexed); windows are emitted until one ends at or
-past T, so the final window may run beyond the sequence and is padded
-with zero columns. The mask marks real clips with 1 and padding with 0,
-always as a prefix of ones. Per-window scores merge back into a length-T
+multiples of W/2 (0-indexed): one window when T <= W, else
+ceil((T - W) / (W/2)) + 1, the last being the first to end at or past T.
+So the final window may run beyond the sequence and is padded with zero
+columns. The mask marks real clips with 1 and padding with 0, always as
+a prefix of ones. materialize(features, video_id, W) cuts a (dim, T)
+matrix into those windows; per-window scores merge back into a length-T
 timeline by averaging every window whose real span covers a clip.
 
 Planning and materialization are pure; windows may be scored
@@ -14,7 +16,7 @@ concurrently and merged afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -43,37 +45,26 @@ def real_length(mask) -> int:
 
 
 def plan_windows(num_clips: int, width: int) -> list[tuple[int, int]]:
-    """(start, end) spans at stride width/2; exactly one window if the
-    sequence fits, otherwise windows until one reaches the end."""
+    """(start, end) spans at stride width/2: exactly one window if the
+    sequence fits, otherwise as many as it takes for one to reach the end."""
     if num_clips < 1:
         raise InputError(f"sequence must contain at least one clip, got {num_clips}")
     if width < 2 or width % 2:
         raise ConfigError(f"window width must be even and >= 2, got {width}")
     stride = width // 2
-    spans = []
-    index = 0
-    while True:
-        start = stride * index
-        end = start + width
-        spans.append((start, end))
-        if end >= num_clips:
-            return spans
-        index += 1
+    count = 1 if num_clips <= width else -(-(num_clips - width) // stride) + 1
+    return [(stride * index, stride * index + width) for index in range(count)]
 
 
-def materialize(features: np.ndarray, video_id: str,
-                plan: Sequence[tuple[int, int]]) -> list[Window]:
-    """Cut planned windows out of a (dim, T) feature matrix, zero-padding
-    and masking positions past the end of the sequence."""
+def materialize(features: np.ndarray, video_id: str, width: int) -> list[Window]:
+    """Cut a (dim, T) feature matrix into the windows plan_windows(T, width)
+    spans, zero-padding and masking positions past the end of the sequence."""
     feats = np.ascontiguousarray(features, dtype=np.float64)
     if feats.ndim != 2:
         raise InputError(f"features must be a (dim, num_clips) matrix, got shape {feats.shape}")
     dim, total = feats.shape
     windows = []
-    for start, end in plan:
-        if not 0 <= start < total:
-            raise InputError(f"window start {start} lies outside the {total}-clip sequence")
-        width = end - start
+    for start, end in plan_windows(total, width):
         real = min(end, total) - start
         cols = np.zeros((dim, width))
         cols[:, :real] = feats[:, start:start + real]

@@ -191,7 +191,7 @@ def test_criterion_4_windowing():
                 if i + 1 < len(plan):
                     assert end < total
             feats = np.arange(3 * total, dtype=float).reshape(3, total)
-            windows = materialize(feats, "v", plan)
+            windows = materialize(feats, "v", width)
             coverage = np.zeros(total, dtype=int)
             for window in windows:
                 real = int(window.mask.sum())

@@ -398,6 +398,13 @@ class TestEvaluate:
         with pytest.raises(InputError, match="video 'b'"):
             evaluation.evaluate(pred, gt, frames_per_clip=1)
 
+    @pytest.mark.parametrize("threshold", [np.nan, 0.0, 1.0, -0.5, 1.5, np.inf])
+    def test_threshold_outside_open_unit_interval_rejected(self, threshold):
+        with pytest.raises(InputError) as info:
+            evaluation.evaluate({"a": np.array([0.1, 0.9])}, {"a": segments_from_labels([0, 1])},
+                                frames_per_clip=1, threshold=threshold)
+        assert str(info.value) == f"threshold must lie in (0, 1), got {threshold}"
+
     def test_unit_interval_endpoints_accepted(self):
         report = evaluation.evaluate({"a": np.array([0.0, 1.0])},
                                      {"a": segments_from_labels([0, 1])}, frames_per_clip=1)

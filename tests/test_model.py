@@ -295,6 +295,12 @@ class TestScoreSequence:
         direct = model.forward(params, window)[-1].value.ravel()
         np.testing.assert_array_equal(model.score_sequence(params, feats), direct)
 
+    def test_features_that_are_not_a_matrix_rejected(self):
+        params = model.build(small_config(), seed=7)
+        with pytest.raises(InputError) as info:
+            model.score_sequence(params, np.zeros(4))
+        assert str(info.value) == "features must be a (dim, num_clips) matrix, got shape (4,)"
+
 
 @st.composite
 def stack_cases(draw):
@@ -327,9 +333,8 @@ class TestStackedForward:
         config, total, seed = case
         params = model.build(config, seed=seed % 1000)
         features = np.random.default_rng(seed).normal(size=(config.input_dim, total))
-        plan = windowing.plan_windows(total, config.window_width)
         scored = [(window.start_clip, window.mask, model.forward(params, window)[-1].value.ravel())
-                  for window in windowing.materialize(features, "", plan)]
+                  for window in windowing.materialize(features, "", config.window_width)]
         expected = windowing.merge_scores(scored, total)
         assert model.score_sequence(params, features).tobytes() == expected.tobytes()
 

@@ -285,12 +285,24 @@ class TestTrain:
         # the dataset is read in one pass, so the earlier faulty sequence is named
         ([(np.zeros((8, 10)), np.zeros(3)), (np.zeros((5, 10)), np.zeros(10))],
          "sequence 0: 10 clips but 3 labels"),
+        ([(np.zeros((8, 10)), np.zeros((10, 1)))],
+         "sequence 0: 10 clips but labels of shape (10, 1)"),
+        ([(np.zeros((8, 10)), np.full(10, 3))], "sequence 0: clip labels must be 0 or 1"),
+        ([(np.zeros((8, 10)), np.zeros(10)),
+          (np.zeros((8, 10)), np.array([0, 1] * 4 + [-1, np.nan]))],
+         "sequence 1: clip labels must be 0 or 1"),
     ])
     def test_faulty_sequence_named(self, dataset, message):
         with pytest.raises(InputError) as info:
             training.train(dataset, model.ADNetConfig(**SMALL_MODEL),
                            TrainConfig(seed=0, epochs=1))
         assert str(info.value) == message
+
+    def test_features_that_are_not_a_matrix_rejected(self):
+        with pytest.raises(InputError) as info:
+            training.train([(np.zeros(8), np.zeros(8))], model.ADNetConfig(**SMALL_MODEL),
+                           TrainConfig(seed=0, epochs=1))
+        assert str(info.value) == "features must be a (dim, num_clips) matrix, got shape (8,)"
 
     def test_resume_with_another_model_config_rejected(self):
         cfg = model.ADNetConfig(**SMALL_MODEL)

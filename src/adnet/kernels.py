@@ -1,7 +1,9 @@
 """The dilated convolution kernels, the hot loop of training and inference.
 
 One BLAS matmul per kernel tap over a zero-padded copy of the input.
-Both kernels expect C-contiguous float64 arrays.
+Both kernels expect C-contiguous arrays of one dtype. The forward kernel
+computes in its input's dtype, float32 when scoring and float64 when
+training; the backward kernel, training's only, in float64.
 
 The forward kernel also runs a stack of B equal-width windows: x holds
 their channels one window after another, (B*Cin, T), and y comes back the
@@ -29,11 +31,11 @@ def conv1d_dilated_fwd(x, w, b, dilation):
     rows, t = x.shape
     cout, cin, k = w.shape
     pad = (k // 2) * dilation
-    xp = np.zeros((rows, t + 2 * pad))
+    xp = np.zeros((rows, t + 2 * pad), dtype=x.dtype)
     xp[:, pad:pad + t] = x
     xp = xp.reshape(rows // cin, cin, t + 2 * pad)
     taps = np.ascontiguousarray(w.transpose(2, 0, 1))  # (K, Cout, Cin), read once
-    y = np.empty((rows // cin, cout, t))
+    y = np.empty((rows // cin, cout, t), dtype=x.dtype)
     y[:] = b[:, None]
     product = np.empty_like(y)
     for j in range(k):

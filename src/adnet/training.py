@@ -304,9 +304,11 @@ def train(dataset: Sequence[tuple[np.ndarray, np.ndarray]],
 
 def _check_scores_finite(params: ModelParams, items, feature_bound: float, epochs: int) -> None:
     """Raise NumericError when the parameters give a non-finite score on a
-    training window. Scoring every window costs about a fifth of an epoch,
-    so it runs only when the cheap activation bound exceeds 1e300."""
-    if architecture.activation_bound(params, feature_bound) <= 1e300:
+    training window, scored in float32 as infer scores. Scoring every
+    window costs a fraction of an epoch, so it runs only when the cheap
+    activation bound exceeds float32's largest value: below it, no float32
+    value of the scoring forward can overflow."""
+    if architecture.activation_bound(params, feature_bound) <= float(np.finfo(np.float32).max):
         return
     for _, scores in architecture.score_windows(params, [window for window, _ in items]):
         if not np.all(np.isfinite(scores)):

@@ -70,7 +70,9 @@ def end_to_end_gradient_error(seed, h=1e-6, coords_per_draw=12):
     window = Window(features=feats, mask=mask, video_id="g", start_clip=0)
     train_cfg = training.TrainConfig(seed=0, epochs=1)
 
-    def loss(saved=None):
+    def loss(saved):
+        # a saved list selects the float64 training forward, the one that
+        # backward differentiates; the scoring forward computes in float32
         scores = [out.value for out in model.forward(params, window, saved)]
         return training.window_loss(scores, targets, mask, train_cfg)
 
@@ -89,9 +91,9 @@ def end_to_end_gradient_error(seed, h=1e-6, coords_per_draw=12):
         index = int(rng.integers(flat.size))
         original = flat[index]
         flat[index] = original + h
-        upper = loss()[0]
+        upper = loss([])[0]
         flat[index] = original - h
-        lower = loss()[0]
+        lower = loss([])[0]
         flat[index] = original
         numeric = (upper - lower) / (2 * h)
         worst = max(worst, abs(grad[index] - numeric) / scale)

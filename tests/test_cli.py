@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from adnet import cli, io as storage, model, numerics, synth as generator
+from adnet import cli, io as storage, model, numerics, synth as generator, windowing
 from adnet.errors import FormatError
 from adnet.io import Checkpoint, ClipFeatureSequence
 from adnet.model import ADNetConfig
@@ -1676,6 +1676,63 @@ class TestOverflowingCheckpoint:
                       "checkpoint": str(overflowing)}})
         assert adnet_subprocess(["train", "--config", config, "--resume"]) == (
             3, "adnet: numeric failure: non-finite loss at epoch 3\n")
+
+
+class TestFloat32Overflow:
+    """Scoring computes in float32. A value that float64 holds but float32
+    overflows is a numeric failure of infer, and of train, whose last check
+    scores as infer does; stderr is the one numeric-failure line."""
+
+    @staticmethod
+    def scaled(pipeline, tmp_path, factor):
+        """The pipeline's checkpoint with every weight times factor."""
+        root, _, _ = pipeline
+        ckpt = storage.load_checkpoint(root / "model.adnc")
+        ckpt.params.flat *= factor
+        storage.save_checkpoint(ckpt, tmp_path / "scaled.adnc")
+        return tmp_path / "scaled.adnc", ckpt.params
+
+    @staticmethod
+    def largest_float64_activation(params, features):
+        saved = []
+        for window in windowing.materialize(features, "", params.config.window_width):
+            model.forward(params, window, saved)
+        return max(np.abs(value).max() for stage in saved
+                   for value in (stage.head_input, *(v for block in stage.blocks for v in block)))
+
+    def test_train_resume(self, pipeline, tmp_path):
+        # weights times 1e6: every float64 activation stays finite, but the
+        # largest passes float32's range; a guard against float64 overflow
+        # alone would exit 0 with a checkpoint that infer cannot score
+        _, corpus, _ = pipeline
+        checkpoint, params = self.scaled(pipeline, tmp_path, 1e6)
+        before = checkpoint.read_bytes()
+        features = storage.read_features(corpus / "features" / "video_000.adnf").features
+        assert np.finfo(np.float32).max < self.largest_float64_activation(params, features) < 1e300
+        config = write_config(tmp_path / "c.json", {
+            "model": SMALL_MODEL, "train": {"epochs": 1, "seed": 3},
+            "paths": {"features_dir": str(corpus / "features"),
+                      "annotations_dir": str(corpus / "annotations"),
+                      "checkpoint": str(checkpoint)}})
+        assert adnet_subprocess(["train", "--config", config, "--resume"]) == (
+            3, "adnet: numeric failure: non-finite score on the training windows after 4 epochs\n")
+        assert checkpoint.read_bytes() == before
+
+    def test_infer(self, pipeline, tmp_path):
+        # weights times 10 score the corpus, but finite float32 features near
+        # 1e36 take float64 activations past float32's range
+        _, corpus, _ = pipeline
+        checkpoint, params = self.scaled(pipeline, tmp_path, 10.0)
+        ordinary = storage.read_features(corpus / "features" / "video_000.adnf").features
+        assert np.all(np.isfinite(model.score_sequence(params, ordinary)))
+        features = np.random.default_rng(0).normal(size=(5, 12)) * 1e36
+        assert np.finfo(np.float32).max < self.largest_float64_activation(params, features) < 1e300
+        path = tmp_path / "loud.adnf"
+        storage.write_features(ClipFeatureSequence("loud", features), path)
+        assert adnet_subprocess(["infer", "--checkpoint", str(checkpoint), "--features", str(path),
+                                 "--out", str(tmp_path / "pred")]) == (
+            3, "adnet: numeric failure: non-finite score for video loud\n")
+        assert not (tmp_path / "pred" / "loud.json").exists()
 
 
 class TestCorruptCheckpointValues:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adnet import model, training, windowing
+from adnet import model, synth, training, windowing
 from adnet.errors import ConfigError, InputError, InternalError
 from adnet.model import ADNetConfig
 from adnet.numerics import Tape
@@ -253,9 +253,37 @@ class TestGolden:
         params = model.build(cfg, seed=42)
         rng = np.random.default_rng(42)
         window = random_window(rng, cfg, real=6)
-        outputs = model.forward(params, window)
+        outputs = model.forward(params, window, [])
         np.testing.assert_allclose(outputs[0].value.ravel(), GOLDEN_STAGE0, atol=1e-12)
         np.testing.assert_allclose(outputs[1].value.ravel(), GOLDEN_STAGE1, atol=1e-12)
+        # the scoring forward runs in float32, whose values carry about 7
+        # digits; masked columns stay exactly 0
+        scored = model.forward(params, window)
+        np.testing.assert_allclose(scored[0].value.ravel(), GOLDEN_STAGE0, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(scored[1].value.ravel(), GOLDEN_STAGE1, rtol=0, atol=1e-6)
+        assert not scored[1].value.ravel()[6:].any()
+
+
+class TestScoringPrecision:
+    def test_float32_scores_of_a_trained_model_stay_within_1e_6(self):
+        # the default geometry, trained for 3 epochs: score_sequence, which
+        # computes in float32, against the float64 training forward merged
+        # the same way (over the README round trip the largest difference
+        # is 8.7e-8)
+        corpus = synth.generate(synth.SynthConfig(num_videos=6, clips_min=40, clips_max=150,
+                                                  seed=5))
+        dataset = [(video.features.features, video.clip_labels) for video in corpus[:3]]
+        cfg = ADNetConfig(input_dim=16)
+        params = training.train(dataset, cfg, training.TrainConfig(seed=5, epochs=3)).params
+        for video in corpus[3:]:
+            features = video.features.features
+            windows = windowing.materialize(features, "", cfg.window_width)
+            exact = windowing.merge_scores(
+                [(window.start_clip, window.mask,
+                  model.forward(params, window, [])[-1].value.ravel()) for window in windows],
+                features.shape[1])
+            scores = model.score_sequence(params, features)
+            assert 0 < np.max(np.abs(scores - exact)) <= 1e-6
 
 
 class TestPredictLabels:

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adnet import io as storage
-from adnet import model, numerics, synth, training
+from adnet import kernels, model, numerics, synth, training
 from adnet.errors import ConfigError, InputError, NumericError
 from adnet.evaluation import TemporalSegment, segments_from_labels
 from adnet.numerics import Tape, Tensor
@@ -429,6 +429,44 @@ class TestScoreCheck:
         values = np.concatenate([output.value.ravel() for output, _ in tape._steps])
         bound = model.activation_bound(params, float(np.abs(features).max()))
         assert bound == math.inf or np.all(np.abs(values) <= bound)
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_activation_bound_covers_every_float32_value(self, seed):
+        # weights scaled by up to 1e13, on either side of float32's range:
+        # every conv input and output and every head output of the scoring
+        # forward must lie within the bound, so a bound within float32's
+        # range leaves every score finite
+        rng = np.random.default_rng(seed)
+        width = int(rng.choice([4, 8]))
+        cfg = model.ADNetConfig(
+            window_width=width, num_stages=int(rng.integers(1, 4)),
+            num_layers=int(rng.integers(1, model.max_layers(width, 3) + 1)),
+            input_dim=int(rng.integers(1, 5)), hidden_channels=int(rng.integers(1, 17)))
+        params = model.build(cfg, seed=int(rng.integers(1000)))
+        for tensor in params:
+            tensor.value *= 10.0 ** rng.uniform(0, 13) * rng.choice([-1, 1])
+        features = rng.normal(size=(cfg.input_dim, width)) * 10.0 ** rng.uniform(-3, 3)
+        bound = model.activation_bound(params, float(np.abs(features).max()))
+        values = []
+        conv, logistic = kernels.conv1d_dilated_fwd, numerics.logistic
+
+        def recorded_conv(x, *args):
+            values.extend([x, conv(x, *args)])
+            return values[-1]
+
+        def recorded_logistic(v):
+            values.append(v)
+            return logistic(v)
+
+        with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+            patch.setattr(kernels, "conv1d_dilated_fwd", recorded_conv)
+            patch.setattr(numerics, "logistic", recorded_logistic)
+            scores = model.forward(params, Window(features, np.ones(width), "b", 0))
+        assert all(value.dtype == np.float32 for value in values)
+        if bound <= float(np.finfo(np.float32).max):
+            assert all(np.all(np.abs(value) <= bound) for value in values)
+            assert all(np.all(np.isfinite(stage.value)) for stage in scores)
 
     def test_bound_of_a_trained_model_skips_the_exact_forward(self, monkeypatch):
         dataset = separable_dataset(num_videos=2)

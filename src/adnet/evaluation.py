@@ -270,15 +270,17 @@ class EvalReport:
 
 
 def check_ks(ks: Sequence[int]) -> tuple[int, ...]:
-    """The IoU percentages as a tuple of integers; raises InputError unless
-    each lies in (0, 100] and none repeats."""
-    ks = tuple(int(k) for k in ks)
+    """The IoU percentages as a tuple of ints; raises InputError unless each
+    is an integer, not a bool, in (0, 100] and none repeats."""
+    ks = tuple(ks)
     for index, k in enumerate(ks):
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise InputError(f"k must be an integer, got {k}")
         if not 0 < k <= 100:
             raise InputError(f"k must lie in (0, 100], got {k}")
         if k in ks[:index]:
             raise InputError(f"k {k} is given twice")
-    return ks
+    return tuple(map(int, ks))
 
 
 def evaluate(pred_clip_scores: Mapping[str, np.ndarray],

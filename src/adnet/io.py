@@ -1,9 +1,9 @@
 """On-disk formats: clip features, annotations, and checkpoints.
 
 All binary formats are little-endian regardless of host. Feature payloads
-are 32-bit floats on disk (matching common extractor output) widened to
-64-bit in memory; checkpoint tensors are stored at full 64-bit precision
-so load(save(params)) is bit-exact. Writers go through a temp file plus
+are 32-bit floats on disk (matching common extractor output) and in
+memory; checkpoint tensors are stored at full 64-bit precision so
+load(save(params)) is bit-exact. Writers go through a temp file plus
 rename; readers are reentrant.
 
 Feature file layout:  "ADNF" | u32 version=1 | u32 num_clips | u32 dim |
@@ -98,6 +98,7 @@ def write_features(seq: ClipFeatureSequence, path) -> None:
 
 
 def read_features(path, expect_dim: int | None = None) -> ClipFeatureSequence:
+    """The features as stored: a read-only float32 view of the payload."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -126,8 +127,7 @@ def read_features(path, expect_dim: int | None = None) -> ClipFeatureSequence:
     bad = np.flatnonzero(~np.isfinite(raw))
     if bad.size:
         raise FormatError(path, "non-finite feature value", offset=16 + 4 * int(bad[0]))
-    features = raw.reshape(num_clips, dim).T.astype(np.float64)
-    return ClipFeatureSequence(video_id=Path(path).stem, features=features)
+    return ClipFeatureSequence(video_id=Path(path).stem, features=raw.reshape(num_clips, dim).T)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,8 @@
 """The dilated convolution kernels, the hot loop of training and inference.
 
 One BLAS matmul per kernel tap over a zero-padded copy of the input.
-Both kernels expect C-contiguous arrays of one dtype. The forward kernel
-computes in its input's dtype, float32 when scoring and float64 when
-training; the backward kernel, training's only, in float64.
+Both kernels expect C-contiguous arrays of one dtype and compute in it:
+float32 when scoring, float64 when training.
 
 The forward kernel also runs a stack of B equal-width windows: x holds
 their channels one window after another, (B*Cin, T), and y comes back the
@@ -47,9 +46,9 @@ def conv1d_dilated_bwd(x, w, gy, dilation):
     cin, t = x.shape
     cout, _, k = w.shape
     pad = (k // 2) * dilation
-    xp = np.zeros((cin, t + 2 * pad))
+    xp = np.zeros((cin, t + 2 * pad), dtype=x.dtype)
     xp[:, pad:pad + t] = x
-    gx = np.zeros((cin, t))
+    gx = np.zeros((cin, t), dtype=x.dtype)
     gw = np.empty_like(w)
     for j in range(k):
         lo = j * dilation

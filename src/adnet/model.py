@@ -17,11 +17,11 @@ list of windows BLOCK at a time.
 
 Scoring computes in float32 and training in float64. forward without a
 saved list, the scoring forward that score_windows, score_sequence and
-infer call, casts the parameter vector and the windows to float32 once
-per call: a float32 product moves half the bytes, and BLAS runs it about
-twice as fast. On the trained models measured, no score moved by 1e-7
-from its float64 value. The training forward, backward, Adam and
-checkpoints stay float64.
+infer call, casts the parameters to float32 once per call and stacks the
+windows into float32: a float32 product moves half the bytes, and BLAS
+runs it about twice as fast. On the trained models measured, no score
+moved by 1e-7 from its float64 value. The training forward, backward,
+Adam and checkpoints stay float64.
 
 The architecture is fixed, so its gradient is written out by hand:
 forward keeps the activations that backward reads, and backward walks the
@@ -39,7 +39,7 @@ from typing import Iterator
 import numpy as np
 
 from . import evaluation, kernels, numerics, windowing
-from .errors import ConfigError, InternalError
+from .errors import ConfigError, InputError, InternalError
 from .numerics import Tensor
 from .windowing import Window
 
@@ -183,12 +183,12 @@ class StageActivations:
     mask: np.ndarray | None       # the window's, as forward checked it; None when unpadded
 
 
-def _inputs(windows: Window | list[Window],
-            config: ADNetConfig) -> tuple[np.ndarray, np.ndarray | None]:
-    """The features and the float64 mask of a list of windows as (B, D0, W)
-    and (B, 1, W) stacks, or of one window as (D0, W) and (1, W), the stacks
-    without their batch axis. The mask is None when no window is padded:
-    x * 1.0 is x bit for bit, so such a stack skips the masking."""
+def _inputs(windows: Window | list[Window], config: ADNetConfig,
+            dtype) -> tuple[np.ndarray, np.ndarray | None]:
+    """The features and the mask of a list of windows as (B, D0, W) and
+    (B, 1, W) stacks in dtype, the one place where windows change dtype,
+    or of one window without the batch axis. The mask is None when no
+    window is padded: x * 1.0 is x bit for bit, so the masking is skipped."""
     group = [windows] if isinstance(windows, Window) else windows
     if not group:
         raise ConfigError("forward needs at least one window")
@@ -200,15 +200,15 @@ def _inputs(windows: Window | list[Window],
         if window.mask.shape != (config.window_width,):
             raise ConfigError(f"window mask has shape {window.mask.shape}, "
                               f"model expects ({config.window_width},)")
-    features = np.stack([window.features for window in group]).astype(np.float64, copy=False)
-    mask = np.stack([window.mask for window in group]).astype(np.float64, copy=False)[:, None]
+    features = np.stack([window.features for window in group], dtype=dtype)
+    mask = np.stack([window.mask for window in group], dtype=np.float64)[:, None]
     if isinstance(windows, Window):
         features, mask = features[0], mask[0]
     if np.all(mask == 1.0):
         return features, None
     if not np.all((mask == 0.0) | (mask == 1.0)):
         raise ConfigError("mask entries must be 0 or 1")
-    return features, mask
+    return features, mask.astype(dtype, copy=False)
 
 
 def forward(params: ModelParams, windows: Window | list[Window],
@@ -219,15 +219,13 @@ def forward(params: ModelParams, windows: Window | list[Window],
     what forward gives that window alone. With saved, the training
     forward: it computes in float64, and each stage appends what backward
     reads of it, the mask too; backward reads one window's. Without saved,
-    the scoring forward: it computes on float32 copies of the parameters
-    and of the checked windows, and its float64 tensors hold float32
-    values."""
+    the scoring forward: it computes in float32, on a float32 copy of the
+    parameters and a float32 stack of the windows, and its float64 tensors
+    hold float32 values."""
     cfg = params.config
-    current, mask = _inputs(windows, cfg)
+    current, mask = _inputs(windows, cfg, np.float32 if saved is None else np.float64)
     if saved is None:
         t = views(cfg, params.flat.astype(np.float32))
-        current = current.astype(np.float32)
-        mask = None if mask is None else mask.astype(np.float32)
     else:
         t = {name: tensor.value for name, tensor in params.tensors.items()}
     outputs: list[Tensor] = []
@@ -345,8 +343,10 @@ def activation_bound(params: ModelParams, feature_bound: float) -> float:
 
 
 def predict_labels(scores, threshold: float) -> np.ndarray:
-    """Binary labels from scores; a score equal to the threshold counts as
-    abnormal (closed upper set)."""
+    """Binary labels from scores; a score equal to the threshold, which
+    must lie in (0, 1), counts as abnormal (closed upper set)."""
+    if not 0.0 < threshold < 1.0:
+        raise InputError(f"threshold must lie in (0, 1), got {threshold}")
     values = evaluation.check_scores(scores, "predict_labels")
     return (values >= threshold).astype(np.int64)
 
@@ -364,8 +364,7 @@ def score_sequence(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """Score a whole T-clip sequence: cut it into half-overlapping windows,
     score them (score_windows), and average overlaps back into one
     timeline."""
-    feats = np.asarray(features, dtype=np.float64)
-    windows = windowing.materialize(feats, "", params.config.window_width)
+    windows = windowing.materialize(features, "", params.config.window_width)
     scored = [(window.start_clip, window.mask, scores.ravel())
               for window, scores in score_windows(params, windows)]
-    return windowing.merge_scores(scored, feats.shape[1])
+    return windowing.merge_scores(scored, np.shape(features)[1])

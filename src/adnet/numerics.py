@@ -144,13 +144,10 @@ def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
 
 
 def logistic(v: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-v)), branched on sign so exp never overflows."""
-    y = np.empty_like(v)
-    pos = v >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    y[~pos] = ev / (1.0 + ev)
-    return y
+    """1 / (1 + exp(-v)), as 1 / (1 + e) or e / (1 + e) by the sign of v
+    with e = exp(-|v|), which never overflows."""
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1 / (1 + e), e / (1 + e))
 
 
 def sigmoid(x: Tensor, tape: Tape | None = None) -> Tensor:

@@ -64,7 +64,9 @@ def clip_labels(segments: Sequence[evaluation.TemporalSegment], frames_per_clip:
                 num_clips: int, fraction: float = 0.5) -> np.ndarray:
     """Clip labels from the segments that partition a video's frames: a
     clip (evaluation.clip_edges) is abnormal when its abnormal-frame share
-    reaches the fraction (>=, so an exact tie is abnormal)."""
+    reaches the fraction, in (0, 1] (>=, so an exact tie is abnormal)."""
+    if not 0.0 < fraction <= 1.0:
+        raise InputError(f"fraction must lie in (0, 1], got {fraction}")
     edges = evaluation.clip_edges(num_clips, frames_per_clip,
                                   evaluation.partition_extent(segments, "annotation"))
     starts, ends, labels = evaluation.segment_runs(segments)
@@ -223,16 +225,16 @@ class TrainResult:
 
 
 def _window_items(dataset, config: ADNetConfig):
-    """All (window, padded targets) pairs across the dataset, and the
-    largest |feature| among the windows; InputError names the first
-    sequence of a wrong feature dim, label count or label value."""
+    """All (window, targets) pairs across the dataset, views into one
+    zero-padded copy of each sequence's features and labels, and the
+    largest |feature|, which the zero padding leaves as it is; InputError
+    names the first sequence of a wrong feature dim, label count or value."""
     items = []
     feature_bound = 0.0
     for index, (features, labels) in enumerate(dataset):
-        feats = np.asarray(features, dtype=np.float64)
-        windows = windowing.materialize(feats, f"seq{index}", config.window_width)
+        windows = windowing.materialize(features, f"seq{index}", config.window_width)
         labs = np.asarray(labels)
-        dim, total = feats.shape
+        dim, total = np.shape(features)
         if dim != config.input_dim:
             raise InputError(f"sequence {index} has feature dim {dim}, model "
                              f"expects {config.input_dim}")
@@ -241,12 +243,11 @@ def _window_items(dataset, config: ADNetConfig):
             raise InputError(f"sequence {index}: {total} clips but {got}")
         if not np.isin(labs, (0, 1)).all():
             raise InputError(f"sequence {index}: clip labels must be 0 or 1")
-        for window in windows:
-            real = int(window.mask.sum())
-            targets = np.zeros(config.window_width)
-            targets[:real] = labs[window.start_clip:window.start_clip + real]
-            items.append((window, targets))
-            feature_bound = max(feature_bound, float(np.abs(window.features).max()))
+        targets = np.zeros(windows[-1].start_clip + config.window_width)
+        targets[:total] = labs
+        items += [(window, targets[window.start_clip:window.start_clip + config.window_width])
+                  for window in windows]
+        feature_bound = max(feature_bound, float(np.abs(features).max()))
     return items, feature_bound
 
 

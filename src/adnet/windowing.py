@@ -6,8 +6,9 @@ ceil((T - W) / (W/2)) + 1, the last being the first to end at or past T.
 So the final window may run beyond the sequence and is padded with zero
 columns. The mask marks real clips with 1 and padding with 0, always as
 a prefix of ones. materialize(features, video_id, W) cuts a (dim, T)
-matrix into those windows; per-window scores merge back into a length-T
-timeline by averaging every window whose real span covers a clip.
+matrix into those windows, views into one padded copy; per-window scores
+merge back into a length-T timeline by averaging every window whose real
+span covers a clip.
 
 Planning and materialization are pure; windows may be scored
 concurrently and merged afterwards.
@@ -27,7 +28,7 @@ from .errors import ConfigError, InputError, InternalError
 class Window:
     """One fixed-width slice of a video's clip features."""
 
-    features: np.ndarray  # (dim, width) float64, zero columns where padded
+    features: np.ndarray  # (dim, width) in the features' dtype, zero columns where padded
     mask: np.ndarray      # (width,) float64 of {0,1}, ones prefix
     video_id: str
     start_clip: int
@@ -57,21 +58,21 @@ def plan_windows(num_clips: int, width: int) -> list[tuple[int, int]]:
 
 
 def materialize(features: np.ndarray, video_id: str, width: int) -> list[Window]:
-    """Cut a (dim, T) feature matrix into the windows plan_windows(T, width)
-    spans, zero-padding and masking positions past the end of the sequence."""
-    feats = np.ascontiguousarray(features, dtype=np.float64)
+    """The windows plan_windows(T, width) spans of a (dim, T) matrix: read-only
+    views into one copy of it, in its dtype, zero-padded past its end, and
+    into one mask vector."""
+    feats = np.asarray(features)
     if feats.ndim != 2:
         raise InputError(f"features must be a (dim, num_clips) matrix, got shape {feats.shape}")
     dim, total = feats.shape
-    windows = []
-    for start, end in plan_windows(total, width):
-        real = min(end, total) - start
-        cols = np.zeros((dim, width))
-        cols[:, :real] = feats[:, start:start + real]
-        mask = np.zeros(width)
-        mask[:real] = 1.0
-        windows.append(Window(features=cols, mask=mask, video_id=video_id, start_clip=start))
-    return windows
+    spans = plan_windows(total, width)
+    padded = np.zeros((dim, spans[-1][1]), dtype=feats.dtype)
+    padded[:, :total] = feats
+    mask = np.zeros(spans[-1][1])
+    mask[:total] = 1.0
+    padded.flags.writeable = mask.flags.writeable = False
+    return [Window(features=padded[:, start:end], mask=mask[start:end], video_id=video_id,
+                   start_clip=start) for start, end in spans]
 
 
 def merge_scores(per_window: Iterable[tuple[int, np.ndarray, np.ndarray]],

@@ -16,7 +16,11 @@ where the library counts them between clip edges from the segments.
 every window, padded or not; `taped_train` is the training loop on it,
 with the tape's generic backward and `adam_per_tensor`, Adam one tensor
 at a time, where the library runs the model's own backward and Adam over
-one flat vector in chunks.
+one flat vector in chunks. `logistic_by_mask` is the logistic branched
+on the sign through boolean masks, where the library selects with
+np.where; `padded_windows` cuts a video into windows the way the
+benchmark's reference does, a zero-padded float64 copy per window, where
+the library makes views into one padded copy.
 """
 
 import math
@@ -26,6 +30,7 @@ import numpy as np
 from adnet import evaluation, model, numerics, training
 from adnet.evaluation import TemporalSegment
 from adnet.numerics import Tape, Tensor
+from adnet.windowing import Window
 
 
 def _iou(a: TemporalSegment, b: TemporalSegment) -> float:
@@ -222,6 +227,34 @@ def masked_forward(params, window, tape=None):
         outputs.append(scores)
         current = scores
     return outputs
+
+
+def logistic_by_mask(v):
+    """1 / (1 + exp(-v)) computed on the non-negative and the negative
+    entries of v apart, so that exp never overflows."""
+    y = np.empty_like(v)
+    pos = v >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    y[~pos] = ev / (1.0 + ev)
+    return y
+
+
+def padded_windows(features, width):
+    """The windows of a (dim, T) matrix at stride width/2, each a new
+    zero-padded float64 copy, until one reaches the end."""
+    dim, total = features.shape
+    windows = []
+    for start in range(0, total, width // 2):
+        real = min(width, total - start)
+        cols = np.zeros((dim, width))
+        cols[:, :real] = features[:, start:start + real]
+        mask = np.zeros(width)
+        mask[:real] = 1.0
+        windows.append(Window(features=cols, mask=mask, video_id="", start_clip=start))
+        if start + width >= total:
+            break
+    return windows
 
 
 def adam_per_tensor(tensors, first_moment, second_moment, state):

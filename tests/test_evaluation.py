@@ -483,6 +483,22 @@ class TestEvaluate:
             evaluation.evaluate({"a": np.array([0.1, 0.9])}, {"a": segments_from_labels([0, 1])},
                                 1, ks=(10, 25, 10))
 
+    @pytest.mark.parametrize("ks, bad", [([10.5, 25.9], "10.5"), ([10, True], "True"),
+                                         ([50.0], "50.0"), ([np.float64(25.0)], "25.0")])
+    def test_k_that_is_not_an_integer_rejected(self, ks, bad):
+        with pytest.raises(InputError) as info:
+            evaluation.check_ks(ks)
+        assert str(info.value) == f"k must be an integer, got {bad}"
+
+    def test_evaluate_rejects_a_fractional_k(self):
+        with pytest.raises(InputError, match="^k must be an integer, got 50.7$"):
+            evaluation.evaluate({"a": np.array([0.1, 0.9])}, {"a": segments_from_labels([0, 1])},
+                                1, ks=[50.7])
+
+    def test_numpy_integer_ks_accepted(self):
+        ks = evaluation.check_ks(np.array([10, 50]))
+        assert ks == (10, 50) and all(type(k) is int for k in ks)
+
 
 @st.composite
 def shifted_timelines(draw):

@@ -33,6 +33,17 @@ class TestFeatureFiles:
         assert back.video_id == "vid"
         np.testing.assert_array_equal(back.features, seq.features)
 
+    def test_features_come_back_as_stored(self, tmp_path):
+        # float32, read-only, with no copy widened to float64
+        rng = np.random.default_rng(1)
+        written = rng.normal(size=(5, 12)).astype(np.float32)
+        path = tmp_path / "v.adnf"
+        storage.write_features(ClipFeatureSequence("v", written), path)
+        features = storage.read_features(path).features
+        assert features.dtype == np.float32 and features.shape == (5, 12)
+        assert not features.flags.writeable
+        assert features.tobytes() == written.tobytes()
+
     def test_exact_bytes(self, tmp_path):
         # clip-major little-endian f32 payload behind a 16-byte header
         seq = ClipFeatureSequence("v", np.array([[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]]))

@@ -9,7 +9,7 @@ from adnet.model import ADNetConfig
 from adnet.numerics import Tape
 from adnet.windowing import Window
 
-from _oracles import masked_forward
+from _oracles import masked_forward, padded_windows
 
 
 def locality_radius(num_stages: int, num_layers: int, kernel_size: int) -> int:
@@ -305,6 +305,12 @@ class TestPredictLabels:
         with pytest.raises(InputError):
             model.predict_labels([0.2, np.nan], 0.5)
 
+    @pytest.mark.parametrize("threshold", [np.nan, 1.5, -1.0, 0.0, 1.0])
+    def test_threshold_outside_the_open_unit_interval_rejected(self, threshold):
+        with pytest.raises(InputError) as info:
+            model.predict_labels([0.2, 0.9], threshold)
+        assert str(info.value) == f"threshold must lie in (0, 1), got {threshold}"
+
 
 class TestScoreSequence:
     def test_single_clip_sequence(self):
@@ -365,6 +371,25 @@ class TestStackedForward:
                   for window in windowing.materialize(features, "", config.window_width)]
         expected = windowing.merge_scores(scored, total)
         assert model.score_sequence(params, features).tobytes() == expected.tobytes()
+
+    @given(st.sampled_from([8, 32]), st.sampled_from(["one", "half", "width", "width+1", "long"]),
+           st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_scores_do_not_depend_on_the_feature_dtype(self, width, length, dtype, seed):
+        # the stack is where the windows become float32, so float32
+        # features, their float64 copy and a zero-padded float64 copy per
+        # window all score the same bits
+        config = small_config(window_width=width, num_layers=3, input_dim=5)
+        total = {"one": 1, "half": width // 2, "width": width, "width+1": width + 1,
+                 "long": 7 * width // 2 + 3}[length]
+        params = model.build(config, seed=seed % 1000)
+        features = np.random.default_rng(seed).normal(size=(5, total)).astype(dtype)
+        other = features.astype(np.float64 if dtype == np.float32 else np.float32)
+        scored = [(window.start_clip, window.mask, model.forward(params, window)[-1].value.ravel())
+                  for window in padded_windows(features, width)]
+        expected = windowing.merge_scores(scored, total).tobytes()
+        assert model.score_sequence(params, features).tobytes() == expected
+        assert model.score_sequence(params, other).tobytes() == expected
 
     @pytest.mark.parametrize("reals", [[8, 8, 8], [5, 8, 0, 8, 1], [3], [8], [2, 7, 4]])
     def test_every_stage_equals_each_window_alone(self, reals):

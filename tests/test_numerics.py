@@ -8,7 +8,7 @@ from adnet.errors import ConfigError, UsageError
 from adnet.numerics import Tape, Tensor
 
 from _gradcheck import max_rel_error, numerical_gradient, run_pullbacks
-from _oracles import adam_per_tensor
+from _oracles import adam_per_tensor, logistic_by_mask
 
 
 def conv_reference(x, w, b, dilation):
@@ -144,6 +144,22 @@ class TestConvBackwardKernel:
         assert gx.tobytes() == padded_input_gradient(w, gy, dilation).tobytes()
         assert gb.tobytes() == gy.sum(axis=1).tobytes()
 
+    @pytest.mark.parametrize("dilation", [1, 4])
+    def test_follows_its_input_dtype(self, dilation):
+        # as the forward kernel does: float32 in, float32 out, within
+        # float32's rounding of the float64 result
+        rng = np.random.default_rng(dilation)
+        x, w, gy = rng.normal(size=(6, 9)), rng.normal(size=(4, 6, 3)), rng.normal(size=(4, 9))
+        exact = kernels.conv1d_dilated_bwd(x, w, gy, dilation)
+        single = kernels.conv1d_dilated_bwd(x.astype(np.float32), w.astype(np.float32),
+                                            gy.astype(np.float32), dilation)
+        for got, want in zip(single, exact):
+            assert got.dtype == np.float32
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+        y = kernels.conv1d_dilated_fwd(x.astype(np.float32), w.astype(np.float32),
+                                       np.zeros(4, dtype=np.float32), dilation)
+        assert y.dtype == np.float32
+
 
 class TestPointwiseConv:
     def test_identity(self):
@@ -180,6 +196,22 @@ class TestElementwise:
         out = numerics.sigmoid(Tensor([[-800.0, 800.0]]))
         assert np.all(np.isfinite(out.value))
         np.testing.assert_allclose(out.value, [[0.0, 1.0]], atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_logistic_equals_the_masked_form_bit_for_bit(self, dtype):
+        # every value but NaN keeps its bits; a NaN stays NaN, though its
+        # sign bit may differ, which no comparison can see
+        rng = np.random.default_rng(0)
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 746.0, -746.0,
+                 88.7, -88.7, 104.0, -104.0, 1e-30, -1e-30]
+        v = np.concatenate([edges, rng.normal(scale=40.0, size=100_000),
+                            rng.normal(scale=1.0, size=100_000)]).astype(dtype)
+        with np.errstate(all="ignore"):
+            got, want = numerics.logistic(v), logistic_by_mask(v)
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        real = ~np.isnan(want)
+        assert got[real].tobytes() == want[real].tobytes()
 
     def test_mask_mul(self):
         out = numerics.mask_mul(Tensor([[5.0, 7.0], [3.0, 9.0]]), [1.0, 0.0])

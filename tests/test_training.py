@@ -67,6 +67,14 @@ class TestClipLabels:
             clip_labels_per_frame(frame_labels(segments), n, fraction))
 
 
+    @pytest.mark.parametrize("fraction", [np.nan, 2.0, 0.0, -1.0])
+    def test_fraction_outside_its_range_rejected(self, fraction):
+        segments = segments_from_labels(np.array([0] * 8 + [1] * 8))
+        with pytest.raises(InputError) as info:
+            training.clip_labels(segments, 4, 4, fraction)
+        assert str(info.value) == f"fraction must lie in (0, 1], got {fraction}"
+
+
 class TestMseLoss:
     def test_perfect_scores(self):
         scores = Tensor(np.array([[0.0, 1.0, 1.0]]))
@@ -324,6 +332,18 @@ class TestTrain:
         for name in first.params.tensors:
             assert np.array_equal(first.params.tensors[name].value,
                                   second.params.tensors[name].value)
+        assert first.log == second.log
+
+    def test_float32_features_train_as_their_float64_copy(self):
+        # the training stack widens float32 windows to float64 exactly
+        single = [(features.astype(np.float32), labels)
+                  for features, labels in separable_dataset(num_videos=3)]
+        double = [(features.astype(np.float64), labels) for features, labels in single]
+        cfg = model.ADNetConfig(**SMALL_MODEL)
+        first = training.train(single, cfg, TrainConfig(seed=3, epochs=2))
+        second = training.train(double, cfg, TrainConfig(seed=3, epochs=2))
+        assert first.params.flat.tobytes() == second.params.flat.tobytes()
+        assert first.adam.second_moment.tobytes() == second.adam.second_moment.tobytes()
         assert first.log == second.log
 
     def test_resume_matches_uninterrupted_run(self):

@@ -80,6 +80,28 @@ class TestMaterialize:
         assert int(tail.mask.sum()) == 36
         np.testing.assert_array_equal(tail.features[:, 36:], np.zeros((3, 28)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_windows_are_read_only_views_into_one_buffer(self, dtype):
+        # one padded copy of the features in their dtype, one mask vector,
+        # and the caller's matrix is not among them
+        feats = np.random.default_rng(2).normal(size=(3, 100)).astype(dtype)
+        windows = windowing.materialize(feats, "v", 64)
+        assert len(windows) == 3
+        for before, after in zip(windows, windows[1:]):  # overlapping by half
+            assert np.shares_memory(before.features, after.features)
+            assert np.shares_memory(before.mask, after.mask)
+        for window in windows:
+            assert window.features.dtype == dtype and window.features.shape == (3, 64)
+            assert window.mask.shape == (64,)
+            assert window.features.base is windows[0].features.base
+            assert window.mask.base is windows[0].mask.base
+            assert not np.shares_memory(window.features, feats)
+            assert not window.features.flags.writeable and not window.mask.flags.writeable
+            real = int(window.mask.sum())
+            np.testing.assert_array_equal(
+                window.features[:, :real], feats[:, window.start_clip:window.start_clip + real])
+            assert not window.features[:, real:].any()
+
     def test_features_that_are_not_a_matrix_rejected(self):
         with pytest.raises(InputError) as info:
             windowing.materialize(np.zeros(4), "v", 4)

@@ -209,7 +209,7 @@ def cmd_train(args) -> int:
     # made before training, so an output path that cannot be a directory
     # fails before the checkpoint is overwritten
     checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
-    if checkpoint_path.is_dir():  # which os.replace would refuse only after training
+    if checkpoint_path.is_dir():  # which save_checkpoint would refuse only after training
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(checkpoint_path))
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -223,7 +223,9 @@ def cmd_train(args) -> int:
                          "mean_ad": entry.mean_ad, "mean_total": entry.mean_total})
              for entry in result.log]
     if log_path is not None:
-        storage.atomic_write_text(log_path, previous_log + "\n".join(lines) + "\n")
+        text = previous_log + "\n".join(lines) + "\n"
+        # renamed over like the checkpoint, for the log holds every earlier epoch
+        storage.atomic_write_bytes(log_path, text.encode("utf-8"), swap=False)
     for line in lines:  # after the log is written, so a closed stdout cannot lose it
         print(line)
     print(f"checkpoint written to {checkpoint_path} "

@@ -3,8 +3,14 @@
 All binary formats are little-endian regardless of host. Feature payloads
 are 32-bit floats on disk (matching common extractor output) and in
 memory; checkpoint tensors are stored at full 64-bit precision so
-load(save(params)) is bit-exact. Writers go through a temp file plus
-rename; readers are reentrant.
+load(save(params)) is bit-exact. Readers are reentrant.
+
+Every writer goes through atomic_write_bytes: a reader sees the whole old
+file or the whole new one, never a missing or partial file. Nothing is
+fsynced. An overwritten checkpoint or training log is renamed over, which
+ext4 writes back first, so a power loss leaves its old or its new bytes;
+any other overwritten file, like any file written to a new name, may be
+empty after a power loss.
 
 Feature file layout:  "ADNF" | u32 version=1 | u32 num_clips | u32 dim |
 num_clips*dim little-endian f32, clip-major.
@@ -24,6 +30,7 @@ import json
 import math
 import os
 import re
+import stat
 import struct
 import tempfile
 import typing
@@ -46,18 +53,66 @@ CHECKPOINT_MAGIC = b"ADNC"
 CHECKPOINT_VERSION = 1
 
 
-def atomic_write_bytes(path, *chunks) -> None:
+def atomic_write_bytes(path, *chunks, swap: bool = True) -> None:
     """Write the chunks (bytes, or C-contiguous arrays as their memory)
-    one after another via a temp file in the same directory, then rename."""
+    one after another to a temp file in the same directory, then commit it
+    in one step that readers see whole. With swap, an existing regular
+    file is exchanged with the temp file, whose name, now holding the old
+    file, is unlinked; anything else (no file, a directory, a symlink, a
+    system that cannot exchange, or swap=False) is renamed over. Nothing
+    is fsynced, and the two commits differ after a power loss: ext4
+    (auto_da_alloc) writes the new data back before a rename over an
+    existing file returns, about 50 ms even for 12 KB, so the old or the
+    new bytes survive, while an exchanged file, like a file written to a
+    new name, may be left empty. So a caller whose file holds work that
+    cannot be remade, a checkpoint or the training log, passes swap=False."""
     target = Path(path)
     fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), prefix=f".{target.name}.")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(chunks)
-        os.replace(tmp, target)
+        swapped = swap and _swap(tmp, target)
+        if not swapped:
+            os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise
+    if swapped:
+        os.unlink(tmp)
+
+
+AT_FDCWD = -100
+RENAME_EXCHANGE = 2
+
+
+@functools.cache  # ctypes is imported and the function bound once per process
+def _renameat2():
+    """The C library's renameat2, or None where there is none."""
+    import ctypes
+    # Windows opens no library for None, and a C library may lack renameat2
+    try:
+        function = ctypes.CDLL(None).renameat2
+    except (OSError, TypeError, AttributeError):
+        return None
+    function.argtypes = (ctypes.c_int, ctypes.c_char_p, ctypes.c_int, ctypes.c_char_p,
+                         ctypes.c_uint)
+    function.restype = ctypes.c_int
+    return function
+
+
+def _swap(tmp, target) -> bool:
+    """Whether tmp and target, a regular file, were exchanged; False
+    leaves both as they were."""
+    try:
+        if not stat.S_ISREG(os.lstat(target).st_mode):  # a link itself, not its referent
+            return False
+    except OSError:  # no such file, which the rename reports if it must
+        return False
+    renameat2 = _renameat2()
+    # an error (EINVAL where the file system cannot exchange, ENOSYS,
+    # ENOENT after a race) leaves the rename to commit or report
+    return renameat2 is not None and renameat2(AT_FDCWD, os.fsencode(tmp), AT_FDCWD,
+                                               os.fsencode(target), RENAME_EXCHANGE) == 0
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -407,7 +462,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     header_bytes = json.dumps(header).encode("utf-8")
     atomic_write_bytes(path, CHECKPOINT_MAGIC,
                        struct.pack("<II", CHECKPOINT_VERSION, len(header_bytes)),
-                       header_bytes, *arrays)
+                       header_bytes, *arrays, swap=False)  # training cannot be remade
 
 
 def _header_config(cls, header: dict, section: str):

@@ -211,6 +211,24 @@ class TestTrain:
         ckpt = storage.load_checkpoint(tmp_path / "m.adnc")
         assert ckpt.epochs_completed == 6
 
+    def test_resume_renames_over_the_checkpoint_and_the_log(self, pipeline, tmp_path, capsys):
+        _, corpus, _ = pipeline
+        config = write_config(tmp_path / "resume.json", {
+            "model": SMALL_MODEL,
+            "train": {"epochs": 1, "seed": 3},
+            "paths": {"features_dir": str(corpus / "features"),
+                      "annotations_dir": str(corpus / "annotations"),
+                      "checkpoint": str(tmp_path / "m.adnc"),
+                      "out_dir": str(tmp_path / "out")},
+        })
+        assert run(capsys, ["train", "--config", config])[0] == 0
+        # a swapped file may be left empty by a power loss, a renamed-over one not on ext4
+        with mock.patch.object(storage, "_swap") as swap:
+            assert run(capsys, ["train", "--config", config, "--resume"])[0] == 0
+        swap.assert_not_called()
+        assert storage.load_checkpoint(tmp_path / "m.adnc").epochs_completed == 2
+        assert len((tmp_path / "out" / "train_log.jsonl").read_text().splitlines()) == 2
+
     def test_undecodable_log_on_resume_leaves_checkpoint_unchanged(self, pipeline, tmp_path,
                                                                      capsys):
         _, corpus, _ = pipeline
@@ -473,6 +491,31 @@ class TestInfer:
         doc = json.loads(next((tmp_path / "pred").glob("*.json")).read_text())
         assert doc["config"]["threshold"] == 0.9
         assert doc["clip_labels"] == [int(s >= 0.9) for s in doc["clip_scores"]]
+
+    def test_document_path_is_a_directory(self, pipeline, tmp_path, capsys):
+        root, corpus, _ = pipeline
+        out = tmp_path / "pred"
+        target = out / "video_001.json"
+        (target / "inside").mkdir(parents=True)
+        code, stdout, err = run(capsys, ["infer", "--checkpoint", str(root / "model.adnc"),
+                                         "--features", str(corpus / "features"),
+                                         "--out", str(out)])
+        assert (code, stdout) == (2, "")
+        assert err == f"adnet: error: {target}: Is a directory\n"
+        assert (target / "inside").is_dir()
+        assert sorted(path.name for path in out.iterdir()) == ["video_000.json",
+                                                                 "video_001.json"]
+
+    def test_second_run_rewrites_the_same_documents(self, pipeline, tmp_path, capsys):
+        root, corpus, _ = pipeline
+        argv = ["infer", "--checkpoint", str(root / "model.adnc"),
+                "--features", str(corpus / "features"), "--out", str(tmp_path / "pred")]
+        assert run(capsys, argv)[0] == 0
+        first = {path.name: path.read_bytes() for path in (tmp_path / "pred").iterdir()}
+        assert run(capsys, argv)[0] == 0
+        second = {path.name: path.read_bytes() for path in (tmp_path / "pred").iterdir()}
+        assert len(first) == 4
+        assert second == first
 
     def test_nan_scores_exit_numeric(self, pipeline, tmp_path, capsys):
         _, corpus, _ = pipeline

@@ -3,11 +3,14 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import re
 import struct
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +23,127 @@ from adnet.io import AnnotationManifest, Checkpoint, ClipFeatureSequence
 from adnet.evaluation import TemporalSegment
 from adnet.model import ADNetConfig
 from adnet.training import TrainConfig
+
+
+def can_exchange(directory: Path) -> bool:
+    """Whether renameat2 can swap two files in directory."""
+    renameat2 = storage._renameat2()
+    if renameat2 is None:
+        return False
+    (directory / ".a").write_bytes(b"a")
+    (directory / ".b").write_bytes(b"b")
+    swapped = renameat2(storage.AT_FDCWD, os.fsencode(directory / ".a"), storage.AT_FDCWD,
+                        os.fsencode(directory / ".b"), storage.RENAME_EXCHANGE) == 0
+    os.unlink(directory / ".a")
+    os.unlink(directory / ".b")
+    return swapped
+
+
+class TestAtomicWrites:
+    def test_overwrite_leaves_the_new_bytes_and_only_the_target(self, tmp_path):
+        target = tmp_path / "doc.json"
+        storage.atomic_write_bytes(target, b"old")
+        storage.atomic_write_bytes(target, b"new ", np.arange(3, dtype="<i4"))
+        assert target.read_bytes() == b"new " + np.arange(3, dtype="<i4").tobytes()
+        assert os.listdir(tmp_path) == ["doc.json"]
+
+    def test_overwrite_swaps_instead_of_renaming(self, tmp_path):
+        if not can_exchange(tmp_path):
+            pytest.skip("renameat2 cannot exchange files here")
+        target = tmp_path / "doc.json"
+        target.write_bytes(b"old")
+        with mock.patch.object(os, "replace", side_effect=AssertionError("renamed over")):
+            storage.atomic_write_bytes(target, b"new")
+        assert target.read_bytes() == b"new"
+        assert os.listdir(tmp_path) == ["doc.json"]
+
+    @pytest.mark.parametrize("renameat2", [None, lambda *args: -1],
+                             ids=["no renameat2", "renameat2 fails"])
+    def test_rename_when_the_swap_is_not_taken(self, tmp_path, renameat2):
+        target = tmp_path / "doc.json"
+        target.write_bytes(b"old")
+        with mock.patch.object(storage, "_renameat2", return_value=renameat2):
+            storage.atomic_write_bytes(target, b"new")
+        assert target.read_bytes() == b"new"
+        assert os.listdir(tmp_path) == ["doc.json"]
+
+    def test_no_swap_renames_over(self, tmp_path):
+        target = tmp_path / "doc.json"
+        target.write_bytes(b"old")
+        with mock.patch.object(storage, "_swap") as swap:
+            storage.atomic_write_bytes(target, b"new", swap=False)
+        swap.assert_not_called()
+        assert target.read_bytes() == b"new"
+        assert os.listdir(tmp_path) == ["doc.json"]
+
+    def test_an_overwritten_checkpoint_is_renamed_over(self, tmp_path):
+        path = tmp_path / "model.adnc"
+        storage.save_checkpoint(trained_checkpoint(), path)
+        first = path.read_bytes()
+        with mock.patch.object(storage, "_swap") as swap:
+            storage.save_checkpoint(trained_checkpoint(), path)
+        swap.assert_not_called()
+        assert path.read_bytes() == first
+
+    @pytest.mark.parametrize("cdll", [mock.Mock(side_effect=OSError("no library")),
+                                      mock.Mock(return_value=object())],
+                             ids=["no C library", "no renameat2"])
+    def test_renameat2_is_none_without_it(self, cdll):
+        with mock.patch("ctypes.CDLL", cdll):
+            assert storage._renameat2.__wrapped__() is None
+
+    def test_chunk_that_raises_leaves_the_old_file(self, tmp_path):
+        target = tmp_path / "doc.json"
+        target.write_bytes(b"old")
+        with pytest.raises(TypeError):
+            storage.atomic_write_bytes(target, b"new", object())
+        assert target.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["doc.json"]
+
+    def test_directory_at_the_target_is_refused_and_kept(self, tmp_path):
+        target = tmp_path / "doc.json"
+        (target / "inside").mkdir(parents=True)
+        (target / "inside" / "file").write_bytes(b"kept")
+        with pytest.raises(IsADirectoryError):
+            storage.atomic_write_bytes(target, b"new")
+        assert (target / "inside" / "file").read_bytes() == b"kept"
+        assert os.listdir(tmp_path) == ["doc.json"]
+
+    def test_symlink_at_the_target_is_replaced_not_followed(self, tmp_path):
+        referent = tmp_path / "referent"
+        referent.write_bytes(b"old")
+        target = tmp_path / "doc.json"
+        target.symlink_to(referent)
+        storage.atomic_write_bytes(target, b"new")
+        assert not target.is_symlink()
+        assert target.read_bytes() == b"new"
+        assert referent.read_bytes() == b"old"
+        assert sorted(os.listdir(tmp_path)) == ["doc.json", "referent"]
+
+    def test_concurrent_reader_sees_a_whole_file(self, tmp_path):
+        target = tmp_path / "doc.json"
+        contents = [b"a" * 100_000, b"b" * 50_000]
+        storage.atomic_write_bytes(target, contents[0])
+        seen, done = set(), threading.Event()
+
+        def read():
+            while not done.is_set():
+                try:
+                    seen.add(target.read_bytes())
+                except OSError as exc:  # a missing file, say
+                    seen.add(repr(exc))
+
+        reader = threading.Thread(target=read)
+        reader.start()
+        try:
+            for index in range(200):
+                storage.atomic_write_bytes(target, contents[index % 2])
+        finally:
+            done.set()
+            reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert seen and seen <= set(contents)
+        assert os.listdir(tmp_path) == ["doc.json"]
 
 
 class TestFeatureFiles:

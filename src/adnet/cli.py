@@ -236,8 +236,6 @@ def cmd_train(args) -> int:
 def cmd_infer(args) -> int:
     ckpt = storage.load_checkpoint(args.checkpoint, params_only=True)
     threshold = args.threshold if args.threshold is not None else ckpt.model_config.threshold
-    if not 0.0 < threshold < 1.0:
-        raise ConfigError(f"threshold must lie in (0, 1), got {threshold}")
     features = Path(args.features)
     paths = [features] if features.is_file() else sorted(features.glob("*.adnf"))
     if not paths:
@@ -276,6 +274,16 @@ def _parse_ks(text: str) -> tuple[int, ...]:
         return evaluation.check_ks([int(part) for part in text.split(",")])
     except (ValueError, InputError) as exc:
         raise argparse.ArgumentTypeError(f"bad k list {text!r}: {exc}")
+
+
+def _parse_threshold(text: str) -> float:
+    try:
+        threshold = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad threshold {text!r}: {exc}")
+    if not 0.0 < threshold < 1.0:  # NaN fails both bounds
+        raise argparse.ArgumentTypeError(f"bad threshold {text!r}: must lie in (0, 1)")
+    return threshold
 
 
 def _clip_scores(path, value) -> np.ndarray:
@@ -372,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_infer.add_argument("--features", required=True,
                          help="feature file or directory of .adnf files")
     p_infer.add_argument("--out", required=True, help="output directory")
-    p_infer.add_argument("--threshold", type=float, default=None,
+    p_infer.add_argument("--threshold", type=_parse_threshold, default=None,
                          help="override the checkpoint's label threshold")
     p_infer.set_defaults(handler=cmd_infer)
 

@@ -32,7 +32,6 @@ import os
 import re
 import stat
 import struct
-import tempfile
 import typing
 from collections.abc import Collection
 from dataclasses import dataclass
@@ -56,22 +55,29 @@ CHECKPOINT_VERSION = 1
 def atomic_write_bytes(path, *chunks, swap: bool = True) -> None:
     """Write the chunks (bytes, or C-contiguous arrays as their memory)
     one after another to a temp file in the same directory, then commit it
-    in one step that readers see whole. With swap, an existing regular
-    file is exchanged with the temp file, whose name, now holding the old
-    file, is unlinked; anything else (no file, a directory, a symlink, a
-    system that cannot exchange, or swap=False) is renamed over. Nothing
-    is fsynced, and the two commits differ after a power loss: ext4
-    (auto_da_alloc) writes the new data back before a rename over an
-    existing file returns, about 50 ms even for 12 KB, so the old or the
-    new bytes survive, while an exchanged file, like a file written to a
-    new name, may be left empty. So a caller whose file holds work that
-    cannot be remade, a checkpoint or the training log, passes swap=False."""
+    in one step that readers see whole. The file gets the mode open()
+    would leave: an existing regular file's permission bits, else 0o666
+    less the umask. With swap, an existing regular file is exchanged with
+    the temp file, whose name, now holding the old file, is unlinked;
+    anything else (no file, a directory, a symlink, a system that cannot
+    exchange, or swap=False) is renamed over. Nothing is fsynced, and the
+    two commits differ after a power loss: ext4 (auto_da_alloc) writes the
+    new data back before a rename over an existing file returns, about
+    50 ms even for 12 KB, so the old or the new bytes survive, while an
+    exchanged file, like a file written to a new name, may be left empty.
+    So a caller whose file holds work that cannot be remade, a checkpoint
+    or the training log, passes swap=False."""
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), prefix=f".{target.name}.")
+    tmp = target.parent / f".{target.name}.{os.urandom(6).hex()}"
+    # created as open() creates a file, so the kernel applies the umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(chunks)
-        swapped = swap and _swap(tmp, target)
+        mode = _regular_file_mode(target)
+        if mode is not None:
+            os.chmod(tmp, mode)
+        swapped = swap and mode is not None and _swap(tmp, target)
         if not swapped:
             os.replace(tmp, target)
     except BaseException:
@@ -79,6 +85,16 @@ def atomic_write_bytes(path, *chunks, swap: bool = True) -> None:
         raise
     if swapped:
         os.unlink(tmp)
+
+
+def _regular_file_mode(target) -> int | None:
+    """The permission bits of target if it is a regular file (a link
+    itself, not its referent), else None."""
+    try:
+        mode = os.lstat(target).st_mode
+    except OSError:  # no such file, which the rename reports if it must
+        return None
+    return mode & 0o777 if stat.S_ISREG(mode) else None
 
 
 AT_FDCWD = -100
@@ -103,11 +119,6 @@ def _renameat2():
 def _swap(tmp, target) -> bool:
     """Whether tmp and target, a regular file, were exchanged; False
     leaves both as they were."""
-    try:
-        if not stat.S_ISREG(os.lstat(target).st_mode):  # a link itself, not its referent
-            return False
-    except OSError:  # no such file, which the rename reports if it must
-        return False
     renameat2 = _renameat2()
     # an error (EINVAL where the file system cannot exchange, ENOSYS,
     # ENOENT after a race) leaves the rename to commit or report

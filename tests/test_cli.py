@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from adnet import cli, io as storage, model, numerics, synth as generator, windowing
+from adnet import cli, io as storage, model, synth as generator, windowing
 from adnet.errors import FormatError
 from adnet.io import Checkpoint, ClipFeatureSequence
 from adnet.model import ADNetConfig
@@ -112,58 +112,14 @@ class TestSynth:
                             r"in float32\n", err), err
         assert list(features.iterdir()) == []
 
-    def test_unknown_config_key_names_it(self, tmp_path, capsys):
-        config = write_config(tmp_path / "c.json", {"synth": {"bogus": 1}})
-        code, _, err = run(capsys, ["synth", "--config", config,
-                                    "--out", str(tmp_path / "corpus")])
-        assert code == 2
-        assert "bogus" in err
-
-
-WRONG_VALUES = {int: [1.5, True, "64"], float: ["0.5", False], bool: [1, "true"],
-                str: [3, None], tuple[int, int]: [[1], [1, 2.5], [True, 2], "1,2"]}
-
 
 class TestRunConfig:
-    @pytest.mark.parametrize("section,key", [
-        (section, key) for section, keys in cli.CONFIG_SCHEMA.items() for key in keys])
-    def test_wrong_value_type_names_the_key(self, section, key, tmp_path, capsys):
-        for value in WRONG_VALUES[cli.CONFIG_SCHEMA[section][key]]:
-            config = write_config(tmp_path / "c.json", {section: {key: value}})
-            code, _, err = run(capsys, ["synth", "--config", config,
-                                        "--out", str(tmp_path / "corpus")])
-            assert code == 2, value
-            assert err.startswith(f"adnet: error: {config}: {section}.{key} must be ")
-
-    @pytest.mark.parametrize("section,key", [
-        (section, key) for section, keys in cli.CONFIG_SCHEMA.items()
-        for key, kind in keys.items() if kind is float])
-    @pytest.mark.parametrize("token,shown", [("NaN", "NaN"), ("Infinity", "Infinity"),
-                                             ("-Infinity", "-Infinity"),
-                                             ("1e999", "Infinity"), ("1" * 400, "1" * 400)])
-    def test_number_beyond_float_range_names_the_key(self, section, key, token, shown,
-                                                     tmp_path, capsys):
-        config = tmp_path / "c.json"
-        config.write_text(f'{{"{section}": {{"{key}": {token}}}}}')
-        code, out, err = run(capsys, ["synth", "--config", str(config),
-                                      "--out", str(tmp_path / "corpus")])
-        assert (code, out) == (2, "")
-        assert err == (f"adnet: error: {config}: {section}.{key} must be a finite number, "
-                       f"got {shown}\n")
-
     def test_integers_accepted_for_number_fields(self, tmp_path):
         config = write_config(tmp_path / "c.json", {
             "train": {"learning_rate": 1, "alpha": 0, "use_ad_loss": False},
             "synth": {"class_mean_separation": 2, "abnormal_segment_count_range": [0, 3]}})
         doc = cli.load_run_config(config)
         assert doc["train"]["learning_rate"] == 1
-
-    def test_non_utf8_config_is_a_format_error(self, tmp_path, capsys):
-        config = tmp_path / "c.json"
-        config.write_bytes(b"\xff{")
-        code, _, err = run(capsys, ["train", "--config", str(config)])
-        assert code == 2
-        assert err.startswith(f"adnet: error: {config}: not UTF-8")
 
     def test_readme_config_reference_lists_the_schema(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -298,116 +254,30 @@ class TestTrain:
                       "after 1 epochs\n"
         assert checkpoint.read_bytes() == before
 
-    def test_excess_layers_cites_bound(self, pipeline, tmp_path, capsys):
-        _, corpus, _ = pipeline
-        config = write_config(tmp_path / "deep.json", {
-            "model": {"window_width": 8, "num_stages": 1, "num_layers": 4,
-                      "hidden_channels": 8},
-            "paths": {"features_dir": str(corpus / "features"),
-                      "annotations_dir": str(corpus / "annotations"),
-                      "checkpoint": str(tmp_path / "m.adnc")},
-        })
-        code, _, err = run(capsys, ["train", "--config", config])
-        assert code == 2
-        assert "max_layers" in err
-
-    def test_total_frames_beyond_the_features_names_the_file(self, pipeline, tmp_path,
-                                                              capsys):
-        _, corpus, _ = pipeline
-        annotations = tmp_path / "annotations"
-        annotations.mkdir()
-        for path in (corpus / "annotations").glob("*.json"):
-            (annotations / path.name).write_bytes(path.read_bytes())
-        bad = sorted(annotations.glob("*.json"))[0]
-        manifest = json.loads(bad.read_text())
-        manifest.update(total_frames=10 ** 15,
-                        segments=[{"start_frame": 0, "end_frame": 10 ** 15, "label": 0}])
-        bad.write_text(json.dumps(manifest))
-        clips = storage.read_features(corpus / "features" / f"{bad.stem}.adnf").num_clips
-        config = write_config(tmp_path / "c.json", {
-            "model": SMALL_MODEL, "train": {"epochs": 1, "seed": 3},
-            "paths": {"features_dir": str(corpus / "features"),
-                      "annotations_dir": str(annotations),
-                      "checkpoint": str(tmp_path / "m.adnc")}})
-        code, out, err = run(capsys, ["train", "--config", config])
-        assert (code, out) == (2, "")
-        assert err == (f"adnet: error: {bad}: total_frames {10 ** 15} does not fit "
-                       f"{clips} clips at 16 frames per clip\n")
-
-    @staticmethod
-    def one_huge_clip(tmp_path, frames):
-        """The run config and annotation file of a one-clip video of the
-        given frame count."""
+    def test_clip_of_10_to_the_15_frames_trains(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         (corpus / "annotations").mkdir(parents=True)
         (corpus / "features").mkdir()
         storage.write_features(ClipFeatureSequence("v", np.zeros((5, 1))),
                                corpus / "features" / "v.adnf")
-        annotation = corpus / "annotations" / "v.json"
-        annotation.write_text(json.dumps(huge_clip_manifest(frames, frames)))
-        config = write_config(tmp_path / "c.json", {
-            "model": SMALL_MODEL, "train": {"epochs": 1, "seed": 3},
-            "paths": {"features_dir": str(corpus / "features"),
-                      "annotations_dir": str(corpus / "annotations"),
-                      "checkpoint": str(tmp_path / "m.adnc")}})
-        return config, annotation
-
-    def test_clip_of_10_to_the_15_frames_trains(self, tmp_path, capsys):
-        config, _ = self.one_huge_clip(tmp_path, 10 ** 15)
+        (corpus / "annotations" / "v.json").write_text(
+            json.dumps(huge_clip_manifest(10 ** 15, 10 ** 15)))
+        config = small_train_config(tmp_path, corpus / "features", corpus / "annotations")
         code, _, err = run(capsys, ["train", "--config", config])
         assert (code, err) == (0, "")
         assert storage.load_checkpoint(tmp_path / "m.adnc").epochs_completed == 1
 
-    def test_total_frames_beyond_int64_names_the_file(self, tmp_path, capsys):
-        config, annotation = self.one_huge_clip(tmp_path, 10 ** 20)
-        code, out, err = run(capsys, ["train", "--config", config])
-        assert (code, out) == (2, "")
-        assert err == (f"adnet: error: {annotation}: total_frames must be < 2**63, "
-                       f"got {10 ** 20}\n")
-
-    def test_missing_corpus(self, tmp_path, capsys):
-        config = write_config(tmp_path / "c.json", {
-            "paths": {"features_dir": str(tmp_path / "nowhere"),
-                      "annotations_dir": str(tmp_path / "nowhere"),
-                      "checkpoint": str(tmp_path / "m.adnc")},
-        })
-        code, _, err = run(capsys, ["train", "--config", config])
-        assert code == 2
-
-    def test_input_dim_unequal_to_the_features(self, pipeline, tmp_path, capsys):
+    def test_checkpoint_is_a_directory(self, pipeline, tmp_path, capsys):
+        # refused before training, not by os.replace after it
         _, corpus, _ = pipeline
-        config = write_config(tmp_path / "c.json", {
-            "model": {**SMALL_MODEL, "input_dim": 3}, "train": {"epochs": 1},
-            "paths": {"features_dir": str(corpus / "features"),
-                      "annotations_dir": str(corpus / "annotations"),
-                      "checkpoint": str(tmp_path / "m.adnc")}})
-        code, out, err = run(capsys, ["train", "--config", config])
-        assert (code, out) == (2, "")
-        assert err == "adnet: error: config says input_dim=3 but feature files carry 5\n"
-
-    def test_missing_paths_key(self, pipeline, tmp_path, capsys):
-        _, corpus, _ = pipeline
-        config = write_config(tmp_path / "c.json", {
-            "paths": {"features_dir": str(corpus / "features"),
-                      "annotations_dir": str(corpus / "annotations")}})
-        code, out, err = run(capsys, ["train", "--config", config])
-        assert (code, out) == (2, "")
-        assert err == "adnet: error: no 'checkpoint' given (config paths.checkpoint)\n"
-
-    def test_resume_from_a_checkpoint_without_optimizer_state(self, pipeline, tmp_path,
-                                                              capsys):
-        _, corpus, _ = pipeline
-        cfg = ADNetConfig(input_dim=5, **SMALL_MODEL)
-        path = tmp_path / "m.adnc"
-        storage.save_checkpoint(Checkpoint(
-            model_config=cfg, train_config=TrainConfig(seed=3), seed=3, frames_per_clip=16,
-            epochs_completed=1, params=model.build(cfg, seed=3)), path)
-        before = path.read_bytes()
-        config = small_train_config(tmp_path, corpus / "features", corpus / "annotations")
-        code, out, err = run(capsys, ["train", "--config", config, "--resume"])
-        assert (code, out) == (2, "")
-        assert err == f"adnet: error: {path}: no optimizer state to resume from\n"
-        assert path.read_bytes() == before
+        checkpoint = tmp_path / "m.adnc"
+        checkpoint.mkdir()
+        with mock.patch.object(cli.training, "train", side_effect=AssertionError("trained")):
+            code, stdout, err = run(capsys, ["train", "--config", small_train_config(
+                tmp_path, corpus / "features", corpus / "annotations")])
+        assert (code, stdout) == (2, "")
+        assert err == f"adnet: error: {checkpoint}: Is a directory\n"
+        assert list(tmp_path.glob(".m.adnc.*")) == []
 
 
 class TestInfer:
@@ -449,24 +319,6 @@ class TestInfer:
             doc = json.loads(doc_path.read_text())
             assert doc["clip_scores"] == [0.5] * len(doc["clip_scores"])
             assert doc["clip_labels"] == [1] * len(doc["clip_labels"])
-
-    def test_missing_checkpoint(self, tmp_path, capsys):
-        code, _, err = run(capsys, ["infer", "--checkpoint", str(tmp_path / "no.adnc"),
-                                    "--features", str(tmp_path),
-                                    "--out", str(tmp_path / "pred")])
-        assert code == 2
-        assert "cannot read" in err
-
-    def test_directory_without_feature_files(self, pipeline, tmp_path, capsys):
-        root, _, _ = pipeline
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        code, out, err = run(capsys, ["infer", "--checkpoint", str(root / "model.adnc"),
-                                      "--features", str(empty),
-                                      "--out", str(tmp_path / "pred")])
-        assert (code, out) == (2, "")
-        assert err == f"adnet: error: no .adnf feature files in {empty}\n"
-        assert not (tmp_path / "pred").exists()
 
     def test_single_clip_video(self, pipeline, tmp_path, capsys):
         root, _, _ = pipeline
@@ -516,27 +368,6 @@ class TestInfer:
         second = {path.name: path.read_bytes() for path in (tmp_path / "pred").iterdir()}
         assert len(first) == 4
         assert second == first
-
-    def test_nan_scores_exit_numeric(self, pipeline, tmp_path, capsys):
-        _, corpus, _ = pipeline
-        cfg = ADNetConfig(window_width=8, num_stages=1, num_layers=3, input_dim=5,
-                          hidden_channels=8)
-        params = model.build(cfg, seed=0)
-        params.tensors["stage0.proj.weight"].value[0, 0] = np.nan
-        broken = Checkpoint(model_config=cfg, train_config=TrainConfig(seed=0),
-                            seed=0, frames_per_clip=16, epochs_completed=0,
-                            params=params,
-                            adam=numerics.init_adam(params, 5e-4))
-        path = tmp_path / "nan.adnc"
-        storage.save_checkpoint(broken, path)
-        code, out, err = run(capsys, ["infer", "--checkpoint", str(path),
-                                      "--features", str(corpus / "features"),
-                                      "--out", str(tmp_path / "pred")])
-        # a NaN weight is the checkpoint's fault, not a numeric failure
-        offset = payload_offsets(path.read_bytes())["stage0.proj.weight"]
-        assert (code, out) == (2, "")
-        assert err == (f"adnet: error: {path} @ byte {offset}: "
-                       f"non-finite value in tensor 'stage0.proj.weight'\n")
 
 
 def expected_prediction_text(doc, scores, labels, frames_per_clip):
@@ -591,34 +422,6 @@ class TestPredictionText:
 
 
 class TestInferCheckpointRead:
-    def run_infer(self, capsys, checkpoint, corpus, tmp_path):
-        return run(capsys, ["infer", "--checkpoint", str(checkpoint),
-                            "--features", str(corpus / "features"),
-                            "--out", str(tmp_path / "pred")])
-
-    def test_truncated_optimizer_payload_rejected(self, pipeline, tmp_path, capsys):
-        root, corpus, _ = pipeline
-        raw = (root / "model.adnc").read_bytes()
-        name = "optimizer.v.stage0.block1.dilated.weight"
-        offset = payload_offsets(raw)[name]
-        checkpoint = tmp_path / "m.adnc"
-        checkpoint.write_bytes(raw[:offset + 8])
-        code, out, err = self.run_infer(capsys, checkpoint, corpus, tmp_path)
-        assert (code, out) == (2, "")
-        assert err == (f"adnet: error: {checkpoint} @ byte {offset}: "
-                       f"truncated payload for tensor {name!r}\n")
-        assert not (tmp_path / "pred").exists()
-
-    def test_trailing_bytes_rejected(self, pipeline, tmp_path, capsys):
-        root, corpus, _ = pipeline
-        raw = (root / "model.adnc").read_bytes()
-        checkpoint = tmp_path / "m.adnc"
-        checkpoint.write_bytes(raw + b"extra")
-        code, out, err = self.run_infer(capsys, checkpoint, corpus, tmp_path)
-        assert (code, out) == (2, "")
-        assert err == (f"adnet: error: {checkpoint} @ byte {len(raw)}: "
-                       f"5 trailing bytes after last tensor\n")
-
     def test_parameters_equal_a_full_load(self, pipeline):
         root, _, _ = pipeline
         full = storage.load_checkpoint(root / "model.adnc")
@@ -670,182 +473,20 @@ class TestInferCheckpointRead:
         first_moment = payload_offsets(raw)["optimizer.m.stage0.proj.weight"]
         assert [file.bytes_read for file in opened] == [first_moment, len(raw)]
 
-    @pytest.mark.parametrize("swap", [None, (5, 7)], ids=["reversed", "swapped"])
-    def test_roster_out_of_order_rejected(self, pipeline, tmp_path, capsys, swap):
-        # the payload order is fixed, so a roster in another order names the
-        # first entry out of place, even where the payload follows the roster
-        root, corpus, _ = pipeline
-        raw = (root / "model.adnc").read_bytes()
-        header_len = struct.unpack_from("<I", raw, 8)[0]
-        header = json.loads(raw[12:12 + header_len])
-        offsets = payload_offsets(raw)
-        blobs = {entry["name"]: raw[offsets[entry["name"]]:
-                                    offsets[entry["name"]] + 8 * math.prod(entry["shape"])]
-                 for entry in header["tensors"]}
-        roster = header["tensors"]
-        index = 0 if swap is None else swap[0]
-        expected = roster[index]
-        if swap is None:
-            roster.reverse()
-        else:  # two tensors of one shape, (8,)
-            roster[index], roster[swap[1]] = roster[swap[1]], roster[index]
-        found = roster[index]
-        new_header = json.dumps(header).encode()
-        checkpoint = tmp_path / "m.adnc"
-        checkpoint.write_bytes(raw[:8] + struct.pack("<I", len(new_header)) + new_header
-                               + b"".join(blobs[entry["name"]] for entry in roster))
-        code, out, err = self.run_infer(capsys, checkpoint, corpus, tmp_path)
-        assert (code, out) == (2, "")
-        assert err == (f"adnet: error: {checkpoint}: tensors[{index}] is "
-                       f"{json.dumps(found, sort_keys=True)}, expected "
-                       f"{json.dumps(expected, sort_keys=True)}\n")
-
-
-def set_field(header, field, value):
-    *sections, key = field.split(".")
-    for section in sections:
-        header = header[section]
-    header[key] = value
-
 
 class TestCheckpointHeader:
-    @pytest.mark.parametrize("command,field,value", [
-        ("infer", "model.num_stages", 2.0), ("infer", "model.window_width", 8.0),
-        ("infer", "frames_per_clip", "16"), ("train", "epochs_completed", "1"),
-        ("infer", "train.epochs", 1.5), ("infer", "train.seed", True),
-        ("train", "adam.step_count", 1.5),
-        # values of the right type that no training run writes
-        ("infer", "seed", -1), ("infer", "frames_per_clip", -3), ("infer", "frames_per_clip", 0),
-        ("train", "epochs_completed", -5), ("train", "adam.lr", 0.0),
-        ("train", "adam.lr", -1e-3), ("train", "adam.beta1", -0.1), ("train", "adam.beta1", 1.0),
-        ("train", "adam.beta2", 1.0), ("train", "adam.beta2", -0.5),
-        ("train", "adam.epsilon", 0.0), ("train", "adam.step_count", -1),
-        ("infer", "adam.beta2", 1.0),
-        # save_checkpoint writes format 1, and no other format is read
-        ("infer", "format_version", 99), ("train", "format_version", "one"),
-        ("infer", "format_version", 1.0), ("train", "format_version", True)])
-    def test_wrong_type_names_the_field(self, pipeline, tmp_path, capsys,
-                                        command, field, value):
-        root, corpus, _ = pipeline
-        checkpoint = tmp_path / "m.adnc"
-        checkpoint.write_bytes((root / "model.adnc").read_bytes())
-        rewrite_header(checkpoint, lambda header: set_field(header, field, value))
-        edited = checkpoint.read_bytes()
-        code, _, err = run(capsys, self.load_command(tmp_path, corpus, checkpoint,
-                                                     params_only=command == "infer"))
-        assert code == 2
-        assert err.startswith("adnet: error: ") and err.count("\n") == 1
-        assert f"{field} must be " in err
-        assert checkpoint.read_bytes() == edited and not (tmp_path / "pred").exists()
-
-    @pytest.mark.parametrize("params_only", [True, False], ids=["params_only", "full"])
-    def test_removed_format_version_names_the_field(self, pipeline, tmp_path, capsys,
-                                                     params_only):
-        root, corpus, _ = pipeline
-        checkpoint = tmp_path / "m.adnc"
-        checkpoint.write_bytes((root / "model.adnc").read_bytes())
-        rewrite_header(checkpoint, lambda header: header.pop("format_version"))
-        edited = checkpoint.read_bytes()
-        code, _, err = run(capsys, self.load_command(tmp_path, corpus, checkpoint, params_only))
-        assert code == 2
-        assert err == f"adnet: error: {checkpoint} @ byte 12: malformed header: 'format_version'\n"
-        assert checkpoint.read_bytes() == edited and not (tmp_path / "pred").exists()
-
     @pytest.mark.parametrize("field,value", [
         ("epochs_completed", 0), ("adam.step_count", 0), ("adam.beta1", 0.0)])
     def test_range_boundary_loads(self, pipeline, tmp_path, capsys, field, value):
         root, corpus, _ = pipeline
         checkpoint = tmp_path / "m.adnc"
         checkpoint.write_bytes((root / "model.adnc").read_bytes())
-        rewrite_header(checkpoint, lambda header: set_field(header, field, value))
-        code, _, err = run(capsys, self.load_command(tmp_path, corpus, checkpoint,
-                                                     params_only=False))
+        rewrite_header(checkpoint, lambda header: set_at(header, field.split("."), value))
+        code, _, err = run(capsys, ["train", "--resume", "--config", small_train_config(
+            tmp_path, corpus / "features", corpus / "annotations")])
         assert (code, err) == (0, "")
         assert storage.load_checkpoint(checkpoint).epochs_completed == (
             1 if field == "epochs_completed" else 4)
-
-
-    def test_roster_shape_of_floats_names_the_entry(self, pipeline, tmp_path, capsys):
-        root, corpus, _ = pipeline
-        checkpoint = tmp_path / "m.adnc"
-        checkpoint.write_bytes((root / "model.adnc").read_bytes())
-        rewrite_header(checkpoint, lambda header: header["tensors"][0].update(
-            shape=[float(size) for size in header["tensors"][0]["shape"]]))
-        code, _, err = run(capsys, ["infer", "--checkpoint", str(checkpoint),
-                                    "--features", str(corpus / "features"),
-                                    "--out", str(tmp_path / "pred")])
-        assert code == 2
-        assert err == (f"adnet: error: {checkpoint}: tensors[0] is "
-                       '{"name": "stage0.proj.weight", "shape": [8.0, 5.0]}, expected '
-                       '{"name": "stage0.proj.weight", "shape": [8, 5]}\n')
-
-    # single edits of the roster of SMALL_MODEL, whose entries 1, 3, 5 and 7
-    # all have shape [8]: (index of the first entry that differs, edit)
-    ROSTER_EDITS = {
-        "dropped": (3, lambda roster: roster.pop(3)),
-        "last dropped": (47, lambda roster: roster.pop()),
-        "appended": (48, lambda roster: roster.append(roster[0])),
-        "duplicated": (4, lambda roster: roster.insert(4, roster[3])),
-        "swapped": (5, lambda roster: roster.__setitem__(slice(5, 8, 2), roster[7:4:-2])),
-        "renamed": (2, lambda roster: roster[2].update(name=roster[2]["name"] + "x")),
-        "float shape": (1, lambda roster: roster[1].update(shape=[8.0])),
-        "bool shape": (1, lambda roster: roster[1].update(shape=[True])),
-        "string shape": (1, lambda roster: roster[1].update(shape=["8"])),
-        "extra key": (0, lambda roster: roster[0].update(dtype="<f8")),
-        "missing key": (0, lambda roster: roster[0].pop("shape")),
-        "shape nested 500 deep": (1, lambda roster: roster[1].update(
-            shape=json.loads("[" * 500 + "8" + "]" * 500))),
-    }
-
-    def load_command(self, tmp_path, corpus, checkpoint, params_only):
-        """infer reads the parameters only, train --resume the whole file."""
-        if params_only:
-            return ["infer", "--checkpoint", str(checkpoint),
-                    "--features", str(corpus / "features"), "--out", str(tmp_path / "pred")]
-        return ["train", "--resume", "--config", write_config(tmp_path / "c.json", {
-            "model": SMALL_MODEL, "train": {"epochs": 1, "seed": 3},
-            "paths": {"features_dir": str(corpus / "features"),
-                      "annotations_dir": str(corpus / "annotations"),
-                      "checkpoint": str(checkpoint)}})]
-
-    @pytest.mark.parametrize("params_only", [True, False], ids=["params_only", "full"])
-    @pytest.mark.parametrize("edit", [*ROSTER_EDITS, "{}", "[]", "null", "5", "nested 990 deep"])
-    def test_roster_edit_refused(self, pipeline, tmp_path, capsys, edit, params_only):
-        root, corpus, _ = pipeline
-        raw = (root / "model.adnc").read_bytes()
-        header_len = struct.unpack_from("<I", raw, 8)[0]
-        header = json.loads(raw[12:12 + header_len])
-        expected = header["tensors"]
-        roster = json.loads(json.dumps(expected))
-        if edit in self.ROSTER_EDITS:
-            index, change = self.ROSTER_EDITS[edit]
-            change(roster)
-            found, wanted = (json.dumps(entries[index], sort_keys=True)
-                             if index < len(entries) else "nothing"
-                             for entries in (roster, expected))
-            message = f"tensors[{index}] is {found}, expected {wanted}"
-            text = json.dumps({**header, "tensors": roster})
-        elif edit == "[]":
-            message, text = "0 tensors cannot hold 1 stages of 3 layers", json.dumps(
-                {**header, "tensors": []})
-        elif edit == "nested 990 deep":
-            # json.dumps stops near depth 1000, so the text is spliced in; at
-            # CPython 3.11's recursion limit json.loads refuses it too
-            message = ("invalid header JSON: maximum recursion depth exceeded"
-                       if sys.version_info < (3, 12) else "tensors[0] is ")
-            shape = "[" * 990 + "8" + "]" * 990
-            text = json.dumps({**header, "tensors": ["@"]}).replace(
-                '"@"', '{"name": "stage0.proj.weight", "shape": ' + shape + "}")
-        else:
-            message, text = f"tensors is {edit}, expected a list", json.dumps(
-                {**header, "tensors": json.loads(edit)})
-        checkpoint = tmp_path / "m.adnc"
-        checkpoint.write_bytes(raw[:8] + struct.pack("<I", len(text)) + text.encode()
-                               + raw[12 + header_len:])
-        code, out, err = run(capsys, self.load_command(tmp_path, corpus, checkpoint, params_only))
-        assert (code, out) == (2, "")
-        assert err.startswith(f"adnet: error: {checkpoint}") and err.count("\n") == 1
-        assert message in err
 
     @pytest.mark.parametrize("params_only", [True, False], ids=["params_only", "full"])
     def test_roster_with_reordered_keys_loads(self, pipeline, tmp_path, params_only):
@@ -956,105 +597,6 @@ class TestEval:
 
         return ["eval", "--pred", str(pred_dir), "--gt", str(gt_dir)], write
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 7.0, -0.1])
-    def test_scores_outside_unit_interval_name_the_file(self, eval_dirs, capsys, bad):
-        argv, write = eval_dirs
-        path = write("v.json", clip_scores=[0.0, bad, 1.0, 1.0])
-        code, out, err = run(capsys, argv)
-        assert (code, out) == (2, "")
-        assert err == f"adnet: error: {path}: scores must be finite and lie in [0, 1]\n"
-
-    @pytest.mark.parametrize("scores", [[0.0, "x", 1.0, 1.0], [[0.0], [0.0], [1.0], [1.0]],
-                                        [], [0.0, None, 1.0, 1.0], [0.0, True, 1.0, 1.0],
-                                        "0.0,0.0,1.0,1.0", [0.0, 10 ** 400, 1.0, 1.0]])
-    def test_malformed_clip_scores_rejected(self, eval_dirs, capsys, scores):
-        argv, write = eval_dirs
-        path = write("v.json", clip_scores=scores)
-        code, _, err = run(capsys, argv)
-        assert code == 2
-        assert err.startswith(f"adnet: error: {path}: clip_scores")
-
-    @pytest.mark.parametrize("config", [[], "x", {"threshold": "0.5"}, {"threshold": True},
-                                        {"threshold": None}, {"threshold": [0.5]},
-                                        {"threshold": 0}, {"threshold": 1},
-                                        {"threshold": -0.1}, {"threshold": 1.5}])
-    def test_malformed_config_rejected(self, eval_dirs, capsys, config):
-        argv, write = eval_dirs
-        path = write("v.json", config=config)
-        code, out, err = run(capsys, argv)
-        assert (code, out) == (2, "")
-        assert err.startswith(f"adnet: error: {path}: config")
-        assert len(err.splitlines()) == 1
-
-    @pytest.mark.parametrize("path,value", [
-        (("segments", 0, "end_frame"), 2.5), (("segments", 0, "start_frame"), None),
-        (("video_id",), 5), (("video_id",), ["a"]), (("segments", 1, "label"), True),
-        (("frames_per_clip",), True)])
-    def test_mistyped_annotation_names_the_field(self, eval_dirs, capsys, path, value):
-        argv, write = eval_dirs
-        write("v.json")
-        gt = Path(argv[4]) / "v.json"
-        manifest = json.loads(gt.read_text())
-        set_at(manifest, path, value)
-        gt.write_text(json.dumps(manifest))
-        field = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
-        code, out, err = run(capsys, argv)
-        assert (code, out) == (2, "")
-        assert err.startswith(f"adnet: error: {gt}: {field.lstrip('.')} must be ")
-        assert len(err.splitlines()) == 1
-
-    def test_total_frames_beyond_the_predictions_names_the_file(self, eval_dirs, capsys):
-        argv, write = eval_dirs
-        write("v.json")
-        gt = Path(argv[4]) / "v.json"
-        manifest = json.loads(gt.read_text())
-        manifest.update(total_frames=10 ** 15,
-                        segments=[{"start_frame": 0, "end_frame": 10 ** 15, "label": 1}])
-        gt.write_text(json.dumps(manifest))
-        code, out, err = run(capsys, argv)
-        assert (code, out) == (2, "")
-        assert err == (f"adnet: error: {gt}: total_frames {10 ** 15} does not fit "
-                       f"4 clips at 1 frames per clip\n")
-
-    def test_unmatched_video_sets_rejected(self, eval_dirs, capsys):
-        argv, write = eval_dirs
-        write("v.json")
-        gt = Path(argv[4])
-        manifest = json.loads((gt / "v.json").read_text())
-        (gt / "w.json").write_text(json.dumps({**manifest, "video_id": "w",
-                                               "total_frames": 10 ** 15, "segments": [
-                                                   {"start_frame": 0, "end_frame": 10 ** 15,
-                                                    "label": 0}]}))
-        code, out, err = run(capsys, argv)
-        assert (code, out) == (2, "")
-        assert err == "adnet: error: prediction and ground-truth video sets differ: ['w']\n"
-
-    @pytest.mark.parametrize("frames", [1.0, 16.0, True, 0, "16", None])
-    def test_mistyped_frames_per_clip_rejected(self, eval_dirs, capsys, frames):
-        argv, write = eval_dirs
-        path = write("v.json", frames_per_clip=frames)
-        code, out, err = run(capsys, argv)
-        assert (code, out) == (2, "")
-        assert err == (f"adnet: error: {path}: frames_per_clip must be a positive integer, "
-                       f"got {json.dumps(frames)}\n")
-
-    def test_duplicate_video_id_rejected(self, eval_dirs, capsys):
-        argv, write = eval_dirs
-        first = write("a.json")
-        second = write("b.json")
-        code, _, err = run(capsys, argv)
-        assert code == 2
-        assert err == (f"adnet: error: {second}: video_id 'v' is also in {first}\n")
-
-    def test_duplicate_ground_truth_video_id_rejected(self, eval_dirs, capsys):
-        argv, write = eval_dirs
-        write("v.json")
-        gt = Path(argv[4])
-        (gt / "zzz.json").write_bytes((gt / "v.json").read_bytes())
-        code, out, err = run(capsys, argv)
-        assert (code, out) == (2, "")
-        assert err == f"adnet: error: {gt / 'zzz.json'}: video_id 'v' is also in {gt / 'v.json'}\n"
-
     def test_clip_of_10_to_the_15_frames_evaluates(self, eval_dirs, capsys):
         # one clip scored at the threshold over one normal frame and the
         # abnormal rest: both runs tie, and the prediction is abnormal
@@ -1068,15 +610,6 @@ class TestEval:
         assert doc["segmental"]["abnormal"]["f1@50"]["f1"] == 100.0
         assert doc["segmental"]["normal"]["f1@50"]["f1"] == 0.0
 
-    def test_total_frames_beyond_int64_names_the_file(self, eval_dirs, capsys):
-        argv, write = eval_dirs
-        write("v.json", frames_per_clip=10 ** 20, clip_scores=[0.5])
-        gt = Path(argv[4]) / "v.json"
-        gt.write_text(json.dumps(huge_clip_manifest(10 ** 20, 10 ** 20)))
-        code, out, err = run(capsys, argv)
-        assert (code, out) == (2, "")
-        assert err == f"adnet: error: {gt}: total_frames must be < 2**63, got {10 ** 20}\n"
-
     def test_lone_clip_longer_than_its_video(self, eval_dirs, capsys):
         # a clip of 10**15 frames over a 4-frame video covers 4 frames
         argv, write = eval_dirs
@@ -1088,23 +621,6 @@ class TestEval:
         assert doc["frame_auc"] == 0.5
         assert doc["segmental"]["abnormal"]["f1@50"]["f1"] == 100.0
         assert doc["segmental"]["normal"]["f1@50"]["f1"] == 0.0
-
-    @pytest.mark.parametrize("data", [b"[0.5]", b"\xff{", b'{"video_id": 1, '
-                                      b'"frames_per_clip": 1, "clip_scores": [0.5]}'])
-    def test_malformed_document_rejected(self, eval_dirs, capsys, data):
-        argv, write = eval_dirs
-        path = write("v.json")
-        path.write_bytes(data)
-        code, _, err = run(capsys, argv)
-        assert code == 2
-        assert err.startswith(f"adnet: error: {path}: ")
-
-    def test_unreadable_document_rejected(self, eval_dirs, capsys):
-        argv, write = eval_dirs
-        (write("v.json").parent / "w.json").mkdir()
-        code, _, err = run(capsys, argv)
-        assert code == 2
-        assert "w.json: cannot read prediction" in err
 
 
 def in_process(argv, members=cli.PREDICTION_MEMBERS):
@@ -1298,15 +814,6 @@ class TestPredictionMembers:
                 doc = storage.read_json(path, "prediction", members=cli.PREDICTION_MEMBERS)
             assert doc == {key: full[key] for key in full if key in cli.PREDICTION_MEMBERS}
 
-    def test_deep_nesting_is_a_format_error(self, one_video, capsys):
-        pred_dir, gt_dir = one_video
-        path = pred_dir / "v.json"
-        path.write_text('{"frame_scores": ' + "[" * 100_000 + "]" * 100_000 + "}")
-        code, out, err = run(capsys, ["eval", "--pred", str(pred_dir), "--gt", str(gt_dir)])
-        assert (code, out) == (2, "")
-        assert err.startswith(f"adnet: error: {path}: invalid JSON: maximum recursion depth")
-        assert len(err.splitlines()) == 1
-
 
 @st.composite
 def corruptions(draw, raw: bytes) -> bytes:
@@ -1392,37 +899,6 @@ def test_closed_stdout_is_one_error_line(pipeline):
     assert (proc.returncode, err) == (2, b"adnet: error: standard output closed\n")
 
 
-class TestUsageErrors:
-    def test_missing_required_flag(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["synth", "--out", "somewhere"])
-        assert excinfo.value.code == 1
-
-    def test_unknown_subcommand(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["transmogrify"])
-        assert excinfo.value.code == 1
-
-    def test_bad_k_list(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["eval", "--pred", "p", "--gt", "g", "--k", "10,banana"])
-        assert excinfo.value.code == 1
-
-    def test_repeated_k(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["eval", "--pred", "p", "--gt", "g", "--k", "25,10,010"])
-        assert excinfo.value.code == 1
-        assert "k 10 is given twice" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("k", ["0", "101", "-1"])
-    def test_k_outside_the_percent_range(self, capsys, k):
-        # refused while parsing, before any document is read: p and g do not exist
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["eval", "--pred", "p", "--gt", "g", "--k", f"10,{k}"])
-        assert excinfo.value.code == 1
-        assert f"k must lie in (0, 100], got {k}" in capsys.readouterr().err
-
-
 def test_readme_config_reference_matches_the_defaults():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme.split("\n### Config reference\n", 1)[1].split("\n## ", 1)[0]
@@ -1461,9 +937,9 @@ def small_train_config(root, features, annotations, **paths):
 
 
 class TestGroundTruthPairing:
-    """train and eval read the ground-truth directory through one reader:
-    manifests are keyed by video_id, not by file name, and every file
-    must give the same frames_per_clip (and, under train, feature dim)."""
+    """train and eval read the ground-truth directory through one reader,
+    which keys manifests by video_id, not by file name (its refusals are
+    in test_refusals.py)."""
 
     def test_train_pairs_manifests_by_video_id(self, pipeline, tmp_path, capsys):
         _, corpus, _ = pipeline
@@ -1477,105 +953,16 @@ class TestGroundTruthPairing:
         assert (code, err) == (0, "")
         assert (tmp_path / "m.adnc").read_bytes() == by_name
 
-    def test_train_rejects_a_duplicate_video_id(self, pipeline, tmp_path, capsys):
-        _, corpus, _ = pipeline
-        features, annotations = copied_annotations(corpus, tmp_path)
-        first = sorted(annotations.glob("*.json"))[0]
-        second = annotations / "zzz.json"
-        second.write_bytes(first.read_bytes())
-        code, out, err = run(capsys, ["train", "--config",
-                                      small_train_config(tmp_path, features, annotations)])
-        assert (code, out) == (2, "")
-        assert err == f"adnet: error: {second}: video_id {first.stem!r} is also in {first}\n"
-
-    def test_train_rejects_unmatched_video_sets(self, pipeline, tmp_path, capsys):
-        _, corpus, _ = pipeline
-        features, annotations = copied_annotations(corpus, tmp_path)
-        missing = sorted(annotations.glob("*.json"))[-1]
-        missing.unlink()
-        code, out, err = run(capsys, ["train", "--config",
-                                      small_train_config(tmp_path, features, annotations)])
-        assert (code, out) == (2, "")
-        assert err == (f"adnet: error: feature and ground-truth video sets differ: "
-                       f"[{missing.stem!r}]\n")
-
-    def test_train_names_the_manifest_whose_frames_per_clip_disagrees(self, pipeline,
-                                                                       tmp_path, capsys):
-        _, corpus, _ = pipeline
-        features, annotations = copied_annotations(corpus, tmp_path)
-        first, bad = sorted(annotations.glob("*.json"))[:2]
-        bad.write_text(json.dumps({**json.loads(bad.read_text()), "frames_per_clip": 8}))
-        code, out, err = run(capsys, ["train", "--config",
-                                      small_train_config(tmp_path, features, annotations)])
-        assert (code, out) == (2, "")
-        assert err == f"adnet: error: {bad}: frames_per_clip 8 disagrees with 16 in {first}\n"
-
-    def test_train_names_the_feature_file_whose_dim_disagrees(self, pipeline, tmp_path,
-                                                              capsys):
-        _, corpus, _ = pipeline
-        features = tmp_path / "features"
-        features.mkdir()
-        sources = sorted((corpus / "features").glob("*.adnf"))
-        for path in sources:
-            (features / path.name).write_bytes(path.read_bytes())
-        bad = features / sources[-1].name
-        clips = storage.read_features(bad).num_clips
-        storage.write_features(ClipFeatureSequence(bad.stem, np.zeros((3, clips))), bad)
-        code, out, err = run(capsys, ["train", "--config", small_train_config(
-            tmp_path, features, corpus / "annotations")])
-        assert (code, out) == (2, "")
-        assert err == (f"adnet: error: {bad}: feature dim 3 disagrees with 5 in "
-                       f"{features / sources[0].name}\n")
-
-    @pytest.fixture
-    def two_videos(self, tmp_path):
-        """Ground truth for videos v and w, and a writer for the prediction
-        documents a.json (v) and b.json (w)."""
-        gt_dir = tmp_path / "gt"
-        pred_dir = tmp_path / "pred"
+    def test_eval_pairs_manifests_by_video_id(self, tmp_path, capsys):
+        gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
         gt_dir.mkdir()
         pred_dir.mkdir()
-        for video_id in ("v", "w"):
+        for name, video_id in [("a", "v"), ("b", "w")]:
             (gt_dir / f"{video_id}.json").write_text(
                 json.dumps({**ONE_VIDEO_MANIFEST, "video_id": video_id}))
-
-        def write(b_fields={}, b_manifest={}):
-            for name, video_id, fields in [("a", "v", {}), ("b", "w", b_fields)]:
-                doc = {"video_id": video_id, "frames_per_clip": 1,
-                       "clip_scores": [0.0, 0.0, 1.0, 1.0], **fields}
-                (pred_dir / f"{name}.json").write_text(json.dumps(doc))
-            manifest = json.loads((gt_dir / "w.json").read_text())
-            (gt_dir / "w.json").write_text(json.dumps({**manifest, **b_manifest}))
-            return ["eval", "--pred", str(pred_dir), "--gt", str(gt_dir)]
-
-        return pred_dir, gt_dir, write
-
-    def test_eval_names_the_prediction_whose_threshold_disagrees(self, two_videos, capsys):
-        pred_dir, _, write = two_videos
-        code, out, err = run(capsys, write(b_fields={"config": {"threshold": 0.25}}))
-        assert (code, out) == (2, "")
-        assert err == (f"adnet: error: {pred_dir / 'b.json'}: threshold 0.25 disagrees "
-                       f"with 0.5 in {pred_dir / 'a.json'}\n")
-
-    def test_eval_names_the_prediction_whose_frames_per_clip_disagrees(self, two_videos,
-                                                                       capsys):
-        pred_dir, _, write = two_videos
-        code, out, err = run(capsys, write(b_fields={"frames_per_clip": 2}))
-        assert (code, out) == (2, "")
-        assert err == (f"adnet: error: {pred_dir / 'b.json'}: frames_per_clip 2 disagrees "
-                       f"with 1 in {pred_dir / 'a.json'}\n")
-
-    def test_eval_names_the_manifest_whose_frames_per_clip_disagrees(self, two_videos,
-                                                                     capsys):
-        pred_dir, gt_dir, write = two_videos
-        code, out, err = run(capsys, write(b_manifest={"frames_per_clip": 2}))
-        assert (code, out) == (2, "")
-        assert err == (f"adnet: error: {gt_dir / 'w.json'}: frames_per_clip 2 disagrees "
-                       f"with 1 in {pred_dir / 'a.json'}\n")
-
-    def test_eval_pairs_manifests_by_video_id(self, two_videos, capsys):
-        _, gt_dir, write = two_videos
-        argv = write()
+            (pred_dir / f"{name}.json").write_text(json.dumps(
+                {"video_id": video_id, "frames_per_clip": 1, "clip_scores": [0.0, 0.0, 1.0, 1.0]}))
+        argv = ["eval", "--pred", str(pred_dir), "--gt", str(gt_dir)]
         code, by_name, _ = run(capsys, argv)
         assert code == 0
         (gt_dir / "v.json").rename(gt_dir / "x.json")
@@ -1583,103 +970,6 @@ class TestGroundTruthPairing:
         code, out, err = run(capsys, argv)
         assert (code, err) == (0, "")
         assert out == by_name
-
-
-class TestResourceErrors:
-    """A path the file system refuses, or a geometry beyond memory, exits 2
-    with one adnet: line naming the path or the allocation."""
-
-    def test_infer_out_is_a_file(self, pipeline, tmp_path, capsys):
-        root, corpus, _ = pipeline
-        out = tmp_path / "pred"
-        out.write_text("")
-        code, stdout, err = run(capsys, ["infer", "--checkpoint", str(root / "model.adnc"),
-                                         "--features", str(corpus / "features"),
-                                         "--out", str(out)])
-        assert (code, stdout) == (2, "")
-        assert err == f"adnet: error: {out}: File exists\n"
-
-    def test_synth_out_is_a_file(self, tmp_path, capsys):
-        out = tmp_path / "corpus"
-        out.write_text("")
-        config = write_config(tmp_path / "c.json", {"synth": SMALL_SYNTH})
-        code, stdout, err = run(capsys, ["synth", "--config", config, "--out", str(out)])
-        assert (code, stdout) == (2, "")
-        assert err == f"adnet: error: {out / 'features'}: Not a directory\n"
-
-    def test_checkpoint_is_a_directory(self, pipeline, tmp_path, capsys):
-        # refused before training, not by os.replace after it
-        _, corpus, _ = pipeline
-        checkpoint = tmp_path / "m.adnc"
-        checkpoint.mkdir()
-        with mock.patch.object(cli.training, "train", side_effect=AssertionError("trained")):
-            code, stdout, err = run(capsys, ["train", "--config", small_train_config(
-                tmp_path, corpus / "features", corpus / "annotations")])
-        assert (code, stdout) == (2, "")
-        assert err == f"adnet: error: {checkpoint}: Is a directory\n"
-        assert list(tmp_path.glob(".m.adnc.*")) == []
-
-    def test_out_dir_is_a_file_leaves_the_checkpoint_unchanged(self, pipeline, tmp_path,
-                                                               capsys):
-        _, corpus, _ = pipeline
-        config = small_train_config(tmp_path, corpus / "features", corpus / "annotations")
-        assert run(capsys, ["train", "--config", config])[0] == 0
-        checkpoint = (tmp_path / "m.adnc").read_bytes()
-        out_dir = tmp_path / "out"
-        out_dir.write_text("")
-        config = small_train_config(tmp_path, corpus / "features", corpus / "annotations",
-                                    out_dir=str(out_dir))
-        for argv in (["train", "--config", config, "--resume"], ["train", "--config", config]):
-            code, stdout, err = run(capsys, argv)
-            assert (code, stdout) == (2, "")
-            assert err == f"adnet: error: {out_dir}: File exists\n"
-            assert (tmp_path / "m.adnc").read_bytes() == checkpoint
-
-    def test_hidden_channels_beyond_memory(self, pipeline, tmp_path, capsys):
-        # 10**8 channels: the parameter vector, about 1.2e17 float64, is
-        # 853 PiB, beyond any address space, so nothing is allocated
-        _, corpus, _ = pipeline
-        config = write_config(tmp_path / "c.json", {
-            "model": {**SMALL_MODEL, "hidden_channels": 10 ** 8},
-            "train": {"epochs": 1, "seed": 3},
-            "paths": {"features_dir": str(corpus / "features"),
-                      "annotations_dir": str(corpus / "annotations"),
-                      "checkpoint": str(tmp_path / "m.adnc")}})
-        code, stdout, err = run(capsys, ["train", "--config", config])
-        assert (code, stdout) == (2, "")
-        assert err.startswith("adnet: error: out of memory: Unable to allocate ")
-        assert "shape (120000001300000001,)" in err and err.count("\n") == 1
-        assert not (tmp_path / "m.adnc").exists()
-
-    # numpy refuses these sizes with ValueError before it allocates anything:
-    # a byte count beyond its limit, and an element count beyond int64
-    @pytest.mark.parametrize("channels,message", [
-        (4 * 10 ** 8, "array is too big; `arr.size * arr.dtype.itemsize` is larger than "
-                      "the maximum possible size."),
-        (10 ** 18, "Maximum allowed dimension exceeded")])
-    def test_hidden_channels_beyond_numpy_limit(self, pipeline, tmp_path, capsys, channels,
-                                                message):
-        _, corpus, _ = pipeline
-        config = write_config(tmp_path / "c.json", {
-            "model": {**SMALL_MODEL, "hidden_channels": channels},
-            "train": {"epochs": 1, "seed": 3},
-            "paths": {"features_dir": str(corpus / "features"),
-                      "annotations_dir": str(corpus / "annotations"),
-                      "checkpoint": str(tmp_path / "m.adnc")}})
-        code, stdout, err = run(capsys, ["train", "--config", config])
-        assert (code, stdout) == (2, "")
-        assert err == f"adnet: error: out of memory: {message}\n"
-        assert not (tmp_path / "m.adnc").exists()
-
-    @pytest.mark.parametrize("input_dim", [10 ** 18, 10 ** 19])
-    def test_synth_input_dim_beyond_numpy_limit(self, tmp_path, capsys, input_dim):
-        config = write_config(tmp_path / "c.json", {
-            "synth": {**SMALL_SYNTH, "input_dim": input_dim}})
-        code, stdout, err = run(capsys, ["synth", "--config", config,
-                                         "--out", str(tmp_path / "corpus")])
-        assert (code, stdout) == (2, "")
-        assert err.startswith("adnet: error: out of memory: ") and err.count("\n") == 1
-        assert list((tmp_path / "corpus" / "features").iterdir()) == []
 
 
 def adnet_subprocess(argv):
@@ -1779,57 +1069,22 @@ class TestFloat32Overflow:
 
 
 class TestCorruptCheckpointValues:
-    """A payload value that no training run writes, a non-finite value or
-    a negative second moment, exits 2 naming the file, the element's byte
-    and its tensor; a finite weight that overflows is still a numeric
-    failure (TestOverflowingCheckpoint)."""
+    """infer reads and checks only the parameters, so an Adam moment that
+    no training run writes, which train --resume refuses, does not stop it."""
 
-    def corrupt(self, pipeline, tmp_path, name, value, element=3):
-        """A copy of the pipeline's checkpoint whose tensor name holds value
-        at its flat index element, and the byte offset of that element."""
-        root, _, _ = pipeline
+    @pytest.mark.parametrize("name,value", [("optimizer.m.stage0.proj.weight", math.nan),
+                                            ("optimizer.v.stage0.proj.weight", -1.0)])
+    def test_infer_checks_only_the_parameters_it_reads(self, pipeline, tmp_path, capsys,
+                                                       name, value):
+        root, corpus, _ = pipeline
         raw = bytearray((root / "model.adnc").read_bytes())
-        offset = payload_offsets(bytes(raw))[name] + 8 * element
-        raw[offset:offset + 8] = struct.pack("<d", value)
+        struct.pack_into("<d", raw, payload_offsets(bytes(raw))[name], value)
         checkpoint = tmp_path / "m.adnc"
         checkpoint.write_bytes(raw)
-        return checkpoint, offset
-
-    @pytest.mark.parametrize("name,value,what", [
-        ("stage0.proj.weight", math.nan, "non-finite"),
-        ("optimizer.m.stage0.block1.dilated.weight", math.inf, "non-finite"),
-        ("optimizer.v.stage0.head.weight", -1e-12, "negative")],
-        ids=["nan_weight", "infinite_first_moment", "negative_second_moment"])
-    def test_train_resume(self, pipeline, tmp_path, capsys, name, value, what):
-        _, corpus, _ = pipeline
-        checkpoint, offset = self.corrupt(pipeline, tmp_path, name, value)
-        before = checkpoint.read_bytes()
-        config = write_config(tmp_path / "c.json", {
-            "model": SMALL_MODEL, "train": {"epochs": 1, "seed": 3},
-            "paths": {"features_dir": str(corpus / "features"),
-                      "annotations_dir": str(corpus / "annotations"),
-                      "checkpoint": str(checkpoint)}})
-        code, out, err = run(capsys, ["train", "--resume", "--config", config])
-        assert (code, out) == (2, "")
-        assert err == (f"adnet: error: {checkpoint} @ byte {offset}: "
-                       f"{what} value in tensor {name!r}\n")
-        assert checkpoint.read_bytes() == before
-
-    @pytest.mark.parametrize("name,value,code", [
-        ("stage0.head.bias", math.inf, 2),
-        ("optimizer.m.stage0.proj.weight", math.nan, 0),
-        ("optimizer.v.stage0.proj.weight", -1.0, 0)])
-    def test_infer_checks_only_the_parameters_it_reads(self, pipeline, tmp_path, capsys,
-                                                       name, value, code):
-        _, corpus, _ = pipeline
-        checkpoint, offset = self.corrupt(pipeline, tmp_path, name, value, element=0)
-        outcome = run(capsys, ["infer", "--checkpoint", str(checkpoint),
-                               "--features", str(corpus / "features"),
-                               "--out", str(tmp_path / "pred")])
-        assert outcome[0] == code
-        if code:
-            assert outcome[2] == (f"adnet: error: {checkpoint} @ byte {offset}: "
-                                  f"non-finite value in tensor {name!r}\n")
+        code, _, err = run(capsys, ["infer", "--checkpoint", str(checkpoint),
+                                    "--features", str(corpus / "features"),
+                                    "--out", str(tmp_path / "pred")])
+        assert (code, err) == (0, "")
 
 
 def documented_exit(argv) -> int:

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import stat
 import struct
 import tempfile
 import threading
@@ -75,6 +76,32 @@ class TestAtomicWrites:
         swap.assert_not_called()
         assert target.read_bytes() == b"new"
         assert os.listdir(tmp_path) == ["doc.json"]
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask 022", "umask 077"])
+    def test_new_file_gets_the_mode_open_gives(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            storage.atomic_write_bytes(tmp_path / "doc.json", b"new")
+            (tmp_path / "plain").write_bytes(b"new")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "doc.json").stat().st_mode) == mode
+        assert stat.S_IMODE((tmp_path / "plain").stat().st_mode) == mode
+
+    @pytest.mark.parametrize("swap", [True, False], ids=["swapped", "renamed over"])
+    def test_overwrite_keeps_the_old_mode(self, tmp_path, swap):
+        if swap and not can_exchange(tmp_path):
+            pytest.skip("renameat2 cannot exchange files here")
+        target = tmp_path / "doc.json"
+        target.write_bytes(b"old")
+        target.chmod(0o640)
+        commit = (mock.patch.object(os, "replace", side_effect=AssertionError("renamed over"))
+                  if swap else mock.patch.object(storage, "_swap", side_effect=AssertionError))
+        with commit:
+            storage.atomic_write_bytes(target, b"new", swap=swap)
+        assert target.read_bytes() == b"new"
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
 
     def test_an_overwritten_checkpoint_is_renamed_over(self, tmp_path):
         path = tmp_path / "model.adnc"
@@ -195,49 +222,10 @@ class TestFeatureFiles:
             storage.write_features(ClipFeatureSequence("v", feats), path)
         assert list(tmp_path.iterdir()) == []
 
-    def test_truncated_payload_names_sizes(self, tmp_path):
-        seq = ClipFeatureSequence("v", np.ones((2, 3)))
-        path = tmp_path / "v.adnf"
-        storage.write_features(seq, path)
-        path.write_bytes(path.read_bytes()[:-1])
-        with pytest.raises(FormatError, match=r"23 bytes, expected 24"):
-            storage.read_features(path)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.adnf"
-        path.write_bytes(b"NOPE" + bytes(12))
-        with pytest.raises(FormatError, match="magic"):
-            storage.read_features(path)
-
-    def test_empty_sequence_rejected_on_read(self, tmp_path):
-        path = tmp_path / "empty.adnf"
-        path.write_bytes(b"ADNF" + struct.pack("<III", 1, 0, 4))
-        with pytest.raises(FormatError, match="empty"):
-            storage.read_features(path)
-
     def test_empty_sequence_rejected_on_write(self, tmp_path):
         with pytest.raises(Exception):
             storage.write_features(ClipFeatureSequence("v", np.zeros((3, 0))),
                                    tmp_path / "e.adnf")
-
-    def test_dim_mismatch(self, tmp_path):
-        path = tmp_path / "v.adnf"
-        storage.write_features(ClipFeatureSequence("v", np.ones((2, 3))), path)
-        with pytest.raises(FormatError, match="dim is 2, expected 5"):
-            storage.read_features(path, expect_dim=5)
-
-    def test_non_finite_payload_rejected(self, tmp_path):
-        path = tmp_path / "v.adnf"
-        payload = struct.pack("<2f", 1.0, float("nan"))
-        path.write_bytes(b"ADNF" + struct.pack("<III", 1, 2, 1) + payload)
-        with pytest.raises(FormatError, match="non-finite"):
-            storage.read_features(path)
-
-    def test_error_messages_carry_path(self, tmp_path):
-        path = tmp_path / "broken.adnf"
-        path.write_bytes(b"AD")
-        with pytest.raises(FormatError, match="broken.adnf"):
-            storage.read_features(path)
 
 
 def manifest_doc(**overrides):
@@ -315,45 +303,12 @@ class TestAnnotations:
         assert manifest.total_frames == 320
         np.testing.assert_array_equal(clip_labels(manifest), [0] * 10 + [1] * 10)
 
-    def test_gap_rejected_with_offending_pair(self, tmp_path):
-        path = tmp_path / "vid.json"
-        doc = manifest_doc(segments=[
-            {"start_frame": 0, "end_frame": 100, "label": 0},
-            {"start_frame": 120, "end_frame": 320, "label": 1},
-        ])
-        path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match=r"gap between \[0, 100\) and \[120, 320\)"):
-            storage.read_annotations(path)
-
-    def test_overlap_rejected(self, tmp_path):
-        path = tmp_path / "vid.json"
-        doc = manifest_doc(segments=[
-            {"start_frame": 0, "end_frame": 200, "label": 0},
-            {"start_frame": 160, "end_frame": 320, "label": 1},
-        ])
-        path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match="overlap"):
-            storage.read_annotations(path)
-
     def test_single_normal_segment(self, tmp_path):
         path = tmp_path / "vid.json"
         doc = manifest_doc(segments=[{"start_frame": 0, "end_frame": 320, "label": 0}])
         path.write_text(json.dumps(doc))
         manifest = storage.read_annotations(path)
         np.testing.assert_array_equal(clip_labels(manifest), np.zeros(20, dtype=int))
-
-    def test_unknown_field_rejected(self, tmp_path):
-        path = tmp_path / "vid.json"
-        path.write_text(json.dumps(manifest_doc(fps=30)))
-        with pytest.raises(FormatError, match="'fps'"):
-            storage.read_annotations(path)
-
-    def test_bad_label_rejected(self, tmp_path):
-        path = tmp_path / "vid.json"
-        doc = manifest_doc(segments=[{"start_frame": 0, "end_frame": 320, "label": 2}])
-        path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match="label"):
-            storage.read_annotations(path)
 
     def test_default_frames_per_clip(self, tmp_path):
         path = tmp_path / "vid.json"
@@ -362,12 +317,6 @@ class TestAnnotations:
         path.write_text(json.dumps(doc))
         manifest = storage.read_annotations(path)
         assert manifest.frames_per_clip == 16
-
-    def test_non_utf8_rejected(self, tmp_path):
-        path = tmp_path / "vid.json"
-        path.write_bytes(b"\xff{")
-        with pytest.raises(FormatError, match="not UTF-8"):
-            storage.read_annotations(path)
 
     def test_largest_total_frames_trains_and_evaluates(self, tmp_path):
         # two clips of 2**62 frames, the last one frame short, abnormal from
@@ -392,38 +341,6 @@ class TestAnnotations:
         path.write_text(json.dumps(doc))
         assert storage.read_annotations(path).segments == (TemporalSegment(0, 160, 0),
                                                            TemporalSegment(160, 320, 1))
-
-    @pytest.mark.parametrize("edit,message", [
-        (lambda doc: doc["segments"][1].update(end_frame=320.0),
-         "segments[1].end_frame must be an integer, got 320.0"),
-        (lambda doc: doc["segments"][0].update(label=False),
-         "segments[0].label must be an integer, got false"),
-        (lambda doc: doc.update(segments=[]), "segments must be a non-empty list"),
-        (lambda doc: doc.update(segments=[5]), "segments must be a non-empty list of objects"),
-        (lambda doc: doc["segments"][0].pop("label"), "segments[0].label is missing"),
-        (lambda doc: doc.pop("video_id"), "video_id is missing"),
-        (lambda doc: doc["segments"][1].update(label=2),
-         "segments[1]: segment label must be 0 or 1, got 2"),
-        (lambda doc: doc.update(frames_per_clip=0), "frames_per_clip must be >= 1, got 0"),
-        (lambda doc: doc.update(total_frames=321), "total_frames is 321"),
-        (lambda doc: doc.update(total_frames=2 ** 63) or doc["segments"][1].update(
-            end_frame=2 ** 63), f"total_frames must be < 2**63, got {2 ** 63}"),
-    ])
-    def test_decoder_names_the_field(self, tmp_path, edit, message):
-        path = tmp_path / "vid.json"
-        doc = manifest_doc()
-        edit(doc)
-        path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError) as excinfo:
-            storage.read_annotations(path)
-        assert str(excinfo.value).startswith(f"{path}: ")
-        assert message in str(excinfo.value)
-
-    def test_integer_too_long_to_convert_is_a_format_error(self, tmp_path):
-        path = tmp_path / "vid.json"
-        path.write_text(json.dumps(manifest_doc()).replace("320", "1" * 5000))
-        with pytest.raises(FormatError, match="invalid JSON"):
-            storage.read_annotations(path)
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -650,116 +567,11 @@ class TestCheckpoints:
         for tensor in back.params:
             assert np.shares_memory(tensor.value, back.params.flat)
 
-    @pytest.mark.parametrize("group,param,value,message", [
-        ("", "stage1.head.weight", np.nan, "non-finite"),
-        ("m", "stage0.proj.bias", -np.inf, "non-finite"),
-        ("v", "stage1.block2.pointwise.weight", -0.5, "negative")])
-    def test_corrupt_value_names_tensor_and_byte(self, tmp_path, group, param, value,
-                                                 message):
-        ckpt = trained_checkpoint()
-        vector = {"": ckpt.params.flat, "m": ckpt.adam.first_moment,
-                  "v": ckpt.adam.second_moment}[group]
-        array = model.views(ckpt.model_config, vector)[param]
-        array.flat[2] = value
-        name = f"optimizer.{group}.{param}" if group else param
-        path = tmp_path / "model.adnc"
-        storage.save_checkpoint(ckpt, path)
-        offset = payload_offsets(path.read_bytes())[name] + 8 * 2
-        with pytest.raises(FormatError) as excinfo:
-            storage.load_checkpoint(path)
-        assert str(excinfo.value) == f"{path} @ byte {offset}: {message} value in tensor {name!r}"
-        if group:  # without the optimizer state, a moment is neither read nor checked
-            storage.load_checkpoint(path, params_only=True)
-
     def test_save_is_deterministic(self, tmp_path):
         ckpt = trained_checkpoint()
         storage.save_checkpoint(ckpt, tmp_path / "a.adnc")
         storage.save_checkpoint(ckpt, tmp_path / "b.adnc")
         assert (tmp_path / "a.adnc").read_bytes() == (tmp_path / "b.adnc").read_bytes()
-
-    def test_tampered_shape_names_tensor(self, tmp_path):
-        ckpt = trained_checkpoint()
-        path = tmp_path / "model.adnc"
-        storage.save_checkpoint(ckpt, path)
-        # stage0.proj.weight is (8, 4)
-        rewrite_header(path, lambda header: header["tensors"][0].update(shape=[8, 5]))
-        with pytest.raises(CheckpointError, match=r"stage0\.proj\.weight"):
-            storage.load_checkpoint(path)
-
-    def test_missing_tensor_named(self, tmp_path):
-        ckpt = trained_checkpoint()
-        path = tmp_path / "model.adnc"
-        storage.save_checkpoint(ckpt, path)
-        rewrite_header(path, lambda header: header["tensors"].pop(0))
-        with pytest.raises(CheckpointError, match="stage0.proj.weight"):
-            storage.load_checkpoint(path)
-
-    @pytest.mark.parametrize("section,key", [("model", "window_width"), ("train", "lambda")])
-    def test_missing_config_key_named(self, tmp_path, section, key):
-        # a default would load a model of another geometry or training run
-        path = tmp_path / "model.adnc"
-        storage.save_checkpoint(trained_checkpoint(), path)
-        rewrite_header(path, lambda header: header[section].pop(key))
-        with pytest.raises(FormatError, match=rf"{section}\.{key} is missing"):
-            storage.load_checkpoint(path)
-
-    def test_incompatible_config_rejected(self, tmp_path):
-        ckpt = trained_checkpoint()
-        path = tmp_path / "model.adnc"
-        storage.save_checkpoint(ckpt, path)
-        bigger = ADNetConfig(window_width=8, num_stages=2, num_layers=3, input_dim=4,
-                             hidden_channels=16)
-        with pytest.raises(CheckpointError, match="incompatible"):
-            storage.load_checkpoint(path, expect_model_config=bigger)
-
-    def test_version_mismatch(self, tmp_path):
-        ckpt = trained_checkpoint()
-        path = tmp_path / "model.adnc"
-        storage.save_checkpoint(ckpt, path)
-        raw = bytearray(path.read_bytes())
-        raw[4:8] = struct.pack("<I", 9)
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="version"):
-            storage.load_checkpoint(path)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(FormatError, match="cannot read"):
-            storage.load_checkpoint(tmp_path / "absent.adnc")
-
-    def test_roster_shape_of_floats_names_the_entry(self, tmp_path):
-        path = tmp_path / "model.adnc"
-        storage.save_checkpoint(trained_checkpoint(), path)
-        rewrite_header(path, lambda header: header["tensors"][0].update(shape=[8.0, 4.0]))
-        with pytest.raises(CheckpointError) as excinfo:
-            storage.load_checkpoint(path)
-        assert str(excinfo.value) == (
-            f"{path}: tensors[0] is " '{"name": "stage0.proj.weight", "shape": [8.0, 4.0]}, '
-            'expected {"name": "stage0.proj.weight", "shape": [8, 4]}')
-
-    def test_stage_count_beyond_roster_rejected_before_sizing_it(self, tmp_path):
-        path = tmp_path / "model.adnc"
-        storage.save_checkpoint(trained_checkpoint(), path)
-        rewrite_header(path, lambda header: header["model"].update(num_stages=10 ** 4))
-        with pytest.raises(CheckpointError, match="96 tensors cannot hold 10000 stages"):
-            storage.load_checkpoint(path)
-
-    def test_integer_too_long_to_convert_is_a_format_error(self, tmp_path):
-        path = tmp_path / "model.adnc"
-        storage.save_checkpoint(trained_checkpoint(), path)
-        raw = path.read_bytes()
-        header_len = struct.unpack_from("<I", raw, 8)[0]
-        header = raw[12:12 + header_len].replace(b'"seed": 3', b'"seed": ' + b"1" * 5000)
-        path.write_bytes(raw[:8] + struct.pack("<I", len(header)) + header
-                         + raw[12 + header_len:])
-        with pytest.raises(FormatError, match="invalid header JSON"):
-            storage.load_checkpoint(path)
-
-    def test_deeply_nested_header_is_a_format_error(self, tmp_path):
-        path = tmp_path / "model.adnc"
-        header = b"[" * 100_000 + b"]" * 100_000
-        path.write_bytes(storage.CHECKPOINT_MAGIC + struct.pack("<II", 1, len(header)) + header)
-        with pytest.raises(FormatError, match="invalid header JSON: maximum recursion depth"):
-            storage.load_checkpoint(path)
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)

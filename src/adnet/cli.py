@@ -120,9 +120,10 @@ def cmd_synth(args) -> int:
     out_dir = Path(args.out)
     features_dir = out_dir / "features"
     annotations_dir = out_dir / "annotations"
+    videos = generator.generate(config)
+    # made once the videos are, so a config that cannot be generated leaves none
     features_dir.mkdir(parents=True, exist_ok=True)
     annotations_dir.mkdir(parents=True, exist_ok=True)
-    videos = generator.generate(config)
     for video in videos:
         storage.write_features(video.features, features_dir / f"{video.features.video_id}.adnf")
         storage.write_annotations(video.manifest,
@@ -241,7 +242,6 @@ def cmd_infer(args) -> int:
     if not paths:
         raise InputError(f"no .adnf feature files in {features}")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     # identify the checkpoint by content, not path, so identical runs in
     # different directories emit identical documents
     resolved = {
@@ -263,6 +263,8 @@ def cmd_infer(args) -> int:
             "num_clips": seq.num_clips,
             "frames_per_clip": ckpt.frames_per_clip,
         })
+        # made once a video is scored, so a refused first video leaves no out_dir
+        out_dir.mkdir(parents=True, exist_ok=True)
         storage.atomic_write_text(out_dir / f"{seq.video_id}.json", prediction_text(
             doc, scores.tolist(), labels.tolist(), ckpt.frames_per_clip))
     print(f"scored {len(paths)} videos into {out_dir}")

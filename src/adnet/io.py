@@ -69,14 +69,16 @@ def atomic_write_bytes(path, *chunks, swap: bool = True) -> None:
     or the training log, passes swap=False."""
     target = Path(path)
     tmp = target.parent / f".{target.name}.{os.urandom(6).hex()}"
-    # created as open() creates a file, so the kernel applies the umask
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    mode = _regular_file_mode(target)
+    # created as open() creates a file, so the kernel applies the umask;
+    # over a file, with no bit it lacks, so no user who could not read
+    # the old bytes can open the temp file as the new ones are written
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666 if mode is None else mode)
     try:
         with os.fdopen(fd, "wb") as handle:
+            if mode is not None:  # the bits the umask took
+                os.chmod(tmp, mode)
             handle.writelines(chunks)
-        mode = _regular_file_mode(target)
-        if mode is not None:
-            os.chmod(tmp, mode)
         swapped = swap and mode is not None and _swap(tmp, target)
         if not swapped:
             os.replace(tmp, target)

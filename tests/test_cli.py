@@ -22,7 +22,8 @@ from adnet.errors import FormatError
 from adnet.io import Checkpoint, ClipFeatureSequence
 from adnet.model import ADNetConfig
 from adnet.training import TrainConfig
-from test_io import payload_offsets, rewrite_header, set_at
+from _inputs import SMALL_MODEL, SMALL_SYNTH, payload_offsets, rewrite_header, set_at, \
+    write_config
 
 
 def run(capsys, argv):
@@ -31,15 +32,6 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
-def write_config(path, doc):
-    path.write_text(json.dumps(doc))
-    return str(path)
-
-
-SMALL_SYNTH = {"num_videos": 4, "clips_min": 12, "clips_max": 20, "input_dim": 5,
-               "seed": 3}
-SMALL_MODEL = {"window_width": 8, "num_stages": 1, "num_layers": 3,
-               "hidden_channels": 8}
 
 
 # The ground truth of a one-video eval; eval_dirs and the prediction
@@ -56,28 +48,6 @@ def huge_clip_manifest(frames_per_clip, total_frames):
     return {"video_id": "v", "frames_per_clip": frames_per_clip, "total_frames": total_frames,
             "segments": [{"start_frame": 0, "end_frame": 1, "label": 0},
                          {"start_frame": 1, "end_frame": total_frames, "label": 1}]}
-
-
-@pytest.fixture(scope="module")
-def pipeline(tmp_path_factory):
-    """synth -> train -> infer, shared by the read-only assertions below."""
-    root = tmp_path_factory.mktemp("pipeline")
-    corpus = root / "corpus"
-    config_path = write_config(root / "run.json", {
-        "synth": SMALL_SYNTH,
-        "model": SMALL_MODEL,
-        "train": {"epochs": 3, "seed": 3},
-        "paths": {"features_dir": str(corpus / "features"),
-                  "annotations_dir": str(corpus / "annotations"),
-                  "checkpoint": str(root / "model.adnc"),
-                  "out_dir": str(root / "out")},
-    })
-    assert cli.main(["synth", "--config", config_path, "--out", str(corpus)]) == 0
-    assert cli.main(["train", "--config", config_path]) == 0
-    assert cli.main(["infer", "--checkpoint", str(root / "model.adnc"),
-                     "--features", str(corpus / "features"),
-                     "--out", str(root / "pred")]) == 0
-    return root, corpus, config_path
 
 
 class TestSynth:

@@ -24,6 +24,7 @@ from adnet.io import AnnotationManifest, Checkpoint, ClipFeatureSequence
 from adnet.evaluation import TemporalSegment
 from adnet.model import ADNetConfig
 from adnet.training import TrainConfig
+from _inputs import rewrite_header, set_at
 
 
 def can_exchange(directory: Path) -> bool:
@@ -89,19 +90,32 @@ class TestAtomicWrites:
         assert stat.S_IMODE((tmp_path / "doc.json").stat().st_mode) == mode
         assert stat.S_IMODE((tmp_path / "plain").stat().st_mode) == mode
 
+    @pytest.mark.parametrize("mode", [0o640, 0o600], ids=oct)
     @pytest.mark.parametrize("swap", [True, False], ids=["swapped", "renamed over"])
-    def test_overwrite_keeps_the_old_mode(self, tmp_path, swap):
+    def test_overwrite_keeps_the_old_mode(self, tmp_path, swap, mode):
+        """From the temp file's creation on, under a umask that would
+        widen it, so no other user can open the new bytes as they are
+        written."""
         if swap and not can_exchange(tmp_path):
             pytest.skip("renameat2 cannot exchange files here")
         target = tmp_path / "doc.json"
         target.write_bytes(b"old")
-        target.chmod(0o640)
+        target.chmod(mode)
         commit = (mock.patch.object(os, "replace", side_effect=AssertionError("renamed over"))
                   if swap else mock.patch.object(storage, "_swap", side_effect=AssertionError))
-        with commit:
-            storage.atomic_write_bytes(target, b"new", swap=swap)
+        fdopen, opened = os.fdopen, []
+
+        def fdopen_noting_the_mode(fd, *args):
+            opened.append(stat.S_IMODE(os.fstat(fd).st_mode))
+            return fdopen(fd, *args)
+        old = os.umask(0o022)
+        try:
+            with commit, mock.patch.object(os, "fdopen", fdopen_noting_the_mode):
+                storage.atomic_write_bytes(target, b"new", swap=swap)
+        finally:
+            os.umask(old)
         assert target.read_bytes() == b"new"
-        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert opened == [mode] and stat.S_IMODE(target.stat().st_mode) == mode
 
     def test_an_overwritten_checkpoint_is_renamed_over(self, tmp_path):
         path = tmp_path / "model.adnc"
@@ -259,13 +273,6 @@ def json_nodes(node, path=()):
         yield from json_nodes(child, path + (key,))
 
 
-def set_at(doc, path, value):
-    *parents, last = path
-    for key in parents:
-        doc = doc[key]
-    doc[last] = value
-
-
 def mutate(draw, doc) -> None:
     """One drawn mutation of a JSON document, in place: a leaf replaced by a
     value of another JSON type, a key deleted, an unknown key added, or a
@@ -378,28 +385,6 @@ def trained_checkpoint(seed=3, hidden_channels=8):
     return Checkpoint(model_config=cfg, train_config=TrainConfig(seed=seed),
                       seed=seed, frames_per_clip=16, epochs_completed=4,
                       params=params, adam=adam)
-
-
-def rewrite_header(path, edit):
-    """Rewrite a checkpoint file after edit() has changed its header in place."""
-    raw = path.read_bytes()
-    header_len = struct.unpack_from("<I", raw, 8)[0]
-    header = json.loads(raw[12:12 + header_len])
-    edit(header)
-    new_header = json.dumps(header).encode()
-    path.write_bytes(raw[:8] + struct.pack("<I", len(new_header)) + new_header
-                     + raw[12 + header_len:])
-
-
-def payload_offsets(raw: bytes) -> dict:
-    """Tensor name -> byte offset of its payload, from a checkpoint's header."""
-    header_len = struct.unpack_from("<I", raw, 8)[0]
-    offsets = {}
-    offset = 12 + header_len
-    for entry in json.loads(raw[12:12 + header_len])["tensors"]:
-        offsets[entry["name"]] = offset
-        offset += 8 * math.prod(entry["shape"])
-    return offsets
 
 
 def per_entry_walk(raw: bytes, params_only: bool):

@@ -6,7 +6,8 @@ config and the command-line flags. Each row of a boundary's table names
 one edit of a valid input, the command that reads it, the exit code and
 the exact stderr line. A row runs through cli.main on a fresh copy of a
 valid synth -> train -> infer round trip (the `pipeline` fixture), and
-every refusal leaves each file as it was and writes no new one.
+a refusal leaves every file as it was and makes no new file or
+directory, save the directories a row names as made on purpose.
 
 In the templates, {features}, {annotations}, {pred}, {checkpoint},
 {config}, {out} and {new} are the paths of the copy, {root} its
@@ -28,8 +29,7 @@ import pytest
 
 from adnet import cli, io as storage
 from adnet.io import ClipFeatureSequence
-from test_cli import SMALL_MODEL, SMALL_SYNTH, pipeline, write_config  # noqa: F401
-from test_io import payload_offsets, rewrite_header
+from _inputs import SMALL_MODEL, SMALL_SYNTH, payload_offsets, rewrite_header, write_config
 
 DROP = object()
 
@@ -68,9 +68,11 @@ class Inputs:
             return str(self.names.get(key, match[0]))
         return re.sub(r"\{(@?[\w.+]+)\}", value, template)
 
-    def files(self) -> dict:
-        return {path: path.read_bytes() for path in self.root.rglob("*")
-                if path.is_file() and not path.is_symlink()}
+    def paths(self) -> dict:
+        """Every path under root, a file's with its bytes and a
+        directory's with None."""
+        return {path: path.read_bytes() if path.is_file() else None
+                for path in self.root.rglob("*")}
 
     def read(self, name) -> bytes:
         return (self.root / name).read_bytes()
@@ -155,12 +157,14 @@ def inputs(pipeline, tmp_path):
     return Inputs(pipeline, tmp_path)
 
 
-def refused(inputs, capsys, argv, edit, code, line):
+def refused(inputs, capsys, argv, edit, code, line, made):
     """Run argv after edit: exit code, and for exit 2 or 3 one stderr line;
-    for exit 1, argparse's usage and then the line."""
+    for exit 1, argparse's usage and then the line. No path changes but
+    the directories made, which the command makes on purpose before it
+    fails."""
     if edit is not None:
         edit(inputs)
-    before = inputs.files()
+    before = inputs.paths()
     try:
         got = cli.main([inputs.fill(token) for token in argv.split()])
     except SystemExit as exc:  # argparse
@@ -171,11 +175,11 @@ def refused(inputs, capsys, argv, edit, code, line):
         assert err.startswith("usage: adnet") and err.splitlines()[-1] == inputs.fill(line)
     else:
         assert err == inputs.fill(line) + "\n"
-    assert inputs.files() == before
+    assert inputs.paths() == before | {inputs.root / name: None for name in made}
 
 
-def row(name, argv, edit, code, line):
-    return pytest.param(argv, edit, code, line, id=name)
+def row(name, argv, edit, code, line, made=()):
+    return pytest.param(argv, edit, code, line, made, id=name)
 
 
 INFER = "infer --checkpoint {checkpoint} --features {features} --out {out}"
@@ -220,9 +224,9 @@ FEATURE_FILES = [
 ]
 
 
-@pytest.mark.parametrize("argv,edit,code,line", FEATURE_FILES)
-def test_feature_files(inputs, capsys, argv, edit, code, line):
-    refused(inputs, capsys, argv, edit, code, line)
+@pytest.mark.parametrize("argv,edit,code,line,made", FEATURE_FILES)
+def test_feature_files(inputs, capsys, argv, edit, code, line, made):
+    refused(inputs, capsys, argv, edit, code, line, made)
 
 
 A0, A1 = "annotations/video_000.json", "annotations/video_001.json"
@@ -304,9 +308,9 @@ ANNOTATIONS = [
 ]
 
 
-@pytest.mark.parametrize("argv,edit,code,line", ANNOTATIONS)
-def test_annotations(inputs, capsys, argv, edit, code, line):
-    refused(inputs, capsys, argv, edit, code, line)
+@pytest.mark.parametrize("argv,edit,code,line,made", ANNOTATIONS)
+def test_annotations(inputs, capsys, argv, edit, code, line, made):
+    refused(inputs, capsys, argv, edit, code, line, made)
 
 
 CK = "model.adnc"
@@ -471,9 +475,9 @@ CHECKPOINTS = [
 ]
 
 
-@pytest.mark.parametrize("argv,edit,code,line", CHECKPOINTS)
-def test_checkpoints(inputs, capsys, argv, edit, code, line):
-    refused(inputs, capsys, argv, edit, code, line)
+@pytest.mark.parametrize("argv,edit,code,line,made", CHECKPOINTS)
+def test_checkpoints(inputs, capsys, argv, edit, code, line, made):
+    refused(inputs, capsys, argv, edit, code, line, made)
 
 
 P0, P1 = "pred/video_000.json", "pred/video_001.json"
@@ -523,9 +527,9 @@ PREDICTIONS = [
 ]
 
 
-@pytest.mark.parametrize("argv,edit,code,line", PREDICTIONS)
-def test_prediction_documents(inputs, capsys, argv, edit, code, line):
-    refused(inputs, capsys, argv, edit, code, line)
+@pytest.mark.parametrize("argv,edit,code,line,made", PREDICTIONS)
+def test_prediction_documents(inputs, capsys, argv, edit, code, line, made):
+    refused(inputs, capsys, argv, edit, code, line, made)
 
 
 CONF = ERROR + "{config}: "
@@ -575,24 +579,24 @@ RUN_CONFIGS = [
           ERROR + "{root}/log: File exists") for argv in (TRAIN, RESUME)],
     # 10**8 channels: the parameter vector, about 1.2e17 float64, is 853
     # PiB, beyond any address space, so nothing is allocated; numpy
-    # refuses the larger sizes before it tries
-    row("hidden_channels 10**8", TRAIN, lambda w: w.set("run.json", "model.hidden_channels",
-                                                       10 ** 8), 2,
-        ERROR + "out of memory: Unable to allocate 853. PiB for an array with shape "
-                "(120000001300000001,) and data type float64"),
-    row("hidden_channels 4*10**8", TRAIN, lambda w: w.set("run.json", "model.hidden_channels",
-                                                         4 * 10 ** 8), 2, ERROR + TOO_BIG),
-    row("hidden_channels 10**18", TRAIN, lambda w: w.set("run.json", "model.hidden_channels",
-                                                        10 ** 18), 2, ERROR + TOO_MANY),
+    # refuses the larger sizes before it tries. Train makes paths.out_dir
+    # (log) before it trains, so that a path that cannot be a directory
+    # is refused before the training, not after it.
+    *[row(f"hidden_channels {name}", TRAIN, lambda w, channels=channels: w.set(
+        "run.json", "model.hidden_channels", channels), 2, ERROR + message, made=["log"])
+      for name, channels, message in [
+          ("10**8", 10 ** 8, "out of memory: Unable to allocate 853. PiB for an array with "
+                             "shape (120000001300000001,) and data type float64"),
+          ("4*10**8", 4 * 10 ** 8, TOO_BIG), ("10**18", 10 ** 18, TOO_MANY)]],
     *[row(f"synth.input_dim {dim}", SYNTH,
           lambda w, dim=dim: w.set("run.json", "synth.input_dim", dim), 2, ERROR + message)
       for dim, message in [(10 ** 18, TOO_BIG), (10 ** 19, TOO_MANY)]],
 ]
 
 
-@pytest.mark.parametrize("argv,edit,code,line", RUN_CONFIGS)
-def test_run_configs(inputs, capsys, argv, edit, code, line):
-    refused(inputs, capsys, argv, edit, code, line)
+@pytest.mark.parametrize("argv,edit,code,line,made", RUN_CONFIGS)
+def test_run_configs(inputs, capsys, argv, edit, code, line, made):
+    refused(inputs, capsys, argv, edit, code, line, made)
 
 
 # Flags are refused while parsing, before any file is read: here p, g and
@@ -629,6 +633,6 @@ FLAGS = [
 ]
 
 
-@pytest.mark.parametrize("argv,edit,code,line", FLAGS)
-def test_flags(inputs, capsys, argv, edit, code, line):
-    refused(inputs, capsys, argv, edit, code, line)
+@pytest.mark.parametrize("argv,edit,code,line,made", FLAGS)
+def test_flags(inputs, capsys, argv, edit, code, line, made):
+    refused(inputs, capsys, argv, edit, code, line, made)

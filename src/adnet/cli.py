@@ -10,6 +10,7 @@ version and the resolved configuration. Exit codes: 0 success, 1 usage,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import json
 import os
@@ -220,9 +221,7 @@ def cmd_train(args) -> int:
         frames_per_clip=frames_per_clip, epochs_completed=result.epochs_completed,
         params=result.params, adam=result.adam)
     storage.save_checkpoint(ckpt, checkpoint_path)
-    lines = [json.dumps({"epoch": entry.epoch, "mean_mse": entry.mean_mse,
-                         "mean_ad": entry.mean_ad, "mean_total": entry.mean_total})
-             for entry in result.log]
+    lines = [json.dumps(dataclasses.asdict(entry)) for entry in result.log]
     if log_path is not None:
         text = previous_log + "\n".join(lines) + "\n"
         # renamed over like the checkpoint, for the log holds every earlier epoch

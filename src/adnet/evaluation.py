@@ -105,9 +105,9 @@ def partition_extent(segments: Sequence[TemporalSegment], what: str) -> int:
         raise InputError(f"{what} segments start at frame {segments[0].start_frame}, not 0")
     for prev, cur in zip(segments, segments[1:]):
         if cur.start_frame != prev.end_frame:
-            kind = "overlap" if cur.start_frame < prev.end_frame else "gap"
+            kind = "an overlap" if cur.start_frame < prev.end_frame else "a gap"
             raise InputError(
-                f"{what} segments have a {kind} between [{prev.start_frame}, "
+                f"{what} segments have {kind} between [{prev.start_frame}, "
                 f"{prev.end_frame}) and [{cur.start_frame}, {cur.end_frame})")
     return segments[-1].end_frame
 

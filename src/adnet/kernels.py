@@ -43,6 +43,9 @@ def conv1d_dilated_fwd(x, w, b, dilation):
 
 
 def conv1d_dilated_bwd(x, w, gy, dilation):
+    """Gradients of conv1d_dilated_fwd for one window x of shape (Cin, T)
+    and its output gradient gy (Cout, T): (gx, gw, gb), of x's, w's and
+    b's shapes, in x's dtype."""
     cin, t = x.shape
     cout, _, k = w.shape
     pad = (k // 2) * dilation

@@ -1,81 +1,57 @@
+"""The command line's accepted inputs and documented outcomes.
+
+Each test edits a copy of a valid synth -> train -> infer round trip (the
+`inputs` and `one_video` fixtures, an `Inputs` of tests/_inputs.py) into
+the input it needs and calls the command line through `adnet`, which
+asserts that the outcome is documented. Read-only tests read the
+`pipeline` fixture itself; the refusals are in test_refusals.py.
+"""
+
 import contextlib
 import fcntl
-import io
 import json
 import math
 import os
 import re
-import struct
 import subprocess
-import sys
-import tempfile
 import tomllib
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from adnet import cli, io as storage, model, synth as generator, windowing
 from adnet.errors import FormatError
-from adnet.io import Checkpoint, ClipFeatureSequence
+from adnet.io import ClipFeatureSequence
 from adnet.model import ADNetConfig
 from adnet.training import TrainConfig
-from _inputs import SMALL_MODEL, SMALL_SYNTH, payload_offsets, rewrite_header, set_at, \
-    write_config
-
-
-def run(capsys, argv):
-    code = cli.main(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-
-
-# The ground truth of a one-video eval; eval_dirs and the prediction
-# documents drawn below score four clips of one frame against it.
-ONE_VIDEO_MANIFEST = {"video_id": "v", "frames_per_clip": 1, "total_frames": 4,
-                      "segments": [{"start_frame": 0, "end_frame": 2, "label": 0},
-                                   {"start_frame": 2, "end_frame": 4, "label": 1}]}
-
-
-def huge_clip_manifest(frames_per_clip, total_frames):
-    """A one-clip video's manifest: one frame of label 0, the rest label 1.
-    Frame counts of 10**15 and more could not be allocated frame by frame
-    on any machine."""
-    return {"video_id": "v", "frames_per_clip": frames_per_clip, "total_frames": total_frames,
-            "segments": [{"start_frame": 0, "end_frame": 1, "label": 0},
-                         {"start_frame": 1, "end_frame": total_frames, "label": 1}]}
+from _inputs import EVAL, INFER, ONE_VIDEO_MANIFEST, RESUME, SYNTH, TRAIN, adnet, \
+    adnet_command, adnet_subprocess, fresh_inputs, huge_clip_manifest, payload_offsets
 
 
 class TestSynth:
-    def test_default_video_count(self, tmp_path, capsys):
-        config = write_config(tmp_path / "c.json", {"synth": {"seed": 1}})
-        code, out, _ = run(capsys, ["synth", "--config", config,
-                                    "--out", str(tmp_path / "corpus")])
+    def test_default_video_count(self, inputs):
+        inputs.set("run.json", "synth", {"seed": 1})
+        code, out, _ = adnet(inputs.argv(SYNTH))
         assert code == 0
-        assert len(list((tmp_path / "corpus" / "features").glob("*.adnf"))) == 40
-        assert len(list((tmp_path / "corpus" / "annotations").glob("*.json"))) == 40
+        assert len(list((inputs.root / "new" / "features").glob("*.adnf"))) == 40
+        assert len(list((inputs.root / "new" / "annotations").glob("*.json"))) == 40
 
-    def test_rerun_is_byte_identical(self, tmp_path, capsys):
-        config = write_config(tmp_path / "c.json", {"synth": SMALL_SYNTH})
+    def test_rerun_is_byte_identical(self, inputs):
         for name in ("one", "two"):
-            code, _, _ = run(capsys, ["synth", "--config", config,
-                                      "--out", str(tmp_path / name)])
+            code, _, _ = adnet(inputs.argv(f"synth --config {{config}} --out {{root}}/{name}"))
             assert code == 0
         for sub in ("features", "annotations"):
-            for path in sorted((tmp_path / "one" / sub).iterdir()):
-                assert path.read_bytes() == (tmp_path / "two" / sub / path.name).read_bytes()
+            for path in sorted((inputs.root / "one" / sub).iterdir()):
+                assert path.read_bytes() == (inputs.root / "two" / sub / path.name).read_bytes()
 
-    def test_synth_features_beyond_float32(self, tmp_path, capsys):
+    def test_synth_features_beyond_float32(self, inputs):
         # float64 holds the features, but the float32 file cannot
-        config = write_config(tmp_path / "c.json", {
-            "synth": {**SMALL_SYNTH, "class_mean_separation": 1e300}})
-        code, stdout, err = run(capsys, ["synth", "--config", config,
-                                         "--out", str(tmp_path / "corpus")])
-        features = tmp_path / "corpus" / "features"
+        inputs.set("run.json", "synth.class_mean_separation", 1e300)
+        code, stdout, err = adnet(inputs.argv(SYNTH))
+        features = inputs.root / "new" / "features"
         assert (code, stdout) == (2, "")
         assert re.fullmatch(rf"adnet: error: {re.escape(str(features / 'video_000.adnf'))}: "
                             r"feature value -?[0-9.e+]+ at dim \d+, clip \d+ is not finite "
@@ -84,11 +60,11 @@ class TestSynth:
 
 
 class TestRunConfig:
-    def test_integers_accepted_for_number_fields(self, tmp_path):
-        config = write_config(tmp_path / "c.json", {
-            "train": {"learning_rate": 1, "alpha": 0, "use_ad_loss": False},
-            "synth": {"class_mean_separation": 2, "abnormal_segment_count_range": [0, 3]}})
-        doc = cli.load_run_config(config)
+    def test_integers_accepted_for_number_fields(self, inputs):
+        inputs.json("run.json", lambda doc: doc.update(
+            train={"learning_rate": 1, "alpha": 0, "use_ad_loss": False},
+            synth={"class_mean_separation": 2, "abnormal_segment_count_range": [0, 3]}))
+        doc = cli.load_run_config(str(inputs.root / "run.json"))
         assert doc["train"]["learning_rate"] == 1
 
     def test_readme_config_reference_lists_the_schema(self):
@@ -116,138 +92,85 @@ class TestTrain:
         assert all({"epoch", "mean_mse", "mean_ad", "mean_total"} <= set(r)
                    for r in records)
 
-    def test_resume_continues_epoch_numbering(self, pipeline, tmp_path, capsys):
-        _, corpus, _ = pipeline
-        config = write_config(tmp_path / "resume.json", {
-            "model": SMALL_MODEL,
-            "train": {"epochs": 3, "seed": 3},
-            "paths": {"features_dir": str(corpus / "features"),
-                      "annotations_dir": str(corpus / "annotations"),
-                      "checkpoint": str(tmp_path / "m.adnc"),
-                      "out_dir": str(tmp_path / "out")},
-        })
-        assert run(capsys, ["train", "--config", config])[0] == 0
-        code, out, _ = run(capsys, ["train", "--config", config, "--resume"])
+    def test_resume_continues_epoch_numbering(self, inputs):
+        inputs.set("run.json", "train.epochs", 3)
+        assert adnet(inputs.argv(TRAIN))[0] == 0
+        code, out, _ = adnet(inputs.argv(RESUME))
         assert code == 0
         epochs = [json.loads(line)["epoch"] for line in out.splitlines()
                   if line.startswith("{")]
         assert epochs == [3, 4, 5]
-        lines = (tmp_path / "out" / "train_log.jsonl").read_text().strip().splitlines()
+        lines = (inputs.root / "log" / "train_log.jsonl").read_text().strip().splitlines()
         assert [json.loads(line)["epoch"] for line in lines] == [0, 1, 2, 3, 4, 5]
-        ckpt = storage.load_checkpoint(tmp_path / "m.adnc")
+        ckpt = storage.load_checkpoint(inputs.root / "model.adnc")
         assert ckpt.epochs_completed == 6
 
-    def test_resume_renames_over_the_checkpoint_and_the_log(self, pipeline, tmp_path, capsys):
-        _, corpus, _ = pipeline
-        config = write_config(tmp_path / "resume.json", {
-            "model": SMALL_MODEL,
-            "train": {"epochs": 1, "seed": 3},
-            "paths": {"features_dir": str(corpus / "features"),
-                      "annotations_dir": str(corpus / "annotations"),
-                      "checkpoint": str(tmp_path / "m.adnc"),
-                      "out_dir": str(tmp_path / "out")},
-        })
-        assert run(capsys, ["train", "--config", config])[0] == 0
+    def test_resume_renames_over_the_checkpoint_and_the_log(self, inputs):
+        assert adnet(inputs.argv(TRAIN))[0] == 0
         # a swapped file may be left empty by a power loss, a renamed-over one not on ext4
         with mock.patch.object(storage, "_swap") as swap:
-            assert run(capsys, ["train", "--config", config, "--resume"])[0] == 0
+            assert adnet(inputs.argv(RESUME))[0] == 0
         swap.assert_not_called()
-        assert storage.load_checkpoint(tmp_path / "m.adnc").epochs_completed == 2
-        assert len((tmp_path / "out" / "train_log.jsonl").read_text().splitlines()) == 2
+        assert storage.load_checkpoint(inputs.root / "model.adnc").epochs_completed == 2
+        assert len((inputs.root / "log" / "train_log.jsonl").read_text().splitlines()) == 2
 
-    def test_undecodable_log_on_resume_leaves_checkpoint_unchanged(self, pipeline, tmp_path,
-                                                                     capsys):
-        _, corpus, _ = pipeline
-        config = write_config(tmp_path / "resume.json", {
-            "model": SMALL_MODEL,
-            "train": {"epochs": 1, "seed": 3},
-            "paths": {"features_dir": str(corpus / "features"),
-                      "annotations_dir": str(corpus / "annotations"),
-                      "checkpoint": str(tmp_path / "m.adnc"),
-                      "out_dir": str(tmp_path / "out")},
-        })
-        assert run(capsys, ["train", "--config", config])[0] == 0
-        checkpoint = (tmp_path / "m.adnc").read_bytes()
-        log_path = tmp_path / "out" / "train_log.jsonl"
+    def test_undecodable_log_on_resume_leaves_checkpoint_unchanged(self, inputs):
+        assert adnet(inputs.argv(TRAIN))[0] == 0
+        checkpoint = inputs.read("model.adnc")
+        log_path = inputs.root / "log" / "train_log.jsonl"
         log_path.write_bytes(b"\xff\n")
-        code, _, err = run(capsys, ["train", "--config", config, "--resume"])
+        code, _, err = adnet(inputs.argv(RESUME))
         assert code == 2
         assert err.startswith(f"adnet: error: {log_path}: not UTF-8")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
-        assert (tmp_path / "m.adnc").read_bytes() == checkpoint
+        assert inputs.read("model.adnc") == checkpoint
 
-    def test_resume_steps_at_the_configured_learning_rate(self, pipeline, tmp_path, capsys):
-        _, corpus, _ = pipeline
-        paths = {"features_dir": str(corpus / "features"),
-                 "annotations_dir": str(corpus / "annotations")}
-        start = tmp_path / "start.adnc"
-        config = write_config(tmp_path / "start.json", {
-            "model": SMALL_MODEL, "train": {"epochs": 1, "seed": 3},
-            "paths": {**paths, "checkpoint": str(start)}})
-        assert run(capsys, ["train", "--config", config])[0] == 0
+    def test_resume_steps_at_the_configured_learning_rate(self, inputs):
+        assert adnet(inputs.argv(TRAIN))[0] == 0
+        start = inputs.read("model.adnc")
         resumed = []
         for rate in (5e-4, 0.5):
-            checkpoint = tmp_path / f"{rate}.adnc"
-            checkpoint.write_bytes(start.read_bytes())
-            config = write_config(tmp_path / f"{rate}.json", {
-                "model": SMALL_MODEL, "train": {"epochs": 1, "seed": 3, "learning_rate": rate},
-                "paths": {**paths, "checkpoint": str(checkpoint)}})
-            assert run(capsys, ["train", "--config", config, "--resume"])[0] == 0
-            ckpt = storage.load_checkpoint(checkpoint)
+            inputs.write("model.adnc", start)
+            inputs.set("run.json", "train.learning_rate", rate)
+            assert adnet(inputs.argv(RESUME))[0] == 0
+            ckpt = storage.load_checkpoint(inputs.root / "model.adnc")
             assert ckpt.adam.lr == ckpt.train_config.learning_rate == rate
             resumed.append(ckpt.params.tensors)
         slow, fast = resumed
         assert any(not np.array_equal(slow[name].value, fast[name].value) for name in slow)
 
     @pytest.mark.parametrize("rate", [1e200, 1e300, 1e308])
-    def test_overflowing_last_step_exits_numeric(self, tmp_path, capsys, rate):
+    def test_overflowing_last_step_exits_numeric(self, one_video, rate):
         # one 4-clip window, one step: its loss is finite, but the step leaves
         # parameters near the rate, whose scores overflow to NaN
-        corpus = tmp_path / "corpus"
-        synth_config = write_config(tmp_path / "synth.json", {
-            "synth": {**SMALL_SYNTH, "num_videos": 1, "clips_min": 4, "clips_max": 4}})
-        assert run(capsys, ["synth", "--config", synth_config, "--out", str(corpus)])[0] == 0
-        checkpoint = tmp_path / "m.adnc"
-        model_section = {"window_width": 4, "num_stages": 2, "num_layers": 2,
-                         "hidden_channels": 8}
-        doc = {"model": model_section, "train": {"epochs": 1, "seed": 3},
-               "paths": {"features_dir": str(corpus / "features"),
-                         "annotations_dir": str(corpus / "annotations"),
-                         "checkpoint": str(checkpoint)}}
-        assert run(capsys, ["train", "--config", write_config(tmp_path / "a.json", doc)])[0] == 0
-        before = checkpoint.read_bytes()
-        doc["train"]["learning_rate"] = rate
-        code, out, err = run(capsys, ["train", "--config",
-                                      write_config(tmp_path / "b.json", doc)])
+        one_video.set("run.json", "model", {"window_width": 4, "num_stages": 2,
+                                            "num_layers": 2, "hidden_channels": 8})
+        assert adnet(one_video.argv(TRAIN))[0] == 0
+        before = one_video.read("model.adnc")
+        one_video.set("run.json", "train.learning_rate", rate)
+        code, out, err = adnet(one_video.argv(TRAIN))
         assert (code, out) == (3, "")
         assert err == "adnet: numeric failure: non-finite score on the training windows " \
                       "after 1 epochs\n"
-        assert checkpoint.read_bytes() == before
+        assert one_video.read("model.adnc") == before
 
-    def test_clip_of_10_to_the_15_frames_trains(self, tmp_path, capsys):
-        corpus = tmp_path / "corpus"
-        (corpus / "annotations").mkdir(parents=True)
-        (corpus / "features").mkdir()
-        storage.write_features(ClipFeatureSequence("v", np.zeros((5, 1))),
-                               corpus / "features" / "v.adnf")
-        (corpus / "annotations" / "v.json").write_text(
-            json.dumps(huge_clip_manifest(10 ** 15, 10 ** 15)))
-        config = small_train_config(tmp_path, corpus / "features", corpus / "annotations")
-        code, _, err = run(capsys, ["train", "--config", config])
+    def test_clip_of_10_to_the_15_frames_trains(self, one_video):
+        one_video.features("v", 5, clips=1)
+        one_video.write("annotations/v.json", huge_clip_manifest(10 ** 15, 10 ** 15))
+        code, _, err = adnet(one_video.argv(TRAIN))
         assert (code, err) == (0, "")
-        assert storage.load_checkpoint(tmp_path / "m.adnc").epochs_completed == 1
+        assert storage.load_checkpoint(one_video.root / "model.adnc").epochs_completed == 1
 
-    def test_checkpoint_is_a_directory(self, pipeline, tmp_path, capsys):
+    def test_checkpoint_is_a_directory(self, inputs):
         # refused before training, not by os.replace after it
-        _, corpus, _ = pipeline
-        checkpoint = tmp_path / "m.adnc"
+        checkpoint = inputs.root / "model.adnc"
+        checkpoint.unlink()
         checkpoint.mkdir()
         with mock.patch.object(cli.training, "train", side_effect=AssertionError("trained")):
-            code, stdout, err = run(capsys, ["train", "--config", small_train_config(
-                tmp_path, corpus / "features", corpus / "annotations")])
+            code, stdout, err = adnet(inputs.argv(TRAIN))
         assert (code, stdout) == (2, "")
         assert err == f"adnet: error: {checkpoint}: Is a directory\n"
-        assert list(tmp_path.glob(".m.adnc.*")) == []
+        assert list(inputs.root.glob(".model.adnc.*")) == []
 
 
 class TestInfer:
@@ -266,76 +189,49 @@ class TestInfer:
             assert len(doc["frame_scores"]) == 16 * seq.num_clips
             assert doc["clip_labels"] == [int(s >= 0.5) for s in doc["clip_scores"]]
 
-    def test_zero_weight_model_scores_exactly_half(self, pipeline, tmp_path, capsys):
+    def test_zero_weight_model_scores_exactly_half(self, inputs):
         # analytic fixture: with all parameters 0 every head emits
         # sigmoid(0) = 0.5 at unmasked positions, so merged clip scores
         # are exactly 0.5 and the 0.5 threshold labels everything abnormal
-        _, corpus, _ = pipeline
-        cfg = ADNetConfig(window_width=8, num_stages=2, num_layers=3, input_dim=5,
-                          hidden_channels=8)
-        params = model.build(cfg, seed=0)
-        for tensor in params:
-            tensor.value[:] = 0.0
-        fixture = Checkpoint(model_config=cfg, train_config=TrainConfig(seed=0),
-                             seed=0, frames_per_clip=16, epochs_completed=0,
-                             params=params)
-        path = tmp_path / "zero.adnc"
-        storage.save_checkpoint(fixture, path)
-        code, _, _ = run(capsys, ["infer", "--checkpoint", str(path),
-                                  "--features", str(corpus / "features"),
-                                  "--out", str(tmp_path / "pred")])
+        inputs.checkpoint(lambda ckpt: ckpt.params.flat.fill(0.0))
+        code, _, _ = adnet(inputs.argv(INFER))
         assert code == 0
-        for doc_path in (tmp_path / "pred").glob("*.json"):
+        for doc_path in (inputs.root / "scored").glob("*.json"):
             doc = json.loads(doc_path.read_text())
             assert doc["clip_scores"] == [0.5] * len(doc["clip_scores"])
             assert doc["clip_labels"] == [1] * len(doc["clip_labels"])
 
-    def test_single_clip_video(self, pipeline, tmp_path, capsys):
-        root, _, _ = pipeline
-        seq = ClipFeatureSequence("tiny", np.random.default_rng(0).normal(size=(5, 1)))
-        features = tmp_path / "features"
-        features.mkdir()
-        storage.write_features(seq, features / "tiny.adnf")
-        code, _, _ = run(capsys, ["infer", "--checkpoint", str(root / "model.adnc"),
-                                  "--features", str(features),
-                                  "--out", str(tmp_path / "pred")])
+    def test_single_clip_video(self, one_video):
+        one_video.features("v", 5, clips=1)
+        code, _, _ = adnet(one_video.argv(INFER))
         assert code == 0
-        doc = json.loads((tmp_path / "pred" / "tiny.json").read_text())
+        doc = json.loads((one_video.root / "scored" / "v.json").read_text())
         assert len(doc["clip_scores"]) == 1
 
-    def test_threshold_flag_overrides(self, pipeline, tmp_path, capsys):
-        root, corpus, _ = pipeline
-        code, _, _ = run(capsys, ["infer", "--checkpoint", str(root / "model.adnc"),
-                                  "--features", str(corpus / "features"),
-                                  "--out", str(tmp_path / "pred"),
-                                  "--threshold", "0.9"])
+    def test_threshold_flag_overrides(self, inputs):
+        code, _, _ = adnet(inputs.argv(INFER + " --threshold 0.9"))
         assert code == 0
-        doc = json.loads(next((tmp_path / "pred").glob("*.json")).read_text())
+        doc = json.loads(next((inputs.root / "scored").glob("*.json")).read_text())
         assert doc["config"]["threshold"] == 0.9
         assert doc["clip_labels"] == [int(s >= 0.9) for s in doc["clip_scores"]]
 
-    def test_document_path_is_a_directory(self, pipeline, tmp_path, capsys):
-        root, corpus, _ = pipeline
-        out = tmp_path / "pred"
+    def test_document_path_is_a_directory(self, inputs):
+        out = inputs.root / "scored"
         target = out / "video_001.json"
         (target / "inside").mkdir(parents=True)
-        code, stdout, err = run(capsys, ["infer", "--checkpoint", str(root / "model.adnc"),
-                                         "--features", str(corpus / "features"),
-                                         "--out", str(out)])
+        code, stdout, err = adnet(inputs.argv(INFER))
         assert (code, stdout) == (2, "")
         assert err == f"adnet: error: {target}: Is a directory\n"
         assert (target / "inside").is_dir()
         assert sorted(path.name for path in out.iterdir()) == ["video_000.json",
                                                                  "video_001.json"]
 
-    def test_second_run_rewrites_the_same_documents(self, pipeline, tmp_path, capsys):
-        root, corpus, _ = pipeline
-        argv = ["infer", "--checkpoint", str(root / "model.adnc"),
-                "--features", str(corpus / "features"), "--out", str(tmp_path / "pred")]
-        assert run(capsys, argv)[0] == 0
-        first = {path.name: path.read_bytes() for path in (tmp_path / "pred").iterdir()}
-        assert run(capsys, argv)[0] == 0
-        second = {path.name: path.read_bytes() for path in (tmp_path / "pred").iterdir()}
+    def test_second_run_rewrites_the_same_documents(self, inputs):
+        out = inputs.root / "scored"
+        assert adnet(inputs.argv(INFER))[0] == 0
+        first = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert adnet(inputs.argv(INFER))[0] == 0
+        second = {path.name: path.read_bytes() for path in out.iterdir()}
         assert len(first) == 4
         assert second == first
 
@@ -370,19 +266,11 @@ class TestPredictionText:
         assert text == expected_prediction_text(PREDICTION_HEAD, scores, labels,
                                                 frames_per_clip)
 
-    def test_infer_documents_are_json_dumps_of_themselves(self, pipeline, tmp_path, capsys):
-        root, corpus, _ = pipeline
-        features = tmp_path / "features"
-        features.mkdir()
-        for path in (corpus / "features").glob("*.adnf"):
-            (features / path.name).write_bytes(path.read_bytes())
-        storage.write_features(ClipFeatureSequence(
-            "tiny", np.random.default_rng(0).normal(size=(5, 1))), features / "tiny.adnf")
-        code, _, _ = run(capsys, ["infer", "--checkpoint", str(root / "model.adnc"),
-                                  "--features", str(features),
-                                  "--out", str(tmp_path / "pred")])
+    def test_infer_documents_are_json_dumps_of_themselves(self, inputs):
+        inputs.features("tiny", 5, clips=1)
+        code, _, _ = adnet(inputs.argv(INFER))
         assert code == 0
-        docs = sorted((tmp_path / "pred").glob("*.json"))
+        docs = sorted((inputs.root / "scored").glob("*.json"))
         assert len(docs) == 5
         for path in docs:
             text = path.read_text(encoding="utf-8")
@@ -447,26 +335,20 @@ class TestInferCheckpointRead:
 class TestCheckpointHeader:
     @pytest.mark.parametrize("field,value", [
         ("epochs_completed", 0), ("adam.step_count", 0), ("adam.beta1", 0.0)])
-    def test_range_boundary_loads(self, pipeline, tmp_path, capsys, field, value):
-        root, corpus, _ = pipeline
-        checkpoint = tmp_path / "m.adnc"
-        checkpoint.write_bytes((root / "model.adnc").read_bytes())
-        rewrite_header(checkpoint, lambda header: set_at(header, field.split("."), value))
-        code, _, err = run(capsys, ["train", "--resume", "--config", small_train_config(
-            tmp_path, corpus / "features", corpus / "annotations")])
+    def test_range_boundary_loads(self, inputs, field, value):
+        inputs.set("model.adnc", field, value)
+        code, _, err = adnet(inputs.argv(RESUME))
         assert (code, err) == (0, "")
-        assert storage.load_checkpoint(checkpoint).epochs_completed == (
+        assert storage.load_checkpoint(inputs.root / "model.adnc").epochs_completed == (
             1 if field == "epochs_completed" else 4)
 
     @pytest.mark.parametrize("params_only", [True, False], ids=["params_only", "full"])
-    def test_roster_with_reordered_keys_loads(self, pipeline, tmp_path, params_only):
+    def test_roster_with_reordered_keys_loads(self, pipeline, inputs, params_only):
         root, _, _ = pipeline
-        checkpoint = tmp_path / "m.adnc"
-        checkpoint.write_bytes((root / "model.adnc").read_bytes())
-        rewrite_header(checkpoint, lambda header: header.update(tensors=[
+        inputs.json("model.adnc", lambda header: header.update(tensors=[
             {"shape": entry["shape"], "name": entry["name"]} for entry in header["tensors"]]))
-        assert b'{"shape": [8, 5], "name": "stage0.proj.weight"}' in checkpoint.read_bytes()
-        back = storage.load_checkpoint(checkpoint, params_only=params_only)
+        assert b'{"shape": [8, 5], "name": "stage0.proj.weight"}' in inputs.read("model.adnc")
+        back = storage.load_checkpoint(inputs.root / "model.adnc", params_only=params_only)
         original = storage.load_checkpoint(root / "model.adnc", params_only=params_only)
         assert back.params.flat.tobytes() == original.params.flat.tobytes()
         if not params_only:
@@ -476,29 +358,17 @@ class TestCheckpointHeader:
 
 
 class TestEval:
-    def test_end_to_end_report(self, pipeline, capsys):
+    def test_end_to_end_report(self, pipeline):
         root, corpus, _ = pipeline
-        code, out, _ = run(capsys, ["eval", "--pred", str(root / "pred"),
-                                    "--gt", str(corpus / "annotations")])
+        code, out, _ = adnet(["eval", "--pred", root / "pred", "--gt", corpus / "annotations"])
         assert code == 0
         doc = json.loads(out)
         assert list(doc["segmental"]) == ["abnormal", "normal", "all"]
         assert set(doc["segmental"]["all"]) == {"f1@10", "f1@25", "f1@50"}
         assert 0.0 <= doc["frame_auc"] <= 1.0
 
-    def test_perfect_predictions_score_100(self, tmp_path, capsys):
-        gt_dir = tmp_path / "gt"
-        pred_dir = tmp_path / "pred"
-        gt_dir.mkdir()
-        pred_dir.mkdir()
-        manifest = {"video_id": "v", "frames_per_clip": 4, "total_frames": 24,
-                    "segments": [{"start_frame": 0, "end_frame": 12, "label": 0},
-                                 {"start_frame": 12, "end_frame": 24, "label": 1}]}
-        (gt_dir / "v.json").write_text(json.dumps(manifest))
-        pred = {"video_id": "v", "frames_per_clip": 4,
-                "clip_scores": [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]}
-        (pred_dir / "v.json").write_text(json.dumps(pred))
-        code, out, _ = run(capsys, ["eval", "--pred", str(pred_dir), "--gt", str(gt_dir)])
+    def test_perfect_predictions_score_100(self, one_video):
+        code, out, _ = adnet(one_video.argv(EVAL))
         assert code == 0
         doc = json.loads(out)
         assert doc["frame_auc"] == 1.0
@@ -506,86 +376,51 @@ class TestEval:
             for block in doc["segmental"][scope].values():
                 assert block["f1"] == 100.0
 
-    def test_fragmented_prediction_fixture(self, tmp_path, capsys):
+    def test_fragmented_prediction_fixture(self, one_video):
         # the motivating failure mode of plain AUC: fragments keep AUC high
         # while segmental F1 collapses
-        gt_dir = tmp_path / "gt"
-        pred_dir = tmp_path / "pred"
-        gt_dir.mkdir()
-        pred_dir.mkdir()
-        manifest = {"video_id": "v", "frames_per_clip": 10, "total_frames": 1000,
-                    "segments": [{"start_frame": 0, "end_frame": 300, "label": 0},
-                                 {"start_frame": 300, "end_frame": 700, "label": 1},
-                                 {"start_frame": 700, "end_frame": 1000, "label": 0}]}
-        (gt_dir / "v.json").write_text(json.dumps(manifest))
+        one_video.write("annotations/v.json", {
+            "video_id": "v", "frames_per_clip": 10, "total_frames": 1000,
+            "segments": [{"start_frame": 0, "end_frame": 300, "label": 0},
+                         {"start_frame": 300, "end_frame": 700, "label": 1},
+                         {"start_frame": 700, "end_frame": 1000, "label": 0}]})
         scores = np.full(100, 0.1)
         scores[30:70] = 0.9
         scores[list(range(35, 70, 5))] = 0.1
         scores[10] = 0.9
-        pred = {"video_id": "v", "frames_per_clip": 10, "clip_scores": scores.tolist()}
-        (pred_dir / "v.json").write_text(json.dumps(pred))
-        code, out, _ = run(capsys, ["eval", "--pred", str(pred_dir), "--gt", str(gt_dir),
-                                    "--k", "10,25,50"])
+        one_video.write("pred/v.json", {"video_id": "v", "frames_per_clip": 10,
+                                        "clip_scores": scores.tolist()})
+        code, out, _ = adnet(one_video.argv(EVAL + " --k 10,25,50"))
         assert code == 0
         doc = json.loads(out)
         assert doc["frame_auc"] >= 0.70
         assert doc["segmental"]["abnormal"]["f1@25"]["f1"] <= 35.0
 
-    def test_custom_k_list(self, tmp_path, capsys):
-        gt_dir = tmp_path / "gt"
-        pred_dir = tmp_path / "pred"
-        gt_dir.mkdir()
-        pred_dir.mkdir()
-        manifest = {"video_id": "v", "frames_per_clip": 1, "total_frames": 4,
-                    "segments": [{"start_frame": 0, "end_frame": 2, "label": 0},
-                                 {"start_frame": 2, "end_frame": 4, "label": 1}]}
-        (gt_dir / "v.json").write_text(json.dumps(manifest))
-        pred = {"video_id": "v", "frames_per_clip": 1,
-                "clip_scores": [0.0, 0.0, 1.0, 1.0]}
-        (pred_dir / "v.json").write_text(json.dumps(pred))
-        code, out, _ = run(capsys, ["eval", "--pred", str(pred_dir), "--gt", str(gt_dir),
-                                    "--k", "20,80"])
+    def test_custom_k_list(self, one_video):
+        code, out, _ = adnet(one_video.argv(EVAL + " --k 20,80"))
         assert code == 0
         doc = json.loads(out)
         assert set(doc["segmental"]["all"]) == {"f1@20", "f1@80"}
 
-
-    @pytest.fixture
-    def eval_dirs(self, tmp_path):
-        """A one-video ground truth and a writer for prediction documents."""
-        gt_dir = tmp_path / "gt"
-        pred_dir = tmp_path / "pred"
-        gt_dir.mkdir()
-        pred_dir.mkdir()
-        (gt_dir / "v.json").write_text(json.dumps(ONE_VIDEO_MANIFEST))
-
-        def write(name, **fields):
-            doc = {"video_id": "v", "frames_per_clip": 1,
-                   "clip_scores": [0.0, 0.0, 1.0, 1.0], **fields}
-            (pred_dir / name).write_text(json.dumps(doc))
-            return pred_dir / name
-
-        return ["eval", "--pred", str(pred_dir), "--gt", str(gt_dir)], write
-
-    def test_clip_of_10_to_the_15_frames_evaluates(self, eval_dirs, capsys):
+    def test_clip_of_10_to_the_15_frames_evaluates(self, one_video):
         # one clip scored at the threshold over one normal frame and the
         # abnormal rest: both runs tie, and the prediction is abnormal
-        argv, write = eval_dirs
-        write("v.json", frames_per_clip=10 ** 15, clip_scores=[0.5])
-        (Path(argv[4]) / "v.json").write_text(json.dumps(huge_clip_manifest(10 ** 15, 10 ** 15)))
-        code, out, err = run(capsys, argv)
+        one_video.write("pred/v.json", {"video_id": "v", "frames_per_clip": 10 ** 15,
+                                        "clip_scores": [0.5]})
+        one_video.write("annotations/v.json", huge_clip_manifest(10 ** 15, 10 ** 15))
+        code, out, err = adnet(one_video.argv(EVAL))
         assert (code, err) == (0, "")
         doc = json.loads(out)
         assert doc["frame_auc"] == 0.5
         assert doc["segmental"]["abnormal"]["f1@50"]["f1"] == 100.0
         assert doc["segmental"]["normal"]["f1@50"]["f1"] == 0.0
 
-    def test_lone_clip_longer_than_its_video(self, eval_dirs, capsys):
+    def test_lone_clip_longer_than_its_video(self, one_video):
         # a clip of 10**15 frames over a 4-frame video covers 4 frames
-        argv, write = eval_dirs
-        write("v.json", frames_per_clip=10 ** 15, clip_scores=[0.75])
-        (Path(argv[4]) / "v.json").write_text(json.dumps(huge_clip_manifest(10 ** 15, 4)))
-        code, out, err = run(capsys, argv)
+        one_video.write("pred/v.json", {"video_id": "v", "frames_per_clip": 10 ** 15,
+                                        "clip_scores": [0.75]})
+        one_video.write("annotations/v.json", huge_clip_manifest(10 ** 15, 4))
+        code, out, err = adnet(one_video.argv(EVAL))
         assert (code, err) == (0, "")
         doc = json.loads(out)
         assert doc["frame_auc"] == 0.5
@@ -593,23 +428,13 @@ class TestEval:
         assert doc["segmental"]["normal"]["f1@50"]["f1"] == 0.0
 
 
-def in_process(argv, members=cli.PREDICTION_MEMBERS):
-    """Exit code, stdout and stderr of one in-process adnet call in which
-    eval builds the given prediction-document members, None for all."""
-    out, err = io.StringIO(), io.StringIO()
-    with mock.patch.object(cli, "PREDICTION_MEMBERS", members), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
-def assert_members_read_as_json_loads(pred_dir, gt_dir, data: bytes):
+def assert_members_read_as_json_loads(inputs, data: bytes, name="pred/v.json"):
     """The contract of a member-selecting read: read_json with eval's
     members raises the FormatError that a full read raises, or returns
     the full read's values of those members, and eval's exit code, stdout
     and stderr are those of an eval that builds every member."""
-    path = pred_dir / "v.json"
-    path.write_bytes(data)
+    inputs.write(name, data)
+    path = inputs.root / name
     try:
         doc = storage.read_json(path, "prediction")
     except FormatError as exc:
@@ -622,8 +447,8 @@ def assert_members_read_as_json_loads(pred_dir, gt_dir, data: bytes):
         # repr tells -0.0 from 0.0, 1 from 1.0 and True, and shows NaN as nan
         assert repr(storage.read_json(path, "prediction", members=cli.PREDICTION_MEMBERS)) \
             == repr(doc)
-    argv = ["eval", "--pred", str(pred_dir), "--gt", str(gt_dir)]
-    assert in_process(argv) == in_process(argv, members=None)
+    argv = inputs.argv(EVAL)
+    assert adnet(argv) == adnet(argv, members=None)
 
 
 # JSON values as text, at the edges of what json.loads converts: NaN, the
@@ -728,53 +553,46 @@ JSON_TEXTS = st.recursive(
     max_leaves=20)
 
 
+# Every draw rewrites pred/v.json, the one file it changes, before eval
+# reads the copy, so the draws of a test share one copy.
+SHARED_COPY = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
 class TestPredictionMembers:
     """eval reads prediction documents through read_json with members:
     it must accept and reject exactly what json.loads does."""
 
-    @pytest.fixture(scope="class")
-    def one_video(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("members")
-        (root / "pred").mkdir()
-        (root / "gt").mkdir()
-        (root / "gt" / "v.json").write_text(json.dumps(ONE_VIDEO_MANIFEST))
-        return root / "pred", root / "gt"
-
     @pytest.mark.parametrize("text", LISTED_DOCUMENTS)
     def test_listed_documents(self, one_video, text):
-        assert_members_read_as_json_loads(*one_video, text.encode("utf-8", "surrogatepass"))
+        assert_members_read_as_json_loads(one_video, text.encode("utf-8", "surrogatepass"))
 
     @given(text=prediction_texts())
-    @settings(max_examples=300, deadline=None)
+    @settings(SHARED_COPY, max_examples=300)
     def test_drawn_documents(self, one_video, text):
-        assert_members_read_as_json_loads(*one_video, text.encode("utf-8", "surrogatepass"))
+        assert_members_read_as_json_loads(one_video, text.encode("utf-8", "surrogatepass"))
 
     @given(value=JSON_TEXTS, indent=st.sampled_from([None, 0, 2]))
-    @settings(max_examples=200, deadline=None)
+    @settings(SHARED_COPY, max_examples=200)
     def test_arbitrary_json(self, one_video, value, indent):
-        assert_members_read_as_json_loads(*one_video, json.dumps(value, indent=indent).encode())
+        assert_members_read_as_json_loads(one_video, json.dumps(value, indent=indent).encode())
 
     @given(text=st.text(alphabet='{}[]":,. \n0123456789-+eEINaftrulsx\\', max_size=40))
-    @settings(max_examples=200, deadline=None)
+    @settings(SHARED_COPY, max_examples=200)
     def test_arbitrary_text(self, one_video, text):
-        assert_members_read_as_json_loads(*one_video, text.encode())
+        assert_members_read_as_json_loads(one_video, text.encode())
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_single_byte_corruptions_of_an_infer_document(self, pipeline, data):
-        root, corpus, _ = pipeline
-        document = sorted((root / "pred").glob("*.json"))[0]
-        pred_dir, gt_dir = root / "corrupt" / "pred", root / "corrupt" / "gt"
-        pred_dir.mkdir(parents=True, exist_ok=True)
-        gt_dir.mkdir(exist_ok=True)
-        (gt_dir / document.name).write_bytes((corpus / "annotations" / document.name).read_bytes())
-        raw = document.read_bytes()
-        index = data.draw(st.integers(0, len(raw) - 1))
-        byte = bytes([data.draw(st.integers(0, 255))])
-        edit = data.draw(st.sampled_from(["replace", "delete", "insert"]))
-        tail = raw[index:] if edit == "insert" else raw[index + 1:]
-        assert_members_read_as_json_loads(
-            pred_dir, gt_dir, raw[:index] + (b"" if edit == "delete" else byte) + tail)
+        with fresh_inputs(pipeline) as inputs:
+            raw = inputs.read("pred/video_000.json")
+            index = data.draw(st.integers(0, len(raw) - 1))
+            byte = bytes([data.draw(st.integers(0, 255))])
+            edit = data.draw(st.sampled_from(["replace", "delete", "insert"]))
+            tail = raw[index:] if edit == "insert" else raw[index + 1:]
+            assert_members_read_as_json_loads(
+                inputs, raw[:index] + (b"" if edit == "delete" else byte) + tail,
+                name="pred/video_000.json")
 
     def test_infer_documents_are_read_without_json_loads(self, pipeline):
         root, _, _ = pipeline
@@ -797,58 +615,36 @@ def corruptions(draw, raw: bytes) -> bytes:
     return raw[:index] + bytes([raw[index] ^ draw(st.integers(1, 255))]) + raw[index + 1:]
 
 
-def assert_clean_exit(outcome):
-    """Exit 0, or one adnet: line: exit 2 for a malformed file (a NaN,
-    an infinity or a negative second moment among them), or exit 3, the
-    numeric failure, when a changed payload byte leaves a finite parameter
-    or Adam moment whose magnitude overflows a score or loss."""
-    code, _, err = outcome
-    if code != 0:
-        prefix = {2: "adnet: error: ", 3: "adnet: numeric failure: "}[code]
-        assert err.startswith(prefix) and err.count("\n") == 1, err
-
-
 class TestCorruptBinaryFiles:
-    """Byte-level corruption of real .adnf and .adnc files ends in a clean
-    exit, never a traceback (which would propagate out of cli.main)."""
+    """Byte-level corruption of real .adnf and .adnc files ends in a
+    documented exit, never a traceback (which would propagate out of
+    cli.main). Exit 3, the numeric failure, comes of a changed payload byte
+    that leaves a finite parameter or Adam moment whose magnitude
+    overflows a score or loss. Each draw corrupts a copy of its own."""
+
+    ONE_FILE = "infer --checkpoint {checkpoint} --features {features}/video_000.adnf --out {out}"
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_features_under_infer(self, pipeline, data):
-        root, corpus, _ = pipeline
-        source = sorted((corpus / "features").glob("*.adnf"))[0]
-        features = root / "corrupt_features" / source.name
-        features.parent.mkdir(exist_ok=True)
-        features.write_bytes(data.draw(corruptions(source.read_bytes())))
-        assert_clean_exit(in_process(["infer", "--checkpoint", str(root / "model.adnc"),
-                                      "--features", str(features),
-                                      "--out", str(features.parent / "pred")]))
+        with fresh_inputs(pipeline) as inputs:
+            name = "features/video_000.adnf"
+            inputs.write(name, data.draw(corruptions(inputs.read(name))))
+            adnet(inputs.argv(self.ONE_FILE))
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_checkpoint_under_infer(self, pipeline, data):
-        root, corpus, _ = pipeline
-        checkpoint = root / "corrupt_infer" / "model.adnc"
-        checkpoint.parent.mkdir(exist_ok=True)
-        checkpoint.write_bytes(data.draw(corruptions((root / "model.adnc").read_bytes())))
-        features = sorted((corpus / "features").glob("*.adnf"))[0]
-        assert_clean_exit(in_process(["infer", "--checkpoint", str(checkpoint),
-                                      "--features", str(features),
-                                      "--out", str(checkpoint.parent / "pred")]))
+        with fresh_inputs(pipeline) as inputs:
+            inputs.write("model.adnc", data.draw(corruptions(inputs.read("model.adnc"))))
+            adnet(inputs.argv(self.ONE_FILE))
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_checkpoint_under_train_resume(self, pipeline, data):
-        root, corpus, _ = pipeline
-        checkpoint = root / "corrupt_resume" / "model.adnc"
-        checkpoint.parent.mkdir(exist_ok=True)
-        checkpoint.write_bytes(data.draw(corruptions((root / "model.adnc").read_bytes())))
-        config = write_config(checkpoint.parent / "c.json", {
-            "model": SMALL_MODEL, "train": {"epochs": 1, "seed": 3},
-            "paths": {"features_dir": str(corpus / "features"),
-                      "annotations_dir": str(corpus / "annotations"),
-                      "checkpoint": str(checkpoint)}})
-        assert_clean_exit(in_process(["train", "--resume", "--config", config]))
+        with fresh_inputs(pipeline) as inputs:
+            inputs.write("model.adnc", data.draw(corruptions(inputs.read("model.adnc"))))
+            adnet(inputs.argv(RESUME))
 
 
 def test_closed_stdout_is_one_error_line(pipeline):
@@ -857,10 +653,9 @@ def test_closed_stdout_is_one_error_line(pipeline):
     # a one-page pipe holds a fraction of the report, so eval is still
     # writing when the reader closes it after the first line
     fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
-    argv = [sys.executable, "-m", "adnet.cli", "eval", "--pred", str(root / "pred"),
-            "--gt", str(corpus / "annotations"), "--k", ",".join(map(str, range(1, 101)))]
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    proc = subprocess.Popen(argv, stdout=write_end, stderr=subprocess.PIPE, env=env)
+    argv = ["eval", "--pred", root / "pred", "--gt", corpus / "annotations",
+            "--k", ",".join(map(str, range(1, 101)))]
+    proc = subprocess.Popen(**adnet_command(argv), stdout=write_end, stderr=subprocess.PIPE)
     os.close(write_end)
     with os.fdopen(read_end, "rb") as reader:
         assert reader.readline() == b"{\n"
@@ -888,67 +683,34 @@ def test_readme_config_reference_matches_the_defaults():
             f"{section}.{key}")
 
 
-def copied_annotations(corpus, root):
-    """The corpus' features directory, and a copy of its annotation
-    directory under root, whose manifests a test may rename or edit."""
-    annotations = root / "annotations"
-    annotations.mkdir()
-    for path in sorted((corpus / "annotations").glob("*.json")):
-        (annotations / path.name).write_bytes(path.read_bytes())
-    return corpus / "features", annotations
-
-
-def small_train_config(root, features, annotations, **paths):
-    """A one-epoch run config writing its checkpoint to root/m.adnc."""
-    return write_config(root / "c.json", {
-        "model": SMALL_MODEL, "train": {"epochs": 1, "seed": 3},
-        "paths": {"features_dir": str(features), "annotations_dir": str(annotations),
-                  "checkpoint": str(root / "m.adnc"), **paths}})
-
-
 class TestGroundTruthPairing:
     """train and eval read the ground-truth directory through one reader,
     which keys manifests by video_id, not by file name (its refusals are
     in test_refusals.py)."""
 
-    def test_train_pairs_manifests_by_video_id(self, pipeline, tmp_path, capsys):
-        _, corpus, _ = pipeline
-        features, annotations = copied_annotations(corpus, tmp_path)
-        config = small_train_config(tmp_path, features, annotations)
-        assert run(capsys, ["train", "--config", config])[0] == 0
-        by_name = (tmp_path / "m.adnc").read_bytes()
+    def test_train_pairs_manifests_by_video_id(self, inputs):
+        assert adnet(inputs.argv(TRAIN))[0] == 0
+        by_name = inputs.read("model.adnc")
+        annotations = inputs.root / "annotations"
         for index, path in enumerate(sorted(annotations.glob("*.json"), reverse=True)):
             path.rename(annotations / f"gt_{index}.json")
-        code, _, err = run(capsys, ["train", "--config", config])
+        code, _, err = adnet(inputs.argv(TRAIN))
         assert (code, err) == (0, "")
-        assert (tmp_path / "m.adnc").read_bytes() == by_name
+        assert inputs.read("model.adnc") == by_name
 
-    def test_eval_pairs_manifests_by_video_id(self, tmp_path, capsys):
-        gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
-        gt_dir.mkdir()
-        pred_dir.mkdir()
-        for name, video_id in [("a", "v"), ("b", "w")]:
-            (gt_dir / f"{video_id}.json").write_text(
-                json.dumps({**ONE_VIDEO_MANIFEST, "video_id": video_id}))
-            (pred_dir / f"{name}.json").write_text(json.dumps(
-                {"video_id": video_id, "frames_per_clip": 1, "clip_scores": [0.0, 0.0, 1.0, 1.0]}))
-        argv = ["eval", "--pred", str(pred_dir), "--gt", str(gt_dir)]
-        code, by_name, _ = run(capsys, argv)
+    def test_eval_pairs_manifests_by_video_id(self, one_video):
+        (one_video.root / "pred" / "v.json").rename(one_video.root / "pred" / "a.json")
+        one_video.write("pred/b.json", {"video_id": "w", "frames_per_clip": 1,
+                                        "clip_scores": [0.0, 0.0, 1.0, 1.0]})
+        one_video.write("annotations/w.json", {**ONE_VIDEO_MANIFEST, "video_id": "w"})
+        code, by_name, _ = adnet(one_video.argv(EVAL))
         assert code == 0
+        gt_dir = one_video.root / "annotations"
         (gt_dir / "v.json").rename(gt_dir / "x.json")
         (gt_dir / "w.json").rename(gt_dir / "v.json")
-        code, out, err = run(capsys, argv)
+        code, out, err = adnet(one_video.argv(EVAL))
         assert (code, err) == (0, "")
         assert out == by_name
-
-
-def adnet_subprocess(argv):
-    """Exit code and stderr of `python -m adnet.cli` run in a child process,
-    whose stderr, unlike pytest's in-process capture, shows numpy warnings."""
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "adnet.cli", *argv], env=env,
-                          capture_output=True, timeout=120)
-    return proc.returncode, proc.stderr.decode()
 
 
 class TestOverflowingCheckpoint:
@@ -956,29 +718,18 @@ class TestOverflowingCheckpoint:
     numeric-failure line, with no RuntimeWarning before it."""
 
     @pytest.fixture
-    def overflowing(self, pipeline, tmp_path):
-        root, _, _ = pipeline
-        ckpt = storage.load_checkpoint(root / "model.adnc")
-        ckpt.params.tensors["stage0.proj.weight"].value[...] = 1e308
-        storage.save_checkpoint(ckpt, tmp_path / "big.adnc")
-        return tmp_path / "big.adnc"
+    def overflowing(self, inputs):
+        inputs.checkpoint(
+            lambda ckpt: ckpt.params.tensors["stage0.proj.weight"].value.fill(1e308))
+        return inputs
 
-    def test_infer(self, pipeline, overflowing, tmp_path):
-        _, corpus, _ = pipeline
-        assert adnet_subprocess(["infer", "--checkpoint", str(overflowing),
-                                 "--features", str(corpus / "features"),
-                                 "--out", str(tmp_path / "pred")]) == (
-            3, "adnet: numeric failure: non-finite score for video video_000\n")
+    def test_infer(self, overflowing):
+        assert adnet_subprocess(overflowing.argv(INFER)) == (
+            3, "", "adnet: numeric failure: non-finite score for video video_000\n")
 
-    def test_train_resume(self, pipeline, overflowing, tmp_path):
-        _, corpus, _ = pipeline
-        config = write_config(tmp_path / "c.json", {
-            "model": SMALL_MODEL, "train": {"epochs": 1, "seed": 3},
-            "paths": {"features_dir": str(corpus / "features"),
-                      "annotations_dir": str(corpus / "annotations"),
-                      "checkpoint": str(overflowing)}})
-        assert adnet_subprocess(["train", "--config", config, "--resume"]) == (
-            3, "adnet: numeric failure: non-finite loss at epoch 3\n")
+    def test_train_resume(self, overflowing):
+        assert adnet_subprocess(overflowing.argv(RESUME)) == (
+            3, "", "adnet: numeric failure: non-finite loss at epoch 3\n")
 
 
 class TestFloat32Overflow:
@@ -987,13 +738,10 @@ class TestFloat32Overflow:
     scores as infer does; stderr is the one numeric-failure line."""
 
     @staticmethod
-    def scaled(pipeline, tmp_path, factor):
-        """The pipeline's checkpoint with every weight times factor."""
-        root, _, _ = pipeline
-        ckpt = storage.load_checkpoint(root / "model.adnc")
-        ckpt.params.flat *= factor
-        storage.save_checkpoint(ckpt, tmp_path / "scaled.adnc")
-        return tmp_path / "scaled.adnc", ckpt.params
+    def scaled(inputs, factor):
+        """The parameters of the copy's checkpoint, every weight now times factor."""
+        return inputs.checkpoint(
+            lambda ckpt: np.multiply(ckpt.params.flat, factor, out=ckpt.params.flat)).params
 
     @staticmethod
     def largest_float64_activation(params, features):
@@ -1003,39 +751,31 @@ class TestFloat32Overflow:
         return max(np.abs(value).max() for stage in saved
                    for value in (stage.head_input, *(v for block in stage.blocks for v in block)))
 
-    def test_train_resume(self, pipeline, tmp_path):
+    def test_train_resume(self, inputs):
         # weights times 1e6: every float64 activation stays finite, but the
         # largest passes float32's range; a guard against float64 overflow
         # alone would exit 0 with a checkpoint that infer cannot score
-        _, corpus, _ = pipeline
-        checkpoint, params = self.scaled(pipeline, tmp_path, 1e6)
-        before = checkpoint.read_bytes()
-        features = storage.read_features(corpus / "features" / "video_000.adnf").features
+        params = self.scaled(inputs, 1e6)
+        before = inputs.read("model.adnc")
+        features = storage.read_features(inputs.root / "features" / "video_000.adnf").features
         assert np.finfo(np.float32).max < self.largest_float64_activation(params, features) < 1e300
-        config = write_config(tmp_path / "c.json", {
-            "model": SMALL_MODEL, "train": {"epochs": 1, "seed": 3},
-            "paths": {"features_dir": str(corpus / "features"),
-                      "annotations_dir": str(corpus / "annotations"),
-                      "checkpoint": str(checkpoint)}})
-        assert adnet_subprocess(["train", "--config", config, "--resume"]) == (
-            3, "adnet: numeric failure: non-finite score on the training windows after 4 epochs\n")
-        assert checkpoint.read_bytes() == before
+        assert adnet_subprocess(inputs.argv(RESUME)) == (
+            3, "", "adnet: numeric failure: non-finite score on the training windows after 4 "
+                   "epochs\n")
+        assert inputs.read("model.adnc") == before
 
-    def test_infer(self, pipeline, tmp_path):
+    def test_infer(self, inputs):
         # weights times 10 score the corpus, but finite float32 features near
         # 1e36 take float64 activations past float32's range
-        _, corpus, _ = pipeline
-        checkpoint, params = self.scaled(pipeline, tmp_path, 10.0)
-        ordinary = storage.read_features(corpus / "features" / "video_000.adnf").features
+        params = self.scaled(inputs, 10.0)
+        ordinary = storage.read_features(inputs.root / "features" / "video_000.adnf").features
         assert np.all(np.isfinite(model.score_sequence(params, ordinary)))
         features = np.random.default_rng(0).normal(size=(5, 12)) * 1e36
         assert np.finfo(np.float32).max < self.largest_float64_activation(params, features) < 1e300
-        path = tmp_path / "loud.adnf"
-        storage.write_features(ClipFeatureSequence("loud", features), path)
-        assert adnet_subprocess(["infer", "--checkpoint", str(checkpoint), "--features", str(path),
-                                 "--out", str(tmp_path / "pred")]) == (
-            3, "adnet: numeric failure: non-finite score for video loud\n")
-        assert not (tmp_path / "pred" / "loud.json").exists()
+        storage.write_features(ClipFeatureSequence("loud", features), inputs.root / "loud.adnf")
+        assert adnet_subprocess(inputs.argv(INFER.replace("{features}", "{root}/loud.adnf"))) == (
+            3, "", "adnet: numeric failure: non-finite score for video loud\n")
+        assert not (inputs.root / "scored" / "loud.json").exists()
 
 
 class TestCorruptCheckpointValues:
@@ -1044,67 +784,30 @@ class TestCorruptCheckpointValues:
 
     @pytest.mark.parametrize("name,value", [("optimizer.m.stage0.proj.weight", math.nan),
                                             ("optimizer.v.stage0.proj.weight", -1.0)])
-    def test_infer_checks_only_the_parameters_it_reads(self, pipeline, tmp_path, capsys,
-                                                       name, value):
-        root, corpus, _ = pipeline
-        raw = bytearray((root / "model.adnc").read_bytes())
-        struct.pack_into("<d", raw, payload_offsets(bytes(raw))[name], value)
-        checkpoint = tmp_path / "m.adnc"
-        checkpoint.write_bytes(raw)
-        code, _, err = run(capsys, ["infer", "--checkpoint", str(checkpoint),
-                                    "--features", str(corpus / "features"),
-                                    "--out", str(tmp_path / "pred")])
+    def test_infer_checks_only_the_parameters_it_reads(self, inputs, name, value):
+        inputs.put(name, 0, value)
+        code, _, err = adnet(inputs.argv(INFER))
         assert (code, err) == (0, "")
 
 
-def documented_exit(argv) -> int:
-    """The exit code of one in-process adnet call, asserting that its
-    outcome is documented: exit 0 with nothing on stderr; exit 1 with
-    argparse's usage and error line; exit 2 with one adnet: error line;
-    or exit 3 with one numeric-failure line. A traceback propagates out of
-    cli.main and fails the caller."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse
-            code = exc.code
-    text = err.getvalue()
-    if code == 1:
-        assert text.startswith("usage: adnet"), text
-        assert re.fullmatch(r"adnet( \w+)?: error: .+", text.splitlines()[-1]), text
-    else:
-        prefix = {0: "", 2: "adnet: error: ", 3: "adnet: numeric failure: "}[code]
-        assert text == "" if code == 0 else (
-            text.startswith(prefix) and text.count("\n") == 1), text
-    return code
-
-
 # A run config small enough that synth and one epoch of train take tens of
-# milliseconds. Path values are tokens that a test replaces with paths in
-# its scratch directory.
+# milliseconds. Its paths, and the drawn ones, are relative to the scratch
+# directory the test runs in.
 FUZZ_CONFIG = {
     "synth": {"num_videos": 2, "clips_min": 8, "clips_max": 12, "input_dim": 3,
               "frames_per_clip": 2, "seed": 1},
     "model": {"window_width": 4, "num_stages": 1, "num_layers": 1, "hidden_channels": 2},
     "train": {"epochs": 1, "seed": 0},
-    "paths": {"features_dir": "@corpus/features", "annotations_dir": "@corpus/annotations",
-              "checkpoint": "@m.adnc", "out_dir": "@out"},
+    "paths": {"features_dir": "corpus/features", "annotations_dir": "corpus/annotations",
+              "checkpoint": "m.adnc", "out_dir": "out"},
 }
 # Drawn integer fields stay at most this large (4 unless named), so that no
 # drawn geometry allocates more than a few MB.
 FUZZ_INT_CEILINGS = {"window_width": 12, "clips_min": 16, "clips_max": 16, "kernel_size": 5,
                      "num_stages": 3, "num_videos": 3, "epochs": 2}
-FUZZ_PATHS = ["@corpus/features", "@corpus/annotations", "@m.adnc", "@out", "@file", "@dir",
-              "@missing", "@file/under"]
-
-
-def fuzz_scratch(scratch: Path) -> dict:
-    """Path tokens as JSON strings -> the JSON strings of their paths under
-    scratch, where @file is a file and @dir an empty directory."""
-    (scratch / "file").write_text("x")
-    (scratch / "dir").mkdir()
-    return {json.dumps(token): json.dumps(str(scratch / token[1:])) for token in FUZZ_PATHS}
+# file is a file and dir an empty directory in the scratch directory
+FUZZ_PATHS = ["corpus/features", "corpus/annotations", "m.adnc", "out", "file", "dir",
+              "missing", "file/under"]
 
 
 def config_values(section: str, key: str):
@@ -1150,54 +853,43 @@ class TestFuzzedInvocations:
 
     @given(doc=run_configs())
     @settings(max_examples=100, deadline=None)
-    def test_run_configs(self, doc):
+    def test_run_configs(self, pipeline, doc):
         # a drawn string is a valid path value, so relative paths must
         # resolve inside the scratch directory
-        with tempfile.TemporaryDirectory() as scratch, contextlib.chdir(scratch):
-            scratch = Path(scratch)
-            text = json.dumps(doc)
-            for token, path in fuzz_scratch(scratch).items():
-                text = text.replace(token, path)
-            config = scratch / "run.json"
-            config.write_text(text)
-            documented_exit(["synth", "--config", str(config), "--out", str(scratch / "corpus")])
-            documented_exit(["train", "--config", str(config)])
+        with fresh_inputs(pipeline) as inputs, contextlib.chdir(inputs.root):
+            inputs.write("file", "x")
+            (inputs.root / "dir").mkdir()
+            inputs.write("run.json", json.dumps(doc))
+            adnet(inputs.argv("synth --config {config} --out corpus"))
+            adnet(inputs.argv(TRAIN))
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_flags(self, pipeline, data):
-        root, corpus, _ = pipeline
-        with tempfile.TemporaryDirectory() as scratch, contextlib.chdir(scratch):
-            scratch = Path(scratch)
-            fuzz_scratch(scratch)
-            config = write_config(scratch / "run.json", {
-                "synth": SMALL_SYNTH, "model": SMALL_MODEL, "train": {"epochs": 1, "seed": 3},
-                "paths": {"features_dir": str(corpus / "features"),
-                          "annotations_dir": str(corpus / "annotations"),
-                          "checkpoint": str(scratch / "m.adnc"),
-                          "out_dir": str(scratch / "out")}})
-            wrong = [str(scratch / token[1:]) for token in FUZZ_PATHS] + [
-                str(root / "model.adnc"), str(corpus / "features"), str(root / "pred"),
-                str(corpus / "annotations"), config]
+        with fresh_inputs(pipeline) as inputs, contextlib.chdir(inputs.root):
+            inputs.write("file", "x")
+            (inputs.root / "dir").mkdir()
+            right = {name: inputs.fill("{" + name + "}") for name in
+                     ("config", "checkpoint", "features", "pred", "annotations")}
+            wrong = FUZZ_PATHS + list(right.values())
 
-            def path(right):
-                return st.one_of(st.just(str(right)), st.sampled_from(wrong))
+            def path(name):
+                return st.one_of(st.just(right[name]), st.sampled_from(wrong))
 
-            # outputs go to scratch only: a new path, a file, a directory,
-            # or a path under a file
-            out = st.sampled_from([str(scratch / name) for name in
-                                   ("new", "file", "dir", "file/under", "missing/new")])
+            # outputs go to the scratch directory only: a new path, a file,
+            # a directory, or a path under a file
+            out = st.sampled_from(["new", "file", "dir", "file/under", "missing/new"])
             threshold = st.one_of(st.floats().map(repr), st.sampled_from(
                 ["0.5", "nan", "inf", "-inf", "1e999", "0", "1", "", "x", "0x1p-2"]))
             ks = st.one_of(st.sampled_from(["10,25,50", "1", "100", "0", "101", "5,5", "-1"]),
                            st.text(alphabet="0123456789,-+. x", max_size=8))
             flags = {
-                "synth": [("--config", path(config)), ("--out", out)],
-                "train": [("--config", path(config)), ("--resume", None)],
-                "infer": [("--checkpoint", path(root / "model.adnc")),
-                          ("--features", path(corpus / "features")), ("--out", out),
+                "synth": [("--config", path("config")), ("--out", out)],
+                "train": [("--config", path("config")), ("--resume", None)],
+                "infer": [("--checkpoint", path("checkpoint")),
+                          ("--features", path("features")), ("--out", out),
                           ("--threshold", threshold)],
-                "eval": [("--pred", path(root / "pred")), ("--gt", path(corpus / "annotations")),
+                "eval": [("--pred", path("pred")), ("--gt", path("annotations")),
                          ("--k", ks)],
             }
             command = data.draw(st.sampled_from(sorted(flags)))
@@ -1207,4 +899,4 @@ class TestFuzzedInvocations:
                     argv += [flag] if values is None else [flag, data.draw(values)]
             if data.draw(st.sampled_from([False] * 15 + [True])):
                 argv.append("--bogus")
-            documented_exit(argv)
+            adnet(argv)

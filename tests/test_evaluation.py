@@ -108,6 +108,9 @@ class TestInputRules:
     @pytest.mark.parametrize("segments, message", [
         ([], "ground truth segment list is empty"),
         ([seg(2, 4, 0)], "ground truth segments start at frame 2, not 0"),
+        ([seg(0, 4, 0), seg(3, 6, 1)],
+         "ground truth segments have an overlap between [0, 4) and [3, 6)"),
+        ([seg(0, 4, 0), seg(5, 6, 1)], "ground truth segments have a gap between [0, 4) and [5, 6)"),
     ])
     def test_partition_rejected(self, segments, message):
         with pytest.raises(InputError) as info:

@@ -4,22 +4,16 @@ Outside input enters adnet through six boundaries: `.adnf` feature files,
 annotation manifests, `.adnc` checkpoints, prediction documents, the run
 config and the command-line flags. Each row of a boundary's table names
 one edit of a valid input, the command that reads it, the exit code and
-the exact stderr line. A row runs through cli.main on a fresh copy of a
-valid synth -> train -> infer round trip (the `pipeline` fixture), and
-a refusal leaves every file as it was and makes no new file or
-directory, save the directories a row names as made on purpose.
-
-In the templates, {features}, {annotations}, {pred}, {checkpoint},
-{config}, {out} and {new} are the paths of the copy, {root} its
-directory, {entryN} the JSON of the checkpoint's Nth roster entry,
-{@name} and {@name+K} the byte offset of tensor name's first and Kth
-value, and {end} the checkpoint's size. A new refusal case is one more
-row of its boundary's table.
+the exact stderr line. A row runs through the shared runner `adnet` on a
+fresh copy of a valid synth -> train -> infer round trip (the `inputs`
+fixture, an `Inputs` of tests/_inputs.py, whose docstring names the
+{placeholders} of the templates), and a refusal leaves every file as it
+was and makes no new file or directory, save the directories a row names
+as made on purpose. A new refusal case is one more row of its boundary's
+table.
 """
 
 import json
-import math
-import re
 import shutil
 import struct
 import sys
@@ -28,136 +22,10 @@ import numpy as np
 import pytest
 
 from adnet import cli, io as storage
-from adnet.io import ClipFeatureSequence
-from _inputs import SMALL_MODEL, SMALL_SYNTH, payload_offsets, rewrite_header, write_config
-
-DROP = object()
+from _inputs import DROP, EVAL, INFER, RESUME, SYNTH, TRAIN, adnet
 
 
-class Inputs:
-    """A copy of the pipeline's valid inputs under root, and edits of it."""
-
-    def __init__(self, pipeline, root):
-        source, corpus, _ = pipeline
-        for name in ("features", "annotations"):
-            shutil.copytree(corpus / name, root / name)
-        shutil.copytree(source / "pred", root / "pred")
-        shutil.copy(source / "model.adnc", root / "model.adnc")
-        write_config(root / "run.json", {
-            "synth": SMALL_SYNTH, "model": SMALL_MODEL, "train": {"epochs": 1, "seed": 3},
-            "paths": {"features_dir": str(root / "features"),
-                      "annotations_dir": str(root / "annotations"),
-                      "checkpoint": str(root / "model.adnc"), "out_dir": str(root / "log")}})
-        raw = (root / "model.adnc").read_bytes()
-        header = json.loads(raw[12:12 + struct.unpack_from("<I", raw, 8)[0]])
-        self.root = root
-        self.offsets = payload_offsets(raw)
-        self.names = {
-            "root": root, "features": root / "features", "annotations": root / "annotations",
-            "pred": root / "pred", "checkpoint": root / "model.adnc", "config": root / "run.json",
-            "out": root / "scored", "new": root / "new", "end": len(raw),
-            **{f"entry{index}": json.dumps(entry, sort_keys=True)
-               for index, entry in enumerate(header["tensors"])}}
-
-    def fill(self, template: str) -> str:
-        def value(match):
-            key = match[1]
-            if key.startswith("@"):
-                name, _, element = key[1:].partition("+")
-                return str(self.offsets[name] + 8 * int(element or 0))
-            return str(self.names.get(key, match[0]))
-        return re.sub(r"\{(@?[\w.+]+)\}", value, template)
-
-    def paths(self) -> dict:
-        """Every path under root, a file's with its bytes and a
-        directory's with None."""
-        return {path: path.read_bytes() if path.is_file() else None
-                for path in self.root.rglob("*")}
-
-    def read(self, name) -> bytes:
-        return (self.root / name).read_bytes()
-
-    def write(self, name, data):
-        (self.root / name).write_bytes(data.encode() if isinstance(data, str) else data)
-
-    def splice(self, name, offset, data: bytes):
-        """Overwrite file name's bytes from offset with data."""
-        raw = self.read(name)
-        self.write(name, raw[:offset] + data + raw[offset + len(data):])
-
-    def json(self, name, change):
-        """Apply change to the JSON document of file name, or to the
-        header of a checkpoint."""
-        path = self.root / name
-        if path.suffix == ".adnc":
-            rewrite_header(path, change)
-        else:
-            doc = json.loads(path.read_text())
-            change(doc)
-            path.write_text(json.dumps(doc))
-
-    def set(self, name, key, value=DROP):
-        """Set, or delete without a value, the member key ("segments.1.label")."""
-        def change(doc):
-            *parents, last = [int(part) if part.isdigit() else part for part in key.split(".")]
-            for part in parents:
-                doc = doc[part]
-            if value is DROP:
-                del doc[last]
-            else:
-                doc[last] = value
-        self.json(name, change)
-
-    def replace(self, name, old: bytes, new: bytes):
-        """Replace the first old of file name, or of a checkpoint's header."""
-        path = self.root / name
-        raw = path.read_bytes()
-        if path.suffix == ".adnc":
-            header_len = struct.unpack_from("<I", raw, 8)[0]
-            header = raw[12:12 + header_len].replace(old, new, 1)
-            raw = raw[:8] + struct.pack("<I", len(header)) + header + raw[12 + header_len:]
-        else:
-            raw = raw.replace(old, new, 1)
-        path.write_bytes(raw)
-
-    def put(self, tensor, element, value):
-        """Store value at the checkpoint's element of tensor."""
-        self.splice("model.adnc", self.offsets[tensor] + 8 * element, struct.pack("<d", value))
-
-    def reorder(self, order):
-        """Rewrite the checkpoint with its roster and payload both in the
-        order of the entry indices order."""
-        path = self.root / "model.adnc"
-        raw = path.read_bytes()
-        header_len = struct.unpack_from("<I", raw, 8)[0]
-        header = json.loads(raw[12:12 + header_len])
-        blobs = [raw[self.offsets[entry["name"]]:
-                     self.offsets[entry["name"]] + 8 * math.prod(entry["shape"])]
-                 for entry in header["tensors"]]
-        header["tensors"] = [header["tensors"][index] for index in order]
-        text = json.dumps(header).encode()
-        path.write_bytes(raw[:8] + struct.pack("<I", len(text)) + text
-                         + b"".join(blobs[index] for index in order))
-
-    def features(self, video, dim):
-        """Rewrite a feature file with dim rows of its clip count."""
-        path = self.root / "features" / f"{video}.adnf"
-        clips = storage.read_features(path).num_clips
-        storage.write_features(ClipFeatureSequence(video, np.ones((dim, clips))), path)
-
-    def without_adam(self):
-        """Rewrite the checkpoint without its optimizer state."""
-        ckpt = storage.load_checkpoint(self.root / "model.adnc")
-        ckpt.adam = None
-        storage.save_checkpoint(ckpt, self.root / "model.adnc")
-
-
-@pytest.fixture
-def inputs(pipeline, tmp_path):
-    return Inputs(pipeline, tmp_path)
-
-
-def refused(inputs, capsys, argv, edit, code, line, made):
+def refused(inputs, argv, edit, code, line, made):
     """Run argv after edit: exit code, and for exit 2 or 3 one stderr line;
     for exit 1, argparse's usage and then the line. No path changes but
     the directories made, which the command makes on purpose before it
@@ -165,11 +33,7 @@ def refused(inputs, capsys, argv, edit, code, line, made):
     if edit is not None:
         edit(inputs)
     before = inputs.paths()
-    try:
-        got = cli.main([inputs.fill(token) for token in argv.split()])
-    except SystemExit as exc:  # argparse
-        got = exc.code
-    out, err = capsys.readouterr()
+    got, out, err = adnet(inputs.argv(argv))
     assert (got, out) == (code, "")
     if code == 1:
         assert err.startswith("usage: adnet") and err.splitlines()[-1] == inputs.fill(line)
@@ -182,11 +46,6 @@ def row(name, argv, edit, code, line, made=()):
     return pytest.param(argv, edit, code, line, made, id=name)
 
 
-INFER = "infer --checkpoint {checkpoint} --features {features} --out {out}"
-EVAL = "eval --pred {pred} --gt {annotations}"
-TRAIN = "train --config {config}"
-RESUME = "train --config {config} --resume"
-SYNTH = "synth --config {config} --out {new}"
 COMMAND = {INFER: "infer", EVAL: "eval", TRAIN: "train", RESUME: "train --resume", SYNTH: "synth"}
 ERROR = "adnet: error: "
 NOT_UTF8 = "not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
@@ -225,8 +84,8 @@ FEATURE_FILES = [
 
 
 @pytest.mark.parametrize("argv,edit,code,line,made", FEATURE_FILES)
-def test_feature_files(inputs, capsys, argv, edit, code, line, made):
-    refused(inputs, capsys, argv, edit, code, line, made)
+def test_feature_files(inputs, argv, edit, code, line, made):
+    refused(inputs, argv, edit, code, line, made)
 
 
 A0, A1 = "annotations/video_000.json", "annotations/video_001.json"
@@ -237,7 +96,7 @@ ANNOTATIONS = [
     row("gap", EVAL, lambda w: w.set(A0, "segments.1.start_frame", 70), 2,
         GT0 + "annotation segments have a gap between [0, 64) and [70, 96)"),
     row("overlap", EVAL, lambda w: w.set(A0, "segments.1.start_frame", 60), 2,
-        GT0 + "annotation segments have a overlap between [0, 64) and [60, 96)"),
+        GT0 + "annotation segments have an overlap between [0, 64) and [60, 96)"),
     row("unknown key", EVAL, lambda w: w.set(A0, "fps", 30), 2, GT0 + "unknown key 'fps'"),
     row("one segment of label 2", EVAL, lambda w: w.set(
         A0, "segments", [{"start_frame": 0, "end_frame": 304, "label": 2}]), 2,
@@ -309,8 +168,8 @@ ANNOTATIONS = [
 
 
 @pytest.mark.parametrize("argv,edit,code,line,made", ANNOTATIONS)
-def test_annotations(inputs, capsys, argv, edit, code, line, made):
-    refused(inputs, capsys, argv, edit, code, line, made)
+def test_annotations(inputs, argv, edit, code, line, made):
+    refused(inputs, argv, edit, code, line, made)
 
 
 CK = "model.adnc"
@@ -457,7 +316,7 @@ CHECKPOINTS = [
                    "payload for tensor 'optimizer.v.stage0.block1.dilated.weight'"),
     row("trailing bytes", INFER, lambda w: w.write(CK, w.read(CK) + b"extra"), 2,
         ERROR + "{checkpoint} @ byte {end}: 5 trailing bytes after last tensor"),
-    row("no optimizer state", RESUME, lambda w: w.without_adam(), 2,
+    row("no optimizer state", RESUME, lambda w: w.checkpoint(lambda ckpt: setattr(ckpt, "adam", None)), 2,
         CKE + "no optimizer state to resume from"),
     *[row(f"{value} in {tensor}[{element}] under {COMMAND[argv]}", argv,
           lambda w, case=(tensor, element, value): w.put(*case), 2,
@@ -476,8 +335,8 @@ CHECKPOINTS = [
 
 
 @pytest.mark.parametrize("argv,edit,code,line,made", CHECKPOINTS)
-def test_checkpoints(inputs, capsys, argv, edit, code, line, made):
-    refused(inputs, capsys, argv, edit, code, line, made)
+def test_checkpoints(inputs, argv, edit, code, line, made):
+    refused(inputs, argv, edit, code, line, made)
 
 
 P0, P1 = "pred/video_000.json", "pred/video_001.json"
@@ -528,8 +387,8 @@ PREDICTIONS = [
 
 
 @pytest.mark.parametrize("argv,edit,code,line,made", PREDICTIONS)
-def test_prediction_documents(inputs, capsys, argv, edit, code, line, made):
-    refused(inputs, capsys, argv, edit, code, line, made)
+def test_prediction_documents(inputs, argv, edit, code, line, made):
+    refused(inputs, argv, edit, code, line, made)
 
 
 CONF = ERROR + "{config}: "
@@ -595,8 +454,8 @@ RUN_CONFIGS = [
 
 
 @pytest.mark.parametrize("argv,edit,code,line,made", RUN_CONFIGS)
-def test_run_configs(inputs, capsys, argv, edit, code, line, made):
-    refused(inputs, capsys, argv, edit, code, line, made)
+def test_run_configs(inputs, argv, edit, code, line, made):
+    refused(inputs, argv, edit, code, line, made)
 
 
 # Flags are refused while parsing, before any file is read: here p, g and
@@ -634,5 +493,5 @@ FLAGS = [
 
 
 @pytest.mark.parametrize("argv,edit,code,line,made", FLAGS)
-def test_flags(inputs, capsys, argv, edit, code, line, made):
-    refused(inputs, capsys, argv, edit, code, line, made)
+def test_flags(inputs, argv, edit, code, line, made):
+    refused(inputs, argv, edit, code, line, made)

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from adnet import evaluation
-from adnet.errors import InputError, MetricError
+from adnet.errors import MetricError
 from adnet.evaluation import TemporalSegment, segments_from_labels
 
 from _oracles import (_iou, evaluate_per_frame, frame_auc_per_frame, frame_labels,
@@ -80,53 +80,6 @@ def clip_timelines(draw):
     return evaluation.expand_to_frames(clip_scores, n, frames), labels
 
 
-class TestInputRules:
-    @pytest.mark.parametrize("args, message", [
-        ((3, 3, 0), "invalid segment [3, 3)"),
-        ((-1, 2, 0), "invalid segment [-1, 2)"),
-        ((0, 2, 2), "segment label must be 0 or 1, got 2"),
-    ])
-    def test_invalid_segment_rejected(self, args, message):
-        with pytest.raises(InputError) as info:
-            TemporalSegment(*args)
-        assert str(info.value) == message
-
-    @pytest.mark.parametrize("args, message", [
-        ((2, 0, 2), "frames_per_clip must be >= 1, got 0"),
-        ((0, 4, 4), "no clip values to expand"),
-    ])
-    def test_clip_edges_rejected(self, args, message):
-        with pytest.raises(InputError) as info:
-            evaluation.clip_edges(*args)
-        assert str(info.value) == message
-
-    def test_non_binary_labels_rejected(self):
-        with pytest.raises(InputError) as info:
-            segments_from_labels([0, 2])
-        assert str(info.value) == "labels must be 0 or 1"
-
-    @pytest.mark.parametrize("segments, message", [
-        ([], "ground truth segment list is empty"),
-        ([seg(2, 4, 0)], "ground truth segments start at frame 2, not 0"),
-        ([seg(0, 4, 0), seg(3, 6, 1)],
-         "ground truth segments have an overlap between [0, 4) and [3, 6)"),
-        ([seg(0, 4, 0), seg(5, 6, 1)], "ground truth segments have a gap between [0, 4) and [5, 6)"),
-    ])
-    def test_partition_rejected(self, segments, message):
-        with pytest.raises(InputError) as info:
-            evaluation.partition_extent(segments, "ground truth")
-        assert str(info.value) == message
-
-    @pytest.mark.parametrize("scores, labels, message", [
-        ([0.1, 0.2], [0], "scores (2) and labels (1) differ in length"),
-        ([0.1, 0.2], [0, 2], "labels must be 0 or 1"),
-    ])
-    def test_frame_auc_inputs_rejected(self, scores, labels, message):
-        with pytest.raises(InputError) as info:
-            evaluation.frame_auc(scores, labels)
-        assert str(info.value) == message
-
-
 class TestExpandToFrames:
     def test_copies_clip_values(self):
         out = evaluation.expand_to_frames([0.1, 0.9], 3, 6)
@@ -140,12 +93,6 @@ class TestExpandToFrames:
         values = np.linspace(0, 1, 7)
         np.testing.assert_array_equal(evaluation.expand_to_frames(values, 1, 7), values)
 
-    def test_frame_count_bounds(self):
-        with pytest.raises(InputError):
-            evaluation.expand_to_frames([0.1, 0.9], 3, 7)  # more than n*T
-        with pytest.raises(InputError):
-            evaluation.expand_to_frames([0.1, 0.9], 3, 3)  # last clip empty
-
 
 class TestSegmentsFromLabels:
     def test_basic_runs(self):
@@ -158,10 +105,6 @@ class TestSegmentsFromLabels:
     def test_alternating(self):
         got = segments_from_labels([0, 1, 0, 1])
         assert got == [seg(0, 1, 0), seg(1, 2, 1), seg(2, 3, 0), seg(3, 4, 1)]
-
-    def test_empty_rejected(self):
-        with pytest.raises(InputError):
-            segments_from_labels([])
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=60))
     @settings(max_examples=100)
@@ -208,15 +151,6 @@ class TestF1AtK:
         gt = [seg(0, 50, 0)]
         assert evaluation.f1_at_k(gt, gt, 25, "abnormal") == (100.0, 100.0, 100.0)
 
-    def test_mismatched_ranges_rejected(self):
-        with pytest.raises(InputError):
-            evaluation.f1_at_k([seg(0, 10, 0)], [seg(0, 12, 0)], 25, "all")
-
-    def test_non_partition_rejected(self):
-        with pytest.raises(InputError):
-            evaluation.f1_at_k([seg(0, 5, 0), seg(6, 10, 1)],
-                               [seg(0, 10, 0)], 25, "all")
-
     @given(st.integers(0, 100_000))
     @settings(max_examples=150)
     def test_monotone_in_k(self, case_seed):
@@ -260,17 +194,6 @@ class TestF1AtK:
         report = evaluation.evaluate({"v": np.array([0.1, 0.1, 0.9])}, {"v": gt}, 16)
         assert report.scopes["all"][50] == (100.0, 100.0, 100.0)
 
-    def test_scope_and_k_rejected(self):
-        gt = [seg(0, 4, 0)]
-        with pytest.raises(InputError) as info:
-            evaluation.match_counts(gt, gt, 50, "both")
-        assert str(info.value) == \
-            "unknown scope 'both'; expected one of ['abnormal', 'all', 'normal']"
-        for k in (0, 100.5):
-            with pytest.raises(InputError) as info:
-                evaluation.match_counts(gt, gt, k)
-            assert str(info.value) == f"k must lie in (0, 100], got {k}"
-
     def test_greedy_rarely_diverges_from_optimal(self):
         rng = np.random.default_rng(0)
         divergences = 0
@@ -298,11 +221,6 @@ class TestFrameAuc:
     def test_three_of_four_pairs(self):
         assert evaluation.frame_auc([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1]) == 0.75
 
-    @pytest.mark.parametrize("scores", [[0.1, 0.9], [0.4, 0.4]])  # two runs, one run
-    def test_single_class_rejected(self, scores):
-        with pytest.raises(MetricError):
-            evaluation.frame_auc(scores, [1, 1])
-
     def test_one_score_over_the_whole_timeline(self):
         scores = np.full(50, 0.3)
         labels = alternating_labels([20, 30], 0)
@@ -323,11 +241,6 @@ class TestFrameAuc:
         cuts = np.sort(rng.choice(np.arange(1, frames), size=300, replace=False))
         labels = alternating_labels(np.diff([0, *cuts, frames]), 0)
         assert evaluation.frame_auc(scores, labels) == frame_auc_per_frame(scores, labels)
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_scores_rejected(self, bad):
-        with pytest.raises(InputError, match="finite"):
-            evaluation.frame_auc([0.1, bad, 0.9, 0.2], [0, 1, 1, 0])
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=150)
@@ -389,24 +302,6 @@ class TestEvaluate:
         for scope in ("abnormal", "normal", "all"):
             for k in report.ks:
                 assert report.scopes[scope][k] == (100.0, 100.0, 100.0)
-
-    def test_missing_video_rejected(self):
-        with pytest.raises(InputError):
-            evaluation.evaluate({"a": np.zeros(2)}, {"b": segments_from_labels([0] * 4)}, 2)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, 7.0, -0.1])
-    def test_scores_outside_unit_interval_rejected(self, bad):
-        gt = {"a": segments_from_labels([0, 1]), "b": segments_from_labels([0, 1])}
-        pred = {"a": np.array([0.1, 0.9]), "b": np.array([0.1, bad])}
-        with pytest.raises(InputError, match="video 'b'"):
-            evaluation.evaluate(pred, gt, frames_per_clip=1)
-
-    @pytest.mark.parametrize("threshold", [np.nan, 0.0, 1.0, -0.5, 1.5, np.inf])
-    def test_threshold_outside_open_unit_interval_rejected(self, threshold):
-        with pytest.raises(InputError) as info:
-            evaluation.evaluate({"a": np.array([0.1, 0.9])}, {"a": segments_from_labels([0, 1])},
-                                frames_per_clip=1, threshold=threshold)
-        assert str(info.value) == f"threshold must lie in (0, 1), got {threshold}"
 
     def test_unit_interval_endpoints_accepted(self):
         report = evaluation.evaluate({"a": np.array([0.0, 1.0])},
@@ -476,27 +371,6 @@ class TestEvaluate:
         assert list(doc) == ["frame_auc", "segmental"]
         assert list(doc["segmental"]) == ["abnormal", "normal", "all"]
         assert list(doc["segmental"]["all"]) == ["f1@10", "f1@25", "f1@50"]
-
-    def test_no_videos_rejected(self):
-        with pytest.raises(InputError, match="^no videos to evaluate$"):
-            evaluation.evaluate({}, {}, 16)
-
-    def test_repeated_k_rejected(self):
-        with pytest.raises(InputError, match="k 10 is given twice"):
-            evaluation.evaluate({"a": np.array([0.1, 0.9])}, {"a": segments_from_labels([0, 1])},
-                                1, ks=(10, 25, 10))
-
-    @pytest.mark.parametrize("ks, bad", [([10.5, 25.9], "10.5"), ([10, True], "True"),
-                                         ([50.0], "50.0"), ([np.float64(25.0)], "25.0")])
-    def test_k_that_is_not_an_integer_rejected(self, ks, bad):
-        with pytest.raises(InputError) as info:
-            evaluation.check_ks(ks)
-        assert str(info.value) == f"k must be an integer, got {bad}"
-
-    def test_evaluate_rejects_a_fractional_k(self):
-        with pytest.raises(InputError, match="^k must be an integer, got 50.7$"):
-            evaluation.evaluate({"a": np.array([0.1, 0.9])}, {"a": segments_from_labels([0, 1])},
-                                1, ks=[50.7])
 
     def test_numpy_integer_ks_accepted(self):
         ks = evaluation.check_ks(np.array([10, 50]))

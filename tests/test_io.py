@@ -236,11 +236,6 @@ class TestFeatureFiles:
             storage.write_features(ClipFeatureSequence("v", feats), path)
         assert list(tmp_path.iterdir()) == []
 
-    def test_empty_sequence_rejected_on_write(self, tmp_path):
-        with pytest.raises(Exception):
-            storage.write_features(ClipFeatureSequence("v", np.zeros((3, 0))),
-                                   tmp_path / "e.adnf")
-
 
 def manifest_doc(**overrides):
     doc = {

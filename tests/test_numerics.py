@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from adnet import kernels, numerics
-from adnet.errors import ConfigError, UsageError
 from adnet.numerics import Tape, Tensor
 
 from _gradcheck import max_rel_error, numerical_gradient, run_pullbacks
@@ -71,17 +70,6 @@ class TestConv1dDilated:
         separate = (a * numerics.conv1d_dilated(Tensor(x), w, zero_b, 2).value
                     + c * numerics.conv1d_dilated(Tensor(y), w, zero_b, 2).value)
         np.testing.assert_allclose(combined, separate, atol=1e-12)
-
-    def test_shape_mismatch_rejected(self):
-        x = Tensor(np.zeros((3, 5)))
-        with pytest.raises(ConfigError):
-            numerics.conv1d_dilated(x, Tensor(np.zeros((2, 4, 3))), Tensor(np.zeros(2)), 1)
-        with pytest.raises(ConfigError):
-            numerics.conv1d_dilated(x, Tensor(np.zeros((2, 3, 3))), Tensor(np.zeros(5)), 1)
-        with pytest.raises(ConfigError):  # even kernel width cannot preserve length
-            numerics.conv1d_dilated(x, Tensor(np.zeros((2, 3, 2))), Tensor(np.zeros(2)), 1)
-        with pytest.raises(ConfigError):  # non power-of-two dilation
-            numerics.conv1d_dilated(x, Tensor(np.zeros((2, 3, 3))), Tensor(np.zeros(2)), 3)
 
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(9)
@@ -177,11 +165,6 @@ class TestPointwiseConv:
         out = numerics.pointwise_conv(x, Tensor(np.zeros((2, 3))), Tensor([2.5, -1.0]))
         np.testing.assert_array_equal(out.value, np.array([[2.5] * 7, [-1.0] * 7]))
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            numerics.pointwise_conv(Tensor(np.zeros((3, 5))),
-                                    Tensor(np.zeros((2, 4))), Tensor(np.zeros(2)))
-
 
 class TestElementwise:
     def test_relu(self):
@@ -217,14 +200,6 @@ class TestElementwise:
         out = numerics.mask_mul(Tensor([[5.0, 7.0], [3.0, 9.0]]), [1.0, 0.0])
         np.testing.assert_array_equal(out.value, [[5.0, 0.0], [3.0, 0.0]])
 
-    def test_mask_must_be_binary(self):
-        with pytest.raises(ConfigError):
-            numerics.mask_mul(Tensor([[1.0, 2.0]]), [0.5, 1.0])
-
-    def test_add_shape_mismatch(self):
-        with pytest.raises(ConfigError):
-            numerics.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
-
 
 class TestBackward:
     def test_sigmoid_of_weighted_input(self):
@@ -235,16 +210,6 @@ class TestBackward:
         out = numerics.sigmoid(numerics.pointwise_conv(x, w, Tensor([0.0]), tape), tape)
         run_pullbacks(tape, out, [[1.0]])
         np.testing.assert_allclose(w.grad, [[0.25]])
-
-    def test_backward_before_forward_raises(self):
-        with pytest.raises(UsageError):
-            Tape().backward(Tensor(0.0))
-
-    def test_backward_needs_scalar_root(self):
-        tape = Tape()
-        out = numerics.relu(Tensor([[1.0, 2.0]]), tape)
-        with pytest.raises(UsageError):
-            tape.backward(out)
 
     def test_repeated_backward_accumulates(self):
         x = Tensor(np.float64(3.0))
@@ -382,18 +347,6 @@ class TestAdam:
         for expected in (1, 2, 3):
             numerics.adam_step(p, state)
             assert state.step_count == expected
-
-    def test_missing_gradient_rejected(self):
-        p = flat_params(np.zeros(2))
-        state = numerics.init_adam(p, lr=1e-3)
-        with pytest.raises(UsageError):
-            numerics.adam_step(p, state)
-
-    def test_moments_of_another_size_rejected(self):
-        p = flat_params(np.zeros(2), np.ones(2))
-        state = numerics.init_adam(flat_params(np.zeros(3)), lr=1e-3)
-        with pytest.raises(ConfigError, match="one shape"):
-            numerics.adam_step(p, state)
 
     # one chunk short of full, several chunks with a ragged last one
     @pytest.mark.parametrize("size", [7, numerics.ADAM_CHUNK - 1, 3 * numerics.ADAM_CHUNK + 5])

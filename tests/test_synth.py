@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from adnet import evaluation, io as storage, model, synth, training
-from adnet.errors import ConfigError
 from adnet.synth import SynthConfig
 
 
@@ -54,33 +53,6 @@ class TestGenerate:
         cfg = SynthConfig(num_videos=15, clips_min=10, clips_max=14, seed=7)
         for video in synth.generate(cfg):
             assert 10 <= video.features.num_clips <= 14
-
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ConfigError):
-            SynthConfig(clips_min=2)
-        with pytest.raises(ConfigError):
-            SynthConfig(clips_min=40, clips_max=30)
-        with pytest.raises(ConfigError):
-            SynthConfig(abnormal_segment_count_range=(3, 1))
-
-    @pytest.mark.parametrize("fields, message", [
-        ({"num_videos": 0}, "num_videos must be >= 1, got 0"),
-        ({"clips_min": 3}, "clips_min must be >= 4, got 3"),
-        ({"clips_min": 40, "clips_max": 30}, "clips_max (30) must be >= clips_min (40)"),
-        ({"abnormal_segment_count_range": (-1, 2)},
-         "abnormal_segment_count_range must be 0 <= low <= high, got (-1, 2)"),
-        ({"abnormal_segment_count_range": (3, 1)},
-         "abnormal_segment_count_range must be 0 <= low <= high, got (3, 1)"),
-        ({"input_dim": 0}, "input_dim must be >= 1, got 0"),
-        ({"class_mean_separation": -0.5}, "class_mean_separation must be >= 0, got -0.5"),
-        ({"noise_std": -1.0}, "noise_std must be >= 0, got -1.0"),
-        ({"frames_per_clip": 0}, "frames_per_clip must be >= 1, got 0"),
-        ({"seed": -1}, "seed must be >= 0, got -1"),
-    ])
-    def test_value_rules_name_the_field(self, fields, message):
-        with pytest.raises(ConfigError) as info:
-            SynthConfig(**fields)
-        assert str(info.value) == message
 
 
 class TestSeparationControlsLearnability:

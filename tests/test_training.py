@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from adnet import io as storage
 from adnet import kernels, model, numerics, synth, training
-from adnet.errors import ConfigError, InputError, NumericError
 from adnet.evaluation import TemporalSegment, segments_from_labels
 from adnet.numerics import Tape, Tensor
 from adnet.training import TrainConfig
@@ -67,14 +66,6 @@ class TestClipLabels:
             clip_labels_per_frame(frame_labels(segments), n, fraction))
 
 
-    @pytest.mark.parametrize("fraction", [np.nan, 2.0, 0.0, -1.0])
-    def test_fraction_outside_its_range_rejected(self, fraction):
-        segments = segments_from_labels(np.array([0] * 8 + [1] * 8))
-        with pytest.raises(InputError) as info:
-            training.clip_labels(segments, 4, 4, fraction)
-        assert str(info.value) == f"fraction must lie in (0, 1], got {fraction}"
-
-
 class TestMseLoss:
     def test_perfect_scores(self):
         scores = Tensor(np.array([[0.0, 1.0, 1.0]]))
@@ -90,10 +81,6 @@ class TestMseLoss:
         scores = Tensor(np.array([[0.5, 9.0]]))
         out = training.mse_loss(scores, [0, 0], [1, 0])
         assert float(out.value) == 0.25
-
-    def test_fully_masked_rejected(self):
-        with pytest.raises(InputError):
-            training.mse_loss(Tensor(np.array([[0.5]])), [0], [0])
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50)
@@ -276,53 +263,6 @@ SMALL_MODEL = dict(window_width=32, num_stages=1, num_layers=5, input_dim=8,
 
 
 class TestTrain:
-    def test_empty_dataset_rejected(self):
-        with pytest.raises(InputError):
-            training.train([], model.ADNetConfig(**SMALL_MODEL), TrainConfig(seed=0))
-
-    def test_dimension_mismatch_rejected(self):
-        dataset = [(np.zeros((5, 40)), np.zeros(40, dtype=int))]
-        with pytest.raises(InputError):
-            training.train(dataset, model.ADNetConfig(**SMALL_MODEL),
-                           TrainConfig(seed=0, epochs=1))
-
-    @pytest.mark.parametrize("dataset, message", [
-        ([(np.zeros((8, 10)), np.zeros(9))], "sequence 0: 10 clips but 9 labels"),
-        ([(np.zeros((8, 10)), np.zeros(10)), (np.zeros((5, 10)), np.zeros(10))],
-         "sequence 1 has feature dim 5, model expects 8"),
-        # the dataset is read in one pass, so the earlier faulty sequence is named
-        ([(np.zeros((8, 10)), np.zeros(3)), (np.zeros((5, 10)), np.zeros(10))],
-         "sequence 0: 10 clips but 3 labels"),
-        ([(np.zeros((8, 10)), np.zeros((10, 1)))],
-         "sequence 0: 10 clips but labels of shape (10, 1)"),
-        ([(np.zeros((8, 10)), np.full(10, 3))], "sequence 0: clip labels must be 0 or 1"),
-        ([(np.zeros((8, 10)), np.zeros(10)),
-          (np.zeros((8, 10)), np.array([0, 1] * 4 + [-1, np.nan]))],
-         "sequence 1: clip labels must be 0 or 1"),
-    ])
-    def test_faulty_sequence_named(self, dataset, message):
-        with pytest.raises(InputError) as info:
-            training.train(dataset, model.ADNetConfig(**SMALL_MODEL),
-                           TrainConfig(seed=0, epochs=1))
-        assert str(info.value) == message
-
-    def test_features_that_are_not_a_matrix_rejected(self):
-        with pytest.raises(InputError) as info:
-            training.train([(np.zeros(8), np.zeros(8))], model.ADNetConfig(**SMALL_MODEL),
-                           TrainConfig(seed=0, epochs=1))
-        assert str(info.value) == "features must be a (dim, num_clips) matrix, got shape (8,)"
-
-    def test_resume_with_another_model_config_rejected(self):
-        cfg = model.ADNetConfig(**SMALL_MODEL)
-        other = model.ADNetConfig(**{**SMALL_MODEL, "hidden_channels": 8})
-        params = model.build(other, seed=0)
-        resume = training.TrainResult(params=params, adam=numerics.init_adam(params, 5e-4),
-                                      epochs_completed=1, log=[])
-        with pytest.raises(ConfigError) as info:
-            training.train(separable_dataset(num_videos=1), cfg, TrainConfig(epochs=1),
-                           resume=resume)
-        assert str(info.value) == "resume parameters were built for a different model config"
-
     def test_deterministic_given_seed(self):
         dataset = separable_dataset(num_videos=3)
         cfg = model.ADNetConfig(**SMALL_MODEL)
@@ -501,56 +441,3 @@ class TestScoreCheck:
         monkeypatch.setattr(model, "forward", counted)
         training.train(dataset, cfg, TrainConfig(seed=2, epochs=1))
         assert calls == [3] * len(training._window_items(dataset, cfg)[0])
-
-    def test_overflowing_parameters_raise(self):
-        # one window, one step at a rate that leaves every weight near 1e200
-        dataset = [(np.random.default_rng(0).normal(size=(8, 4)), np.array([0, 1, 1, 0]))]
-        cfg = model.ADNetConfig(window_width=4, num_stages=2, num_layers=2, input_dim=8)
-        with np.errstate(all="ignore"), pytest.raises(NumericError, match="non-finite score"):
-            training.train(dataset, cfg, TrainConfig(seed=0, epochs=1, learning_rate=1e200))
-
-
-class TestTrainConfigValidation:
-    def test_lambda_must_be_open_interval(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(lambda_=1.0)
-        with pytest.raises(ConfigError):
-            TrainConfig(lambda_=0.0)
-
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(alpha=-0.1)
-
-    @pytest.mark.parametrize("field, value, message", [
-        ("learning_rate", 0.0, "learning_rate must be positive, got 0.0"),
-        ("epochs", 0, "epochs must be >= 1, got 0"),
-        ("seed", -1, "seed must be >= 0, got -1"),
-        ("clip_label_fraction", 0.0, "clip_label_fraction must lie in (0, 1], got 0.0"),
-        ("clip_label_fraction", 1.5, "clip_label_fraction must lie in (0, 1], got 1.5"),
-    ])
-    def test_value_rules_name_the_field(self, field, value, message):
-        with pytest.raises(ConfigError) as info:
-            TrainConfig(**{field: value})
-        assert str(info.value) == message
-
-
-class TestLossInputs:
-    def test_unequal_lengths_rejected(self):
-        with pytest.raises(InputError) as info:
-            training.mse_loss(Tensor(np.zeros((1, 3))), [0, 0], [1, 1, 1])
-        assert str(info.value) == "scores (3), targets (2) and mask (3) must have equal length"
-
-    def test_non_binary_mask_rejected(self):
-        with pytest.raises(InputError) as info:
-            training.ad_loss(Tensor(np.zeros((1, 2))), [0, 1], [1, 0.5], alpha=0.5)
-        assert str(info.value) == "mask entries must be 0 or 1"
-
-    def test_fully_masked_hinge_rejected(self):
-        with pytest.raises(InputError) as info:
-            training.margin_hinge(np.zeros(2), np.array([0.0, 1.0]), np.zeros(2), 0.5)
-        assert str(info.value) == "loss over a fully masked window is undefined"
-
-    def test_no_stage_outputs_rejected(self):
-        with pytest.raises(InputError) as info:
-            training.total_loss([], [0], [1], TrainConfig())
-        assert str(info.value) == "at least one stage output is required"

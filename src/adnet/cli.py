@@ -159,9 +159,7 @@ def _read_manifests(gt_dir: Path, video_ids, source: str) -> dict:
             raise InputError(f"{path}: video_id {manifest.video_id!r} is also in "
                              f"{manifests[manifest.video_id][0]}")
         manifests[manifest.video_id] = path, manifest
-    if set(manifests) != set(video_ids):
-        raise InputError(f"{source} and ground-truth video sets differ: "
-                         f"{sorted(set(manifests) ^ set(video_ids))}")
+    evaluation.check_same_videos(source, video_ids, manifests)
     return manifests
 
 

@@ -283,6 +283,18 @@ def check_ks(ks: Sequence[int]) -> tuple[int, ...]:
     return tuple(map(int, ks))
 
 
+def check_same_videos(source: str, ids, gt_ids) -> None:
+    """Raise InputError unless the source's video ids and the ground
+    truth's are one set, naming the ids that each side lacks and leaving
+    out a side that lacks none."""
+    ids, gt_ids = set(ids), set(gt_ids)
+    if ids != gt_ids:
+        lacks = [f"no {what} for {sorted(missing)}"
+                 for what, missing in (("ground truth", ids - gt_ids), (source, gt_ids - ids))
+                 if missing]
+        raise InputError(f"{source} and ground-truth video sets differ: {'; '.join(lacks)}")
+
+
 def evaluate(pred_clip_scores: Mapping[str, np.ndarray],
              gt_segments: Mapping[str, Sequence[TemporalSegment]],
              frames_per_clip: int,
@@ -302,16 +314,12 @@ def evaluate(pred_clip_scores: Mapping[str, np.ndarray],
     ks = check_ks(ks)
     if not 0.0 < threshold < 1.0:
         raise InputError(f"threshold must lie in (0, 1), got {threshold}")
-    pred_ids = set(pred_clip_scores)
-    gt_ids = set(gt_segments)
-    if pred_ids != gt_ids:
-        raise InputError(
-            f"prediction and ground-truth video sets differ: {sorted(pred_ids ^ gt_ids)}")
-    if not gt_ids:
+    check_same_videos("prediction", pred_clip_scores, gt_segments)
+    if not gt_segments:
         raise InputError("no videos to evaluate")
     counts = np.zeros((2, len(ks), 3), dtype=np.int64)
     runs = []
-    for video_id in sorted(gt_ids):
+    for video_id in sorted(gt_segments):
         total_frames = partition_extent(gt_segments[video_id], f"video {video_id!r} ground truth")
         clip_scores = check_scores(pred_clip_scores[video_id], f"video {video_id!r}").reshape(-1)
         edges = clip_edges(clip_scores.size, frames_per_clip, total_frames)

@@ -207,7 +207,7 @@ def _inputs(windows: Window | list[Window], config: ADNetConfig,
     if np.all(mask == 1.0):
         return features, None
     if not np.all((mask == 0.0) | (mask == 1.0)):
-        raise ConfigError("mask entries must be 0 or 1")
+        raise InputError("mask entries must be 0 or 1")
     return features, mask.astype(dtype, copy=False)
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, InputError, UsageError
 
 
 class Tensor:
@@ -179,7 +179,8 @@ def mask_mul(x: Tensor, mask, tape: Tape | None = None) -> Tensor:
     m = np.ascontiguousarray(mask, dtype=np.float64)
     _require(m.ndim == 1 and m.shape[0] == x.value.shape[-1],
              f"mask length {m.shape} does not match input length {x.value.shape[-1]}")
-    _require(bool(np.all((m == 0.0) | (m == 1.0))), "mask entries must be 0 or 1")
+    if not np.all((m == 0.0) | (m == 1.0)):
+        raise InputError("mask entries must be 0 or 1")
     out = Tensor(x.value * m)
     if tape is not None:
         def pullback():

@@ -314,4 +314,4 @@ def _check_scores_finite(params: ModelParams, items, feature_bound: float, epoch
     for _, scores in architecture.score_windows(params, [window for window, _ in items]):
         if not np.all(np.isfinite(scores)):
             raise NumericError(f"non-finite score on the training windows after "
-                               f"{epochs} epochs")
+                               f"{epochs} epoch{'s' if epochs != 1 else ''}")

@@ -11,12 +11,11 @@ from dataclasses import replace
 import numpy as np
 
 from adnet import cli, evaluation, io as storage, model, synth, training
-from adnet.numerics import Tape, Tensor
+from adnet.numerics import Tensor
 from adnet.training import TrainConfig
 from adnet.windowing import Window, materialize, merge_scores, plan_windows
 
-from _gradcheck import end_to_end_gradient_error, max_rel_error, numerical_gradient, \
-    run_pullbacks
+from _gradcheck import GRADIENT_CASES, end_to_end_gradient_error, gradient_draw, max_rel_error
 from _oracles import optimal_counts, pairwise_auc, random_partition, taped_train
 
 
@@ -44,111 +43,11 @@ def test_criterion_1_configuration_arithmetic():
            budget.check("configuration arithmetic"))
 
 
-def _op_cases():
-    """(name, builder) for every differentiable operation; builder(rng)
-    returns (input tensors, forward closure)."""
-    from adnet.numerics import add, conv1d_dilated, mask_mul, pointwise_conv, relu, sigmoid
-
-    def conv_case(dilation):
-        def build(rng):
-            x = Tensor(rng.uniform(-2, 2, size=(3, 9)))
-            w = Tensor(rng.uniform(-2, 2, size=(2, 3, 3)))
-            b = Tensor(rng.uniform(-2, 2, size=2))
-            return [x, w, b], lambda tape: conv1d_dilated(x, w, b, dilation, tape)
-        return build
-
-    def pointwise_case(rng):
-        x = Tensor(rng.uniform(-2, 2, size=(4, 7)))
-        w = Tensor(rng.uniform(-2, 2, size=(3, 4)))
-        b = Tensor(rng.uniform(-2, 2, size=3))
-        return [x, w, b], lambda tape: pointwise_conv(x, w, b, tape)
-
-    def relu_case(rng):
-        raw = rng.uniform(0.05, 2.0, size=(3, 8)) * rng.choice([-1.0, 1.0], size=(3, 8))
-        x = Tensor(raw)  # bounded away from the kink
-        return [x], lambda tape: relu(x, tape)
-
-    def sigmoid_case(rng):
-        x = Tensor(rng.uniform(-2, 2, size=(3, 8)))
-        return [x], lambda tape: sigmoid(x, tape)
-
-    def add_case(rng):
-        a = Tensor(rng.uniform(-2, 2, size=(3, 8)))
-        b = Tensor(rng.uniform(-2, 2, size=(3, 8)))
-        return [a, b], lambda tape: add(a, b, tape)
-
-    def mask_case(rng):
-        mask = np.zeros(8)
-        mask[:int(rng.integers(1, 9))] = 1
-        x = Tensor(rng.uniform(-2, 2, size=(3, 8)))
-        return [x], lambda tape: mask_mul(x, mask, tape)
-
-    def add_then_mask_case(rng):
-        mask = (rng.random(8) < 0.7).astype(float)  # zeros anywhere, not only a tail
-        a = Tensor(rng.uniform(-2, 2, size=(3, 8)))
-        b = Tensor(rng.uniform(-2, 2, size=(3, 8)))
-        return [a, b], lambda tape: mask_mul(add(a, b, tape), mask, tape)
-
-    def mse_case(rng):
-        scores = Tensor(rng.random((1, 8)))
-        targets = rng.integers(0, 2, size=8).astype(float)
-        mask = np.zeros(8)
-        mask[:int(rng.integers(1, 9))] = 1
-        return [scores], lambda tape: training.mse_loss(scores, targets, mask, tape)
-
-    def ad_case(rng):
-        # stay on one linear piece: separated hard-pair gaps, hinge active
-        while True:
-            values = rng.uniform(0.05, 0.95, size=8)
-            targets = rng.integers(0, 2, size=8)
-            if targets.min() == targets.max():
-                continue
-            ya, yn = values[targets == 1], values[targets == 0]
-            gaps = np.sort(np.abs(ya[:, None] - yn[None, :]), axis=None)
-            if gaps.size > 1 and np.diff(gaps).min() < 5e-3:
-                continue
-            m_a = float(np.mean(ya - yn[np.abs(ya[:, None] - yn[None, :]).argmin(1)] - 0.5))
-            m_n = float(np.mean(ya[np.abs(ya[:, None] - yn[None, :]).argmin(0)] - yn - 0.5))
-            if abs(m_a + m_n) < 5e-3:
-                continue
-            scores = Tensor(values[None])
-            return [scores], lambda tape: training.ad_loss(scores, targets,
-                                                           np.ones(8), 0.5, tape)
-
-    cases = [("conv1d_dilated d=1", conv_case(1)),
-             ("conv1d_dilated d=2", conv_case(2)),
-             ("conv1d_dilated d=4", conv_case(4)),
-             ("pointwise_conv", pointwise_case),
-             ("relu", relu_case),
-             ("sigmoid", sigmoid_case),
-             ("add", add_case),
-             ("mask_mul", mask_case),
-             ("add then mask_mul", add_then_mask_case),
-             ("mse_loss", mse_case),
-             ("ad_loss", ad_case)]
-    return cases
-
-
 def test_criterion_2_gradient_suite():
     budget = Budget(60.0)
     draws = 100
-    for name, build in _op_cases():
-        worst = 0.0
-        for seed in range(draws):
-            rng = np.random.default_rng(seed)
-            tensors, forward = build(rng)
-            tape = Tape()
-            out = forward(tape)
-            cotangent = rng.normal(size=out.value.shape)
-            run_pullbacks(tape, out, cotangent)
-            analytic = [t.grad if t.grad is not None else np.zeros_like(t.value)
-                        for t in tensors]
-
-            def scalar():
-                return float((forward(None).value * cotangent).sum())
-
-            numeric = numerical_gradient(scalar, [t.value for t in tensors], h=1e-3)
-            worst = max(worst, max_rel_error(analytic, numeric))
+    for name in GRADIENT_CASES:
+        worst = max(max_rel_error(*gradient_draw(name, seed)) for seed in range(draws))
         assert worst <= 1e-4, f"{name}: per-op gradient error {worst:.2e} > 1e-4"
     worst_full = max(end_to_end_gradient_error(seed) for seed in range(draws))
     assert worst_full <= 1e-3, f"end-to-end gradient error {worst_full:.2e} > 1e-3"

@@ -128,7 +128,8 @@ EVALUATION = [
         "no videos to evaluate"),
     row("evaluate missing video",
         lambda: evaluation.evaluate({"a": np.zeros(2)}, {"b": segments_from_labels([0] * 4)}, 2),
-        InputError, "prediction and ground-truth video sets differ: ['a', 'b']"),
+        InputError, "prediction and ground-truth video sets differ: no ground truth for "
+                    "['a']; no prediction for ['b']"),
     *[row(f"evaluate score {bad}",
           lambda bad=bad: evaluation.evaluate({**ONE, "b": np.array([0.1, bad])}, TWO_GT, 1),
           InputError, "video 'b': scores must be finite and lie in [0, 1]")
@@ -180,14 +181,14 @@ MODEL = [
         lambda: model.forward(PARAMS, window(np.zeros((3, 8)), np.ones(8))), ConfigError,
         "window features have shape (3, 8), model expects (4, 8)"),
     row("forward mask 0.5",
-        lambda: model.forward(PARAMS, window(np.zeros((4, 8)), np.full(8, 0.5))), ConfigError,
+        lambda: model.forward(PARAMS, window(np.zeros((4, 8)), np.full(8, 0.5))), InputError,
         "mask entries must be 0 or 1"),
     row("forward mask 2",
         lambda: model.forward(PARAMS, window(np.zeros((4, 8)), np.r_[np.ones(7), 2.0])),
-        ConfigError, "mask entries must be 0 or 1"),
+        InputError, "mask entries must be 0 or 1"),
     row("forward mask nan",
         lambda: model.forward(PARAMS, window(np.zeros((4, 8)), np.r_[np.ones(7), np.nan])),
-        ConfigError, "mask entries must be 0 or 1"),
+        InputError, "mask entries must be 0 or 1"),
     row("forward mask of width 7",
         lambda: model.forward(PARAMS, window(np.zeros((4, 8)), np.ones(7))), ConfigError,
         "window mask has shape (7,), model expects (8,)"),
@@ -266,7 +267,7 @@ TRAINING = [
             params=NARROW, adam=numerics.init_adam(NARROW, 5e-4), epochs_completed=1, log=[])),
         ConfigError, "resume parameters were built for a different model config"),
     row("train diverges", train_at_a_rate_of_1e200, NumericError,
-        "non-finite score on the training windows after 1 epochs"),
+        "non-finite score on the training windows after 1 epoch"),
     row("TrainConfig lambda 1", lambda: TrainConfig(lambda_=1.0), ConfigError,
         "lambda must lie in (0, 1), got 1.0"),
     row("TrainConfig lambda 0", lambda: TrainConfig(lambda_=0.0), ConfigError,
@@ -304,7 +305,7 @@ NUMERICS = [
         lambda: numerics.pointwise_conv(X, Tensor(np.zeros((2, 4))), Tensor(np.zeros(2))),
         ConfigError, "kernel expects 4 input channels, input has 3"),
     row("mask_mul mask 0.5", lambda: numerics.mask_mul(Tensor([[1.0, 2.0]]), [0.5, 1.0]),
-        ConfigError, "mask entries must be 0 or 1"),
+        InputError, "mask entries must be 0 or 1"),
     row("add shapes differ",
         lambda: numerics.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2)))), ConfigError,
         "add() needs identical shapes, got (2, 3) and (3, 2)"),

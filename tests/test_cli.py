@@ -151,7 +151,7 @@ class TestTrain:
         code, out, err = adnet(one_video.argv(TRAIN))
         assert (code, out) == (3, "")
         assert err == "adnet: numeric failure: non-finite score on the training windows " \
-                      "after 1 epochs\n"
+                      "after 1 epoch\n"
         assert one_video.read("model.adnc") == before
 
     def test_clip_of_10_to_the_15_frames_trains(self, one_video):

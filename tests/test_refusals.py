@@ -149,10 +149,11 @@ ANNOTATIONS = [
         GT0 + f"total_frames {10 ** 15} does not fit 19 clips at 16 frames per clip"),
     row("a video without predictions", EVAL, lambda w: w.write(
         "annotations/w.json", (w.root / A0).read_text().replace("video_000", "w")), 2,
-        ERROR + "prediction and ground-truth video sets differ: ['w']"),
+        ERROR + "prediction and ground-truth video sets differ: no prediction for ['w']"),
     row("a video without features", TRAIN,
         lambda w: (w.root / "annotations/video_003.json").unlink(), 2,
-        ERROR + "feature and ground-truth video sets differ: ['video_003']"),
+        ERROR + "feature and ground-truth video sets differ: no ground truth for "
+                "['video_003']"),
     *[row(f"duplicate video_id under {COMMAND[argv]}", argv,
           lambda w: shutil.copy(w.root / A0, w.root / "annotations/z.json"), 2,
           ERROR + "{annotations}/z.json: video_id 'video_000' is also in "

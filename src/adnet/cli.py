@@ -71,6 +71,10 @@ def load_run_config(path) -> dict:
             storage.check_types(CONFIG_SCHEMA[section], content, section)
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
+    for key, value in doc.get("paths", {}).items():  # the OS refuses a NUL in a path
+        if "\0" in value:
+            raise ConfigError(f"{path}: paths.{key} must not hold a NUL character, "
+                              f"got {json.dumps(value)}")
     return doc
 
 
@@ -418,7 +422,8 @@ def main(argv=None) -> int:
         # ValueError for one beyond its limit, which it does not try
         if isinstance(exc, ValueError) and not str(exc).startswith(NUMPY_SIZE_REFUSALS):
             raise
-        print(f"adnet: error: out of memory: {exc}", file=sys.stderr)
+        reason = f": {exc}" if str(exc) else ""  # a Python-level MemoryError has none
+        print(f"adnet: error: out of memory{reason}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:
         print(f"adnet: numeric failure: {exc}", file=sys.stderr)

@@ -169,11 +169,13 @@ def test_criterion_6_loss_algebra():
     assert float(separated.value) == 0.0
     coincident = training.ad_loss(Tensor(np.array([[0.5, 0.5]])), [1, 0], [1, 1], 0.5)
     assert float(coincident.value) == 1.0
-    # composition: per stage MSE 0.25 + 0.5 * AD 1.0, summed over two stages
+    # composition: per stage MSE 0.25 + 0.5 * AD 1.0, summed over two stages,
+    # whose terms sum to MSE 0.5 and AD 2.0
     scores = Tensor(np.array([[0.5, 0.5]]))
     cfg = TrainConfig(seed=0, lambda_=0.5, alpha=0.5)
     loss = training.total_loss([scores, scores], [1, 0], np.ones(2), cfg)
     assert abs(float(loss.total.value) - 1.5) <= 1e-12
+    assert abs(loss.mse - 0.5) <= 1e-15 and abs(loss.ad - 2.0) <= 1e-15
     three = training.total_loss([scores] * 3, [1, 0], np.ones(2), cfg)
     assert abs(float(three.total.value) - 2.25) <= 1e-12
     report(6, "margin-loss fixed points are exact and the lambda/stage "

@@ -67,13 +67,6 @@ class TestRunConfig:
         doc = cli.load_run_config(str(inputs.root / "run.json"))
         assert doc["train"]["learning_rate"] == 1
 
-    def test_readme_config_reference_lists_the_schema(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        rows = re.findall(r"^\| (\w+)\.(\w+) \|", readme, flags=re.MULTILINE)
-        assert {row for row in rows if row[0] in cli.CONFIG_SCHEMA} == {
-            (section, key) for section, keys in cli.CONFIG_SCHEMA.items() for key in keys}
-
-
 def test_readme_states_the_python_floor():
     root = Path(__file__).resolve().parents[1]
     floor = tomllib.loads((root / "pyproject.toml").read_text())["project"]["requires-python"]
@@ -225,6 +218,12 @@ class TestInfer:
         assert (target / "inside").is_dir()
         assert sorted(path.name for path in out.iterdir()) == ["video_000.json",
                                                                  "video_001.json"]
+
+    def test_memory_error_without_a_reason(self, inputs):
+        # Python raises MemoryError with an empty message, numpy with a size
+        with mock.patch.object(cli, "prediction_text", side_effect=MemoryError()):
+            outcome = adnet(inputs.argv(INFER))
+        assert outcome == (2, "", "adnet: error: out of memory\n")
 
     def test_second_run_rewrites_the_same_documents(self, inputs):
         out = inputs.root / "scored"
@@ -812,13 +811,14 @@ FUZZ_PATHS = ["corpus/features", "corpus/annotations", "m.adnc", "out", "file", 
 
 def config_values(section: str, key: str):
     """Half the time a value of the key's type, within its ceiling; else a
-    value of another type."""
+    value of another type. A drawn path may hold a NUL, which JSON can carry
+    and argv cannot."""
     kind = cli.CONFIG_SCHEMA[section][key]
     right, wrong = {
         int: (st.integers(-1, FUZZ_INT_CEILINGS.get(key, 4)), [st.floats(), st.booleans()]),
         float: (st.one_of(st.floats(), st.integers(-3, 3)), [st.booleans()]),
         bool: (st.booleans(), [st.integers(0, 1)]),
-        str: (st.sampled_from(FUZZ_PATHS), [st.integers()]),
+        str: (st.sampled_from(FUZZ_PATHS + ["m\0.adnc"]), [st.integers()]),
     }.get(kind, (st.lists(st.integers(-1, 3), min_size=2, max_size=2), []))
     return st.one_of(right, st.one_of(
         *wrong, st.none(), st.text(max_size=3), st.lists(st.integers(-1, 3), max_size=3),

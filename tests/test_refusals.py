@@ -428,6 +428,10 @@ RUN_CONFIGS = [
     row("input_dim unequal to the features", TRAIN,
         lambda w: w.set("run.json", "model.input_dim", 3), 2,
         ERROR + "config says input_dim=3 but feature files carry 5"),
+    *[row(f"paths.{key} with a NUL", TRAIN,
+          lambda w, key=key: w.set("run.json", f"paths.{key}", "m\0.adnc"), 2,
+          CONF + f'paths.{key} must not hold a NUL character, got "m\\u0000.adnc"')
+      for key in cli.CONFIG_SCHEMA["paths"]],
     row("no checkpoint path", TRAIN, lambda w: w.set("run.json", "paths.checkpoint"), 2,
         ERROR + "no 'checkpoint' given (config paths.checkpoint)"),
     row("no corpus", TRAIN, lambda w: w.set("run.json", "paths", {

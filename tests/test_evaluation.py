@@ -13,7 +13,8 @@ from adnet.errors import MetricError
 from adnet.evaluation import TemporalSegment, segments_from_labels
 
 from _oracles import (_iou, evaluate_per_frame, frame_auc_per_frame, frame_labels,
-                      frame_segments, greedy_counts, pairwise_auc, random_partition)
+                      frame_segments, greedy_counts, optimal_counts, pairwise_auc,
+                      random_partition)
 
 
 def seg(start, end, label):
@@ -193,6 +194,23 @@ class TestF1AtK:
         report = evaluation.evaluate({"v": np.array([0.1, 0.1, 0.9])}, {"v": gt}, 16)
         assert report.scopes["all"][50] == (100.0, 100.0, 100.0)
 
+    def test_greedy_rarely_diverges_from_optimal(self):
+        rng = np.random.default_rng(0)
+        divergences = 0
+        trials = 400
+        for _ in range(trials):
+            frames = int(rng.integers(10, 80))
+            pred = random_partition(rng, frames)
+            gt = random_partition(rng, frames)
+            k = int(rng.choice([10, 25, 50]))
+            greedy = evaluation.match_counts(pred, gt, k, "all")
+            optimal = optimal_counts(pred, gt, k, "all")
+            assert greedy[0] <= optimal[0]  # greedy can never beat the optimum
+            if greedy != optimal:
+                divergences += 1
+        assert divergences / trials < 0.02
+
+
 class TestFrameAuc:
     def test_perfectly_separated(self):
         assert evaluation.frame_auc([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1]) == 1.0
@@ -223,6 +241,18 @@ class TestFrameAuc:
         cuts = np.sort(rng.choice(np.arange(1, frames), size=300, replace=False))
         labels = alternating_labels(np.diff([0, *cuts, frames]), 0)
         assert evaluation.frame_auc(scores, labels) == frame_auc_per_frame(scores, labels)
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=150)
+    def test_matches_pairwise_statistic(self, case_seed):
+        rng = np.random.default_rng(case_seed)
+        n = int(rng.integers(3, 60))
+        scores = np.round(rng.random(n), 2)  # quantized to force ties
+        labels = rng.integers(0, 2, size=n)
+        if labels.min() == labels.max():
+            labels[0] = 1 - labels[0]
+        expected = pairwise_auc(scores, labels)
+        assert evaluation.frame_auc(scores, labels) == pytest.approx(expected, abs=1e-12)
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=50)
@@ -286,6 +316,20 @@ class TestEvaluate:
         report = evaluation.evaluate(pred, gt, frames_per_clip=1)
         assert report.scopes["normal"][50] == (100.0, 100.0, 100.0)
         assert report.scopes["all"][50] == (100.0, 100.0, 100.0)
+
+    def test_fragmented_prediction_diverges_from_auc(self):
+        # high frame AUC, terrible segmental score: many short fragments
+        # inside one long abnormal stretch
+        gt = {"v": segments_from_labels(np.repeat(np.array([0] * 30 + [1] * 40 + [0] * 30), 10))}
+        scores = np.full(100, 0.1)
+        scores[30:70] = 0.9
+        scores[list(range(35, 70, 5))] = 0.1  # fragment the abnormal run
+        scores[10] = 0.9  # one short false alarm
+        pred = {"v": scores}
+        report = evaluation.evaluate(pred, gt, frames_per_clip=10)
+        assert report.frame_auc >= 0.70
+        _, _, f1_abnormal = report.scopes["abnormal"][25]
+        assert f1_abnormal <= 35.0
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=50)

@@ -36,6 +36,10 @@ def random_window(rng, config, real=None):
 
 
 class TestMaxLayers:
+    @pytest.mark.parametrize("width,expected", [(64, 6), (32, 5), (128, 7)])
+    def test_published_configurations(self, width, expected):
+        assert model.max_layers(width, 3) == expected
+
     def test_wider_kernel(self):
         assert model.max_layers(64, 5) == 5  # ceil(log2(64 / 2))
 
@@ -97,6 +101,20 @@ class TestForward:
         for stage_scores in model.forward(params, window):
             assert np.all(stage_scores.value >= 0.0)
             assert np.all(stage_scores.value <= 1.0)
+
+    def test_mask_opacity(self):
+        # perturbing masked columns never changes unmasked outputs
+        cfg = small_config()
+        params = model.build(cfg, seed=2)
+        rng = np.random.default_rng(2)
+        window = random_window(rng, cfg, real=5)
+        baseline = [s.value.copy() for s in model.forward(params, window)]
+        perturbed_feats = window.features.copy()
+        perturbed_feats[:, 5:] = rng.normal(size=(4, 3)) * 100.0
+        perturbed = Window(features=perturbed_feats, mask=window.mask,
+                           video_id="t", start_clip=0)
+        for base, new in zip(baseline, model.forward(params, perturbed)):
+            assert np.array_equal(base[:, :5], new.value[:, :5])
 
     def test_stage_truncation_is_bit_exact(self):
         cfg = small_config(num_stages=3)

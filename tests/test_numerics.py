@@ -6,7 +6,7 @@ import pytest
 from adnet import kernels, numerics
 from adnet.numerics import Tape, Tensor
 
-from _gradcheck import run_pullbacks
+from _gradcheck import gradient_draw, max_rel_error, run_pullbacks
 from _oracles import adam_per_tensor, logistic_by_mask
 
 
@@ -238,6 +238,15 @@ class TestBackward:
         out = numerics.mask_mul(x, [1.0, 0.0, 1.0, 1.0], tape)
         run_pullbacks(tape, out, rng.normal(size=(2, 4)))
         assert np.array_equal(x.grad[:, 1], np.zeros(2))
+
+
+class TestGradientsAgainstFiniteDifferences:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("name", ["conv1d_dilated d=1", "conv1d_dilated d=2",
+                                      "conv1d_dilated d=4", "pointwise_conv", "relu",
+                                      "sigmoid", "add then mask_mul"])
+    def test_matches_finite_differences(self, name, seed):
+        assert max_rel_error(*gradient_draw(name, seed)) <= 1e-4
 
 
 def flat_params(value, grad=None):

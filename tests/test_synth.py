@@ -1,11 +1,23 @@
 import numpy as np
 import pytest
 
-from adnet import evaluation, model, synth, training
+from adnet import evaluation, io as storage, model, synth, training
 from adnet.synth import SynthConfig
 
 
 class TestGenerate:
+    def test_deterministic_corpus_bytes(self, tmp_path):
+        cfg = SynthConfig(num_videos=5, seed=21)
+        for run in ("a", "b"):
+            out = tmp_path / run
+            out.mkdir()
+            for video in synth.generate(cfg):
+                storage.write_features(video.features, out / f"{video.features.video_id}.adnf")
+                storage.write_annotations(video.manifest,
+                                          out / f"{video.manifest.video_id}.json")
+        for path in sorted((tmp_path / "a").iterdir()):
+            assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
+
     def test_segments_partition_each_video(self):
         for video in synth.generate(SynthConfig(num_videos=10, seed=3)):
             manifest = video.manifest

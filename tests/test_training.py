@@ -12,7 +12,7 @@ from adnet.numerics import Tape, Tensor
 from adnet.training import TrainConfig
 from adnet.windowing import Window
 
-from _gradcheck import gradient_draw
+from _gradcheck import end_to_end_gradient_error, gradient_draw
 from _oracles import clip_labels_per_frame, frame_labels, masked_forward
 
 
@@ -186,6 +186,12 @@ class TestTotalLoss:
         assert float(loss.total.value) == 0.25
 
 
+class TestEndToEndGradient:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_full_network_gradient(self, seed):
+        assert end_to_end_gradient_error(seed) <= 1e-3
+
+
 def separable_dataset(num_videos=8, seed=7):
     cfg = synth.SynthConfig(num_videos=num_videos, clips_min=32, clips_max=64,
                             input_dim=8, seed=seed)
@@ -197,6 +203,17 @@ SMALL_MODEL = dict(window_width=32, num_stages=1, num_layers=5, input_dim=8,
 
 
 class TestTrain:
+    def test_deterministic_given_seed(self):
+        dataset = separable_dataset(num_videos=3)
+        cfg = model.ADNetConfig(**SMALL_MODEL)
+        tc = TrainConfig(seed=11, epochs=2)
+        first = training.train(dataset, cfg, tc)
+        second = training.train(dataset, cfg, tc)
+        for name in first.params.tensors:
+            assert np.array_equal(first.params.tensors[name].value,
+                                  second.params.tensors[name].value)
+        assert first.log == second.log
+
     def test_float32_features_train_as_their_float64_copy(self):
         # the training stack widens float32 windows to float64 exactly
         single = [(features.astype(np.float32), labels)
@@ -208,6 +225,19 @@ class TestTrain:
         assert first.params.flat.tobytes() == second.params.flat.tobytes()
         assert first.adam.second_moment.tobytes() == second.adam.second_moment.tobytes()
         assert first.log == second.log
+
+    def test_resume_matches_uninterrupted_run(self):
+        dataset = separable_dataset(num_videos=3)
+        cfg = model.ADNetConfig(**SMALL_MODEL)
+        full = training.train(dataset, cfg, TrainConfig(seed=5, epochs=4))
+        half = training.train(dataset, cfg, TrainConfig(seed=5, epochs=2))
+        resumed = training.train(dataset, cfg, TrainConfig(seed=5, epochs=2),
+                                 resume=half)
+        assert resumed.epochs_completed == 4
+        assert [e.epoch for e in resumed.log] == [0, 1, 2, 3]
+        for name in full.params.tensors:
+            assert np.array_equal(full.params.tensors[name].value,
+                                  resumed.params.tensors[name].value)
 
     def test_learns_separable_data(self):
         dataset = separable_dataset()

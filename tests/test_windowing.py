@@ -7,6 +7,19 @@ from adnet import windowing
 
 
 class TestPlanWindows:
+    def test_exact_fit_gives_single_window(self):
+        assert windowing.plan_windows(64, 64) == [(0, 64)]
+
+    def test_two_windows(self):
+        assert windowing.plan_windows(96, 64) == [(0, 64), (32, 96)]
+
+    def test_three_windows_with_padding(self):
+        assert windowing.plan_windows(100, 64) == [(0, 64), (32, 96), (64, 128)]
+
+    def test_short_sequence_single_window(self):
+        assert windowing.plan_windows(1, 64) == [(0, 64)]
+        assert windowing.plan_windows(20, 32) == [(0, 32)]
+
     @given(num_clips=st.integers(1, 500), width=st.sampled_from([4, 8, 32, 64]))
     @settings(max_examples=200)
     def test_plan_invariants(self, num_clips, width):
@@ -44,6 +57,20 @@ class TestMaterialize:
         np.testing.assert_array_equal(win.features[:, 4:], np.zeros((2, 4)))
         assert win.video_id == "v" and win.start_clip == 0
 
+    def test_second_window_full(self):
+        feats = np.random.default_rng(0).normal(size=(3, 96))
+        windows = windowing.materialize(feats, "v", 64)
+        assert np.all(windows[1].mask == 1)
+        np.testing.assert_array_equal(windows[1].features, feats[:, 32:96])
+
+    def test_tail_window_padded(self):
+        feats = np.random.default_rng(1).normal(size=(3, 100))
+        windows = windowing.materialize(feats, "v", 64)
+        tail = windows[-1]
+        assert tail.start_clip == 64
+        assert int(tail.mask.sum()) == 36
+        np.testing.assert_array_equal(tail.features[:, 36:], np.zeros((3, 28)))
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_windows_are_read_only_views_into_one_buffer(self, dtype):
         # one padded copy of the features in their dtype, one mask vector,
@@ -72,6 +99,15 @@ class TestMergeScores:
         scores = np.linspace(0.1, 0.9, 16)
         merged = windowing.merge_scores([(0, np.ones(16), scores)], 16)
         np.testing.assert_array_equal(merged, scores)
+
+    def test_two_window_average(self):
+        a = np.full(64, 0.2)
+        b = np.full(64, 0.4)
+        merged = windowing.merge_scores(
+            [(0, np.ones(64), a), (32, np.ones(64), b)], 96)
+        np.testing.assert_allclose(merged[:32], 0.2)
+        np.testing.assert_allclose(merged[32:64], 0.3)
+        np.testing.assert_allclose(merged[64:], 0.4)
 
     def test_three_window_coverage_counts(self):
         plan = windowing.plan_windows(100, 64)

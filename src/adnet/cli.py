@@ -210,11 +210,21 @@ def cmd_train(args) -> int:
         # read before the checkpoint is overwritten, so a bad log leaves it as it was
         if log_path is not None and log_path.exists():
             previous_log = storage.read_text(log_path, "training log")
+    # refused before training: the writes would overwrite one output with
+    # the other, or fail only after every epoch
+    if log_path is not None:
+        # realpath, as Path.resolve raises RuntimeError on a symlink loop
+        checkpoint, out, log = (Path(os.path.realpath(path))
+                                for path in (checkpoint_path, out_dir, log_path))
+        if checkpoint in (log, out, *out.parents) or log in checkpoint.parents:
+            raise ConfigError(f"{args.config}: paths.checkpoint {checkpoint_path} collides with "
+                              f"paths.out_dir {out_dir} or its {log_path.name}")
+    for path in (checkpoint_path, log_path):
+        if path is not None and path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     # made before training, so an output path that cannot be a directory
     # fails before the checkpoint is overwritten
     checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
-    if checkpoint_path.is_dir():  # which save_checkpoint would refuse only after training
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(checkpoint_path))
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     result = training.train(dataset, model_config, train_config, resume=resume)

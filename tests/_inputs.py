@@ -10,9 +10,10 @@ that the outcome is documented (`assert_documented`).
 
 `write_config` writes a run config, and `SMALL_SYNTH` and `SMALL_MODEL`
 are the sections of a corpus and model small enough to synth, train and
-infer in well under a second. `rewrite_header` and `payload_offsets` edit
-and locate a checkpoint's bytes, and `set_at` sets a member of a JSON
-document by its path.
+infer in well under a second. `split_checkpoint` and `join_checkpoint`
+cut a checkpoint's bytes at the header and join them, `rewrite_header` and
+`payload_offsets` edit and locate them, and `set_at` sets or deletes a
+member of a JSON document by its path.
 """
 
 import contextlib
@@ -61,36 +62,47 @@ def huge_clip_manifest(frames_per_clip, total_frames):
                          {"start_frame": 1, "end_frame": total_frames, "label": 1}]}
 
 
-def set_at(doc, path, value):
+DROP = object()
+
+
+def set_at(doc, path, value=DROP):
+    """Set doc's member at path, a sequence of keys, or delete it without a value."""
     *parents, last = path
     for key in parents:
         doc = doc[key]
-    doc[last] = value
+    if value is DROP:
+        del doc[last]
+    else:
+        doc[last] = value
+
+
+def split_checkpoint(raw: bytes):
+    """(magic and version, header JSON, payload) of a checkpoint's bytes."""
+    header_len = struct.unpack_from("<I", raw, 8)[0]
+    return raw[:8], raw[12:12 + header_len], raw[12 + header_len:]
+
+
+def join_checkpoint(lead: bytes, header: bytes, payload: bytes) -> bytes:
+    """The checkpoint bytes of split_checkpoint's parts, header_len recomputed."""
+    return lead + struct.pack("<I", len(header)) + header + payload
 
 
 def rewrite_header(path, edit):
     """Rewrite a checkpoint file after edit() has changed its header in place."""
-    raw = path.read_bytes()
-    header_len = struct.unpack_from("<I", raw, 8)[0]
-    header = json.loads(raw[12:12 + header_len])
+    lead, header, payload = split_checkpoint(path.read_bytes())
+    header = json.loads(header)
     edit(header)
-    new_header = json.dumps(header).encode()
-    path.write_bytes(raw[:8] + struct.pack("<I", len(new_header)) + new_header
-                     + raw[12 + header_len:])
+    path.write_bytes(join_checkpoint(lead, json.dumps(header).encode(), payload))
 
 
 def payload_offsets(raw: bytes) -> dict:
     """Tensor name -> byte offset of its payload, from a checkpoint's header."""
-    header_len = struct.unpack_from("<I", raw, 8)[0]
-    offsets = {}
-    offset = 12 + header_len
-    for entry in json.loads(raw[12:12 + header_len])["tensors"]:
+    _, header, payload = split_checkpoint(raw)
+    offsets, offset = {}, len(raw) - len(payload)
+    for entry in json.loads(header)["tensors"]:
         offsets[entry["name"]] = offset
         offset += 8 * math.prod(entry["shape"])
     return offsets
-
-
-DROP = object()
 
 
 class Inputs:
@@ -117,7 +129,7 @@ class Inputs:
                       "annotations_dir": str(root / "annotations"),
                       "checkpoint": str(root / "model.adnc"), "out_dir": str(root / "log")}})
         raw = (root / "model.adnc").read_bytes()
-        header = json.loads(raw[12:12 + struct.unpack_from("<I", raw, 8)[0]])
+        header = json.loads(split_checkpoint(raw)[1])
         self.root = root
         self.offsets = payload_offsets(raw)
         self.names = {
@@ -173,24 +185,16 @@ class Inputs:
 
     def set(self, name, key, value=DROP):
         """Set, or delete without a value, the member key ("segments.1.label")."""
-        def change(doc):
-            *parents, last = [int(part) if part.isdigit() else part for part in key.split(".")]
-            for part in parents:
-                doc = doc[part]
-            if value is DROP:
-                del doc[last]
-            else:
-                doc[last] = value
-        self.json(name, change)
+        path = [int(part) if part.isdigit() else part for part in key.split(".")]
+        self.json(name, lambda doc: set_at(doc, path, value))
 
     def replace(self, name, old: bytes, new: bytes):
         """Replace the first old of file name, or of a checkpoint's header."""
         path = self.root / name
         raw = path.read_bytes()
         if path.suffix == ".adnc":
-            header_len = struct.unpack_from("<I", raw, 8)[0]
-            header = raw[12:12 + header_len].replace(old, new, 1)
-            raw = raw[:8] + struct.pack("<I", len(header)) + header + raw[12 + header_len:]
+            lead, header, payload = split_checkpoint(raw)
+            raw = join_checkpoint(lead, header.replace(old, new, 1), payload)
         else:
             raw = raw.replace(old, new, 1)
         path.write_bytes(raw)
@@ -202,17 +206,15 @@ class Inputs:
     def reorder(self, order):
         """Rewrite the checkpoint with its roster and payload both in the
         order of the entry indices order."""
-        path = self.root / "model.adnc"
-        raw = path.read_bytes()
-        header_len = struct.unpack_from("<I", raw, 8)[0]
-        header = json.loads(raw[12:12 + header_len])
+        raw = self.read("model.adnc")
+        lead, header, _ = split_checkpoint(raw)
+        header = json.loads(header)
         blobs = [raw[self.offsets[entry["name"]]:
                      self.offsets[entry["name"]] + 8 * math.prod(entry["shape"])]
                  for entry in header["tensors"]]
         header["tensors"] = [header["tensors"][index] for index in order]
-        text = json.dumps(header).encode()
-        path.write_bytes(raw[:8] + struct.pack("<I", len(text)) + text
-                         + b"".join(blobs[index] for index in order))
+        self.write("model.adnc", join_checkpoint(lead, json.dumps(header).encode(),
+                                                 b"".join(blobs[index] for index in order)))
 
     def features(self, video, dim, clips=None):
         """Write video's feature file as ones of dim rows and clips

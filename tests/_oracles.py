@@ -21,11 +21,14 @@ on the sign through boolean masks, where the library selects with
 np.where; `padded_windows` cuts a video into windows the way the
 benchmark's reference does, a zero-padded float64 copy per window, where
 the library makes views into one padded copy.
+`random_partition`, the strategy `partitions` and `fragmented_prediction`
+(criterion 8's input) are inputs that several test files share.
 """
 
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from adnet import evaluation, model, numerics, training
 from adnet.evaluation import TemporalSegment
@@ -111,6 +114,28 @@ def random_partition(rng, total_frames, max_segments=6):
     first = int(rng.integers(0, 2))
     return [TemporalSegment(bounds[i], bounds[i + 1], (first + i) % 2)
             for i in range(count)]
+
+
+@st.composite
+def partitions(draw, frames):
+    """Segments covering [0, frames), labels drawn freely, so neighbours
+    may share a label."""
+    cuts = draw(st.sets(st.integers(1, frames - 1), max_size=8)) if frames > 1 else set()
+    bounds = [0, *sorted(cuts), frames]
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(bounds) - 1,
+                           max_size=len(bounds) - 1))
+    return [TemporalSegment(a, b, label) for a, b, label in zip(bounds, bounds[1:], labels)]
+
+
+def fragmented_prediction():
+    """(clip scores, ground truth) of 100 clips of 10 frames: high frame
+    AUC, but abnormal F1@25 collapses, as the prediction is fragmented."""
+    gt = evaluation.segments_from_labels(np.repeat(np.array([0] * 30 + [1] * 40 + [0] * 30), 10))
+    scores = np.full(100, 0.1)
+    scores[30:70] = 0.9
+    scores[list(range(35, 70, 5))] = 0.1  # slice the abnormal run into fragments
+    scores[10] = 0.9                      # one short false alarm
+    return scores, gt
 
 
 def pairwise_auc(scores, labels):

@@ -16,7 +16,8 @@ from adnet.training import TrainConfig
 from adnet.windowing import Window, materialize, merge_scores, plan_windows
 
 from _gradcheck import GRADIENT_CASES, end_to_end_gradient_error, gradient_draw, max_rel_error
-from _oracles import optimal_counts, pairwise_auc, random_partition, taped_train
+from _oracles import (fragmented_prediction, optimal_counts, pairwise_auc, random_partition,
+                      taped_train)
 
 
 class Budget:
@@ -234,13 +235,8 @@ def test_criterion_7_learnability(tmp_path):
 
 def test_criterion_8_auc_f1_divergence():
     budget = Budget(10.0)
-    gt = {"v": evaluation.segments_from_labels(
-        np.repeat(np.array([0] * 30 + [1] * 40 + [0] * 30), 10))}
-    scores = np.full(100, 0.1)
-    scores[30:70] = 0.9
-    scores[list(range(35, 70, 5))] = 0.1  # slice the abnormal run into fragments
-    scores[10] = 0.9                      # one short false alarm
-    report_card = evaluation.evaluate({"v": scores}, gt, frames_per_clip=10)
+    scores, gt = fragmented_prediction()
+    report_card = evaluation.evaluate({"v": scores}, {"v": gt}, frames_per_clip=10)
     _, _, f1_abn_25 = report_card.scopes["abnormal"][25]
     assert report_card.frame_auc >= 0.70
     assert f1_abn_25 <= 35.0

@@ -8,6 +8,7 @@ asserts that the outcome is documented. Read-only tests read the
 """
 
 import contextlib
+import dataclasses
 import fcntl
 import json
 import math
@@ -29,6 +30,7 @@ from adnet.model import ADNetConfig
 from adnet.training import TrainConfig
 from _inputs import EVAL, INFER, ONE_VIDEO_MANIFEST, RESUME, SYNTH, TRAIN, adnet, \
     adnet_command, adnet_subprocess, fresh_inputs, huge_clip_manifest, payload_offsets
+from _oracles import fragmented_prediction
 
 
 class TestSynth:
@@ -107,17 +109,6 @@ class TestTrain:
         assert storage.load_checkpoint(inputs.root / "model.adnc").epochs_completed == 2
         assert len((inputs.root / "log" / "train_log.jsonl").read_text().splitlines()) == 2
 
-    def test_undecodable_log_on_resume_leaves_checkpoint_unchanged(self, inputs):
-        assert adnet(inputs.argv(TRAIN))[0] == 0
-        checkpoint = inputs.read("model.adnc")
-        log_path = inputs.root / "log" / "train_log.jsonl"
-        log_path.write_bytes(b"\xff\n")
-        code, _, err = adnet(inputs.argv(RESUME))
-        assert code == 2
-        assert err.startswith(f"adnet: error: {log_path}: not UTF-8")
-        assert len(err.splitlines()) == 1 and "Traceback" not in err
-        assert inputs.read("model.adnc") == checkpoint
-
     def test_resume_steps_at_the_configured_learning_rate(self, inputs):
         assert adnet(inputs.argv(TRAIN))[0] == 0
         start = inputs.read("model.adnc")
@@ -153,17 +144,6 @@ class TestTrain:
         code, _, err = adnet(one_video.argv(TRAIN))
         assert (code, err) == (0, "")
         assert storage.load_checkpoint(one_video.root / "model.adnc").epochs_completed == 1
-
-    def test_checkpoint_is_a_directory(self, inputs):
-        # refused before training, not by os.replace after it
-        checkpoint = inputs.root / "model.adnc"
-        checkpoint.unlink()
-        checkpoint.mkdir()
-        with mock.patch.object(cli.training, "train", side_effect=AssertionError("trained")):
-            code, stdout, err = adnet(inputs.argv(TRAIN))
-        assert (code, stdout) == (2, "")
-        assert err == f"adnet: error: {checkpoint}: Is a directory\n"
-        assert list(inputs.root.glob(".model.adnc.*")) == []
 
 
 class TestInfer:
@@ -378,15 +358,10 @@ class TestEval:
     def test_fragmented_prediction_fixture(self, one_video):
         # the motivating failure mode of plain AUC: fragments keep AUC high
         # while segmental F1 collapses
+        scores, gt = fragmented_prediction()
         one_video.write("annotations/v.json", {
             "video_id": "v", "frames_per_clip": 10, "total_frames": 1000,
-            "segments": [{"start_frame": 0, "end_frame": 300, "label": 0},
-                         {"start_frame": 300, "end_frame": 700, "label": 1},
-                         {"start_frame": 700, "end_frame": 1000, "label": 0}]})
-        scores = np.full(100, 0.1)
-        scores[30:70] = 0.9
-        scores[list(range(35, 70, 5))] = 0.1
-        scores[10] = 0.9
+            "segments": [dataclasses.asdict(segment) for segment in gt]})
         one_video.write("pred/v.json", {"video_id": "v", "frames_per_clip": 10,
                                         "clip_scores": scores.tolist()})
         code, out, _ = adnet(one_video.argv(EVAL + " --k 10,25,50"))
@@ -401,24 +376,17 @@ class TestEval:
         doc = json.loads(out)
         assert set(doc["segmental"]["all"]) == {"f1@20", "f1@80"}
 
-    def test_clip_of_10_to_the_15_frames_evaluates(self, one_video):
+    @pytest.mark.parametrize("total_frames,score", [
         # one clip scored at the threshold over one normal frame and the
         # abnormal rest: both runs tie, and the prediction is abnormal
-        one_video.write("pred/v.json", {"video_id": "v", "frames_per_clip": 10 ** 15,
-                                        "clip_scores": [0.5]})
-        one_video.write("annotations/v.json", huge_clip_manifest(10 ** 15, 10 ** 15))
-        code, out, err = adnet(one_video.argv(EVAL))
-        assert (code, err) == (0, "")
-        doc = json.loads(out)
-        assert doc["frame_auc"] == 0.5
-        assert doc["segmental"]["abnormal"]["f1@50"]["f1"] == 100.0
-        assert doc["segmental"]["normal"]["f1@50"]["f1"] == 0.0
-
-    def test_lone_clip_longer_than_its_video(self, one_video):
+        pytest.param(10 ** 15, 0.5, id="over its whole video"),
         # a clip of 10**15 frames over a 4-frame video covers 4 frames
+        pytest.param(4, 0.75, id="longer than its video"),
+    ])
+    def test_clip_of_10_to_the_15_frames_evaluates(self, one_video, total_frames, score):
         one_video.write("pred/v.json", {"video_id": "v", "frames_per_clip": 10 ** 15,
-                                        "clip_scores": [0.75]})
-        one_video.write("annotations/v.json", huge_clip_manifest(10 ** 15, 4))
+                                        "clip_scores": [score]})
+        one_video.write("annotations/v.json", huge_clip_manifest(10 ** 15, total_frames))
         code, out, err = adnet(one_video.argv(EVAL))
         assert (code, err) == (0, "")
         doc = json.loads(out)

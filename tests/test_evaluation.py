@@ -13,23 +13,12 @@ from adnet.errors import MetricError
 from adnet.evaluation import TemporalSegment, segments_from_labels
 
 from _oracles import (_iou, evaluate_per_frame, frame_auc_per_frame, frame_labels,
-                      frame_segments, greedy_counts, optimal_counts, pairwise_auc,
-                      random_partition)
+                      frame_segments, fragmented_prediction, greedy_counts, optimal_counts,
+                      pairwise_auc, partitions, random_partition)
 
 
 def seg(start, end, label):
     return TemporalSegment(start, end, label)
-
-
-@st.composite
-def partitions(draw, frames):
-    """Segments covering [0, frames), labels drawn freely, so neighbours
-    may share a label."""
-    cuts = draw(st.sets(st.integers(1, frames - 1), max_size=8)) if frames > 1 else set()
-    bounds = [0, *sorted(cuts), frames]
-    labels = draw(st.lists(st.integers(0, 1), min_size=len(bounds) - 1,
-                           max_size=len(bounds) - 1))
-    return [seg(a, b, label) for a, b, label in zip(bounds, bounds[1:], labels)]
 
 
 @st.composite
@@ -81,30 +70,28 @@ def clip_timelines(draw):
 
 
 class TestExpandToFrames:
-    def test_copies_clip_values(self):
-        out = evaluation.expand_to_frames([0.1, 0.9], 3, 6)
-        np.testing.assert_allclose(out, [0.1, 0.1, 0.1, 0.9, 0.9, 0.9])
-
-    def test_short_tail(self):
-        out = evaluation.expand_to_frames([0.1, 0.9], 3, 5)
-        np.testing.assert_allclose(out, [0.1, 0.1, 0.1, 0.9, 0.9])
-
-    def test_identity_when_one_frame_per_clip(self):
-        values = np.linspace(0, 1, 7)
-        np.testing.assert_array_equal(evaluation.expand_to_frames(values, 1, 7), values)
+    # tol: assert_allclose's bounds; rtol 0 is exact, 1e-7 its default
+    @pytest.mark.parametrize("clip_values,frames_per_clip,total_frames,expected,tol", [
+        pytest.param([0.1, 0.9], 3, 6, [0.1, 0.1, 0.1, 0.9, 0.9, 0.9], {"rtol": 1e-7},
+                     id="copies clip values"),
+        pytest.param([0.1, 0.9], 3, 5, [0.1, 0.1, 0.1, 0.9, 0.9], {"rtol": 1e-7}, id="short tail"),
+        pytest.param(np.linspace(0, 1, 7), 1, 7, np.linspace(0, 1, 7), {"rtol": 0},
+                     id="identity when one frame per clip"),
+    ])
+    def test_examples(self, clip_values, frames_per_clip, total_frames, expected, tol):
+        frames = evaluation.expand_to_frames(clip_values, frames_per_clip, total_frames)
+        np.testing.assert_allclose(frames, expected, **tol)
 
 
 class TestSegmentsFromLabels:
-    def test_basic_runs(self):
-        got = segments_from_labels([0, 0, 1, 1, 0])
-        assert got == [seg(0, 2, 0), seg(2, 4, 1), seg(4, 5, 0)]
-
-    def test_all_zeros(self):
-        assert segments_from_labels(np.zeros(5, dtype=int)) == [seg(0, 5, 0)]
-
-    def test_alternating(self):
-        got = segments_from_labels([0, 1, 0, 1])
-        assert got == [seg(0, 1, 0), seg(1, 2, 1), seg(2, 3, 0), seg(3, 4, 1)]
+    @pytest.mark.parametrize("labels,segments", [
+        pytest.param([0, 0, 1, 1, 0], [seg(0, 2, 0), seg(2, 4, 1), seg(4, 5, 0)], id="basic runs"),
+        pytest.param(np.zeros(5, dtype=int), [seg(0, 5, 0)], id="all zeros"),
+        pytest.param([0, 1, 0, 1], [seg(0, 1, 0), seg(1, 2, 1), seg(2, 3, 0), seg(3, 4, 1)],
+                     id="alternating"),
+    ])
+    def test_examples(self, labels, segments):
+        assert segments_from_labels(labels) == segments
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=60))
     @settings(max_examples=100)
@@ -123,33 +110,31 @@ class TestSegmentsFromLabels:
 
 
 class TestF1AtK:
-    def test_identical_is_perfect(self):
-        gt = [seg(0, 30, 0), seg(30, 60, 1), seg(60, 100, 0)]
-        for k in (10, 25, 50, 100):
-            for scope in ("abnormal", "normal", "all"):
-                assert evaluation.f1_at_k(gt, gt, k, scope) == (100.0, 100.0, 100.0)
+    GT = [seg(0, 30, 0), seg(30, 60, 1), seg(60, 100, 0)]
 
-    def test_partial_overlap_thresholds(self):
+    # expected maps (k, scope) to the call's result
+    @pytest.mark.parametrize("function,pred,gt,expected", [
+        pytest.param(evaluation.f1_at_k, GT, GT,
+                     {(k, scope): (100.0, 100.0, 100.0) for k in (10, 25, 50, 100)
+                      for scope in ("abnormal", "normal", "all")}, id="identical is perfect"),
         # IoU = 25/75 = 1/3: a hit at 10 and 25 percent, a miss at 50
-        pred = [seg(0, 50, 1), seg(50, 100, 0)]
-        gt = [seg(0, 25, 0), seg(25, 75, 1), seg(75, 100, 0)]
-        for k, expected_tp in ((10, 1), (25, 1), (50, 0)):
-            tp, fp, fn = evaluation.match_counts(pred, gt, k, "abnormal")
-            assert (tp, fp, fn) == (expected_tp, 1 - expected_tp, 1 - expected_tp)
-
-    def test_over_segmentation_penalized(self):
+        pytest.param(evaluation.match_counts, [seg(0, 50, 1), seg(50, 100, 0)],
+                     [seg(0, 25, 0), seg(25, 75, 1), seg(75, 100, 0)],
+                     {(k, "abnormal"): (tp, 1 - tp, 1 - tp)
+                      for k, tp in ((10, 1), (25, 1), (50, 0))}, id="partial overlap thresholds"),
         # one true segment split in two: one TP, one FP, no FN
-        pred = [seg(0, 10, 0), seg(10, 24, 1), seg(24, 26, 0), seg(26, 40, 1),
-                seg(40, 100, 0)]
-        gt = [seg(0, 10, 0), seg(10, 40, 1), seg(40, 100, 0)]
-        precision, recall, f1 = evaluation.f1_at_k(pred, gt, 10, "abnormal")
-        assert precision == 50.0
-        assert recall == 100.0
-        assert f1 == pytest.approx(200.0 / 3.0)
-
-    def test_empty_scope_is_vacuously_perfect(self):
-        gt = [seg(0, 50, 0)]
-        assert evaluation.f1_at_k(gt, gt, 25, "abnormal") == (100.0, 100.0, 100.0)
+        pytest.param(evaluation.f1_at_k, [seg(0, 10, 0), seg(10, 24, 1), seg(24, 26, 0),
+                                          seg(26, 40, 1), seg(40, 100, 0)],
+                     [seg(0, 10, 0), seg(10, 40, 1), seg(40, 100, 0)],
+                     {(10, "abnormal"): (50.0, 100.0, pytest.approx(200.0 / 3.0))},
+                     id="over segmentation penalized"),
+        pytest.param(evaluation.f1_at_k, [seg(0, 50, 0)], [seg(0, 50, 0)],
+                     {(25, "abnormal"): (100.0, 100.0, 100.0)},
+                     id="empty scope is vacuously perfect"),
+    ])
+    def test_examples(self, function, pred, gt, expected):
+        for (k, scope), result in expected.items():
+            assert function(pred, gt, k, scope) == result
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=150)
@@ -212,20 +197,16 @@ class TestF1AtK:
 
 
 class TestFrameAuc:
-    def test_perfectly_separated(self):
-        assert evaluation.frame_auc([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1]) == 1.0
-
-    def test_all_ties(self):
-        assert evaluation.frame_auc([0.5, 0.5, 0.5, 0.5], [0, 1, 0, 1]) == 0.5
-
-    def test_three_of_four_pairs(self):
-        assert evaluation.frame_auc([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1]) == 0.75
-
-    def test_one_score_over_the_whole_timeline(self):
-        scores = np.full(50, 0.3)
-        labels = alternating_labels([20, 30], 0)
-        assert evaluation.frame_auc(scores, labels) == 0.5
-        assert frame_auc_per_frame(scores, labels) == 0.5
+    @pytest.mark.parametrize("scores,labels,auc", [
+        pytest.param([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1], 1.0, id="perfectly separated"),
+        pytest.param([0.5, 0.5, 0.5, 0.5], [0, 1, 0, 1], 0.5, id="all ties"),
+        pytest.param([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1], 0.75, id="three of four pairs"),
+        pytest.param(np.full(50, 0.3), alternating_labels([20, 30], 0), 0.5,
+                     id="one score over the whole timeline"),
+    ])
+    def test_examples(self, scores, labels, auc):
+        assert evaluation.frame_auc(scores, labels) == auc
+        assert frame_auc_per_frame(scores, labels) == auc
 
     @given(clip_timelines())
     @settings(max_examples=300)
@@ -294,39 +275,31 @@ class TestExpandSegmentsConsistency:
 
 
 class TestEvaluate:
-    def test_perfect_predictions(self):
-        gt = {"a": segments_from_labels([0] * 30 + [1] * 20 + [0] * 10)}
-        pred = {"a": np.array([0.0] * 3 + [1.0] * 2 + [0.0] * 1)}
-        report = evaluation.evaluate(pred, gt, frames_per_clip=10)
+    @pytest.mark.parametrize("pred,gt,frames_per_clip", [
+        pytest.param({"a": np.array([0.0] * 3 + [1.0] * 2 + [0.0] * 1)},
+                     {"a": segments_from_labels([0] * 30 + [1] * 20 + [0] * 10)}, 10,
+                     id="one video"),
+        pytest.param({"a": np.array([0.0, 1.0])}, {"a": segments_from_labels([0, 1])}, 1,
+                     id="unit interval endpoints accepted"),
+        # second video is all normal and predicted perfectly; its normal
+        # segment joins the corpus pool
+        pytest.param({"a": np.array([0.1, 0.1, 0.9, 0.9]), "b": np.array([0.1] * 4)},
+                     {"a": segments_from_labels([0, 0, 1, 1]),
+                      "b": segments_from_labels([0, 0, 0, 0])}, 1,
+                     id="pooled normal recall across videos"),
+    ])
+    def test_perfect_predictions(self, pred, gt, frames_per_clip):
+        report = evaluation.evaluate(pred, gt, frames_per_clip=frames_per_clip)
         assert report.frame_auc == 1.0
         for scope in ("abnormal", "normal", "all"):
             for k in report.ks:
                 assert report.scopes[scope][k] == (100.0, 100.0, 100.0)
 
-    def test_unit_interval_endpoints_accepted(self):
-        report = evaluation.evaluate({"a": np.array([0.0, 1.0])},
-                                     {"a": segments_from_labels([0, 1])}, frames_per_clip=1)
-        assert report.frame_auc == 1.0
-
-    def test_pooled_normal_recall_across_videos(self):
-        # second video is all normal and predicted perfectly; its normal
-        # segment joins the corpus pool
-        gt = {"a": segments_from_labels([0, 0, 1, 1]), "b": segments_from_labels([0, 0, 0, 0])}
-        pred = {"a": np.array([0.1, 0.1, 0.9, 0.9]), "b": np.array([0.1] * 4)}
-        report = evaluation.evaluate(pred, gt, frames_per_clip=1)
-        assert report.scopes["normal"][50] == (100.0, 100.0, 100.0)
-        assert report.scopes["all"][50] == (100.0, 100.0, 100.0)
-
     def test_fragmented_prediction_diverges_from_auc(self):
         # high frame AUC, terrible segmental score: many short fragments
         # inside one long abnormal stretch
-        gt = {"v": segments_from_labels(np.repeat(np.array([0] * 30 + [1] * 40 + [0] * 30), 10))}
-        scores = np.full(100, 0.1)
-        scores[30:70] = 0.9
-        scores[list(range(35, 70, 5))] = 0.1  # fragment the abnormal run
-        scores[10] = 0.9  # one short false alarm
-        pred = {"v": scores}
-        report = evaluation.evaluate(pred, gt, frames_per_clip=10)
+        scores, gt = fragmented_prediction()
+        report = evaluation.evaluate({"v": scores}, {"v": gt}, frames_per_clip=10)
         assert report.frame_auc >= 0.70
         _, _, f1_abnormal = report.scopes["abnormal"][25]
         assert f1_abnormal <= 35.0

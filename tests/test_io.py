@@ -24,7 +24,7 @@ from adnet.io import AnnotationManifest, Checkpoint, ClipFeatureSequence
 from adnet.evaluation import TemporalSegment
 from adnet.model import ADNetConfig
 from adnet.training import TrainConfig
-from _inputs import rewrite_header, set_at
+from _inputs import rewrite_header, set_at, split_checkpoint
 
 
 def can_exchange(directory: Path) -> bool:
@@ -387,9 +387,9 @@ def per_entry_walk(raw: bytes, params_only: bool):
     by entry from a table of where every roster entry begins and ends:
     (message, byte offset) of the first fault, or None. The reader sizes
     the payload as copies of the parameter vector instead."""
-    header_len = struct.unpack_from("<I", raw, 8)[0]
-    header = json.loads(raw[12:12 + header_len])
-    layout, start, size = header["tensors"], 12 + header_len, len(raw)
+    _, header, payload = split_checkpoint(raw)
+    header, size = json.loads(header), len(raw)
+    layout, start = header["tensors"], size - len(payload)
     ends = list(itertools.accumulate(math.prod(entry["shape"]) for entry in layout))
     begins = [0, *ends[:-1]]
     for entry, begin, end in zip(layout, begins, ends):

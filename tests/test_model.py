@@ -36,12 +36,13 @@ def random_window(rng, config, real=None):
 
 
 class TestMaxLayers:
-    @pytest.mark.parametrize("width,expected", [(64, 6), (32, 5), (128, 7)])
-    def test_published_configurations(self, width, expected):
-        assert model.max_layers(width, 3) == expected
-
-    def test_wider_kernel(self):
-        assert model.max_layers(64, 5) == 5  # ceil(log2(64 / 2))
+    @pytest.mark.parametrize("width,kernel_size,expected", [
+        *[pytest.param(width, 3, layers, id=f"published width {width}")
+          for width, layers in [(64, 6), (32, 5), (128, 7)]],
+        pytest.param(64, 5, 5, id="wider kernel"),  # ceil(log2(64 / 2))
+    ])
+    def test_examples(self, width, kernel_size, expected):
+        assert model.max_layers(width, kernel_size) == expected
 
 
 class TestConfig:
@@ -231,15 +232,13 @@ class TestScoringPrecision:
 
 
 class TestPredictLabels:
-    def test_basic_thresholding(self):
-        np.testing.assert_array_equal(
-            model.predict_labels([0.2, 0.7], 0.5), [0, 1])
-
-    def test_tie_counts_as_abnormal(self):
-        np.testing.assert_array_equal(model.predict_labels([0.5], 0.5), [1])
-
-    def test_high_threshold(self):
-        np.testing.assert_array_equal(model.predict_labels([0.7], 0.9), [0])
+    @pytest.mark.parametrize("scores,threshold,labels", [
+        pytest.param([0.2, 0.7], 0.5, [0, 1], id="basic thresholding"),
+        pytest.param([0.5], 0.5, [1], id="tie counts as abnormal"),
+        pytest.param([0.7], 0.9, [0], id="high threshold"),
+    ])
+    def test_examples(self, scores, threshold, labels):
+        np.testing.assert_array_equal(model.predict_labels(scores, threshold), labels)
 
 
 class TestScoreSequence:

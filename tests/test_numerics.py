@@ -29,22 +29,19 @@ def conv_reference(x, w, b, dilation):
 
 
 class TestConv1dDilated:
-    def test_identity_kernel(self):
-        x = Tensor(np.array([[1.0, 2.0, 3.0]]))
-        out = numerics.conv1d_dilated(x, Tensor([[[1.0]]]), Tensor([0.0]), 1)
-        np.testing.assert_array_equal(out.value, x.value)
-
-    def test_sliding_sum_dilation_1(self):
-        x = Tensor(np.array([[1.0, 2.0, 3.0, 4.0]]))
-        w = Tensor(np.ones((1, 1, 3)))
-        out = numerics.conv1d_dilated(x, w, Tensor([0.0]), 1)
-        np.testing.assert_allclose(out.value, [[3.0, 6.0, 9.0, 7.0]])
-
-    def test_sliding_sum_dilation_2(self):
-        x = Tensor(np.array([[1.0, 2.0, 3.0, 4.0]]))
-        w = Tensor(np.ones((1, 1, 3)))
-        out = numerics.conv1d_dilated(x, w, Tensor([0.0]), 2)
-        np.testing.assert_allclose(out.value, [[4.0, 6.0, 4.0, 6.0]])
+    # tol, here and below: assert_allclose's bounds; rtol 0 is exact, 1e-7 its default
+    # kernels of one channel whose taps are all 1, no bias
+    @pytest.mark.parametrize("x,taps,dilation,expected,tol", [
+        pytest.param([[1.0, 2.0, 3.0]], 1, 1, [[1.0, 2.0, 3.0]], {"rtol": 0}, id="identity kernel"),
+        pytest.param([[1.0, 2.0, 3.0, 4.0]], 3, 1, [[3.0, 6.0, 9.0, 7.0]], {"rtol": 1e-7},
+                     id="sliding sum dilation 1"),
+        pytest.param([[1.0, 2.0, 3.0, 4.0]], 3, 2, [[4.0, 6.0, 4.0, 6.0]], {"rtol": 1e-7},
+                     id="sliding sum dilation 2"),
+    ])
+    def test_examples(self, x, taps, dilation, expected, tol):
+        out = numerics.conv1d_dilated(Tensor(np.array(x)), Tensor(np.ones((1, 1, taps))),
+                                      Tensor([0.0]), dilation)
+        np.testing.assert_allclose(out.value, expected, **tol)
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("dilation", [1, 2, 8, 1024])
@@ -150,35 +147,33 @@ class TestConvBackwardKernel:
 
 
 class TestPointwiseConv:
-    def test_identity(self):
-        x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        out = numerics.pointwise_conv(x, Tensor(np.eye(2)), Tensor(np.zeros(2)))
-        np.testing.assert_array_equal(out.value, x.value)
-
-    def test_column_sums(self):
-        x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        out = numerics.pointwise_conv(x, Tensor([[1.0, 1.0]]), Tensor([0.0]))
-        np.testing.assert_allclose(out.value, [[4.0, 6.0]])
-
-    def test_zero_kernel_gives_bias(self):
-        x = Tensor(np.random.default_rng(1).normal(size=(3, 7)))
-        out = numerics.pointwise_conv(x, Tensor(np.zeros((2, 3))), Tensor([2.5, -1.0]))
-        np.testing.assert_array_equal(out.value, np.array([[2.5] * 7, [-1.0] * 7]))
+    @pytest.mark.parametrize("x,weight,bias,expected,tol", [
+        pytest.param([[1.0, 2.0], [3.0, 4.0]], np.eye(2), np.zeros(2), [[1.0, 2.0], [3.0, 4.0]],
+                     {"rtol": 0}, id="identity"),
+        pytest.param([[1.0, 2.0], [3.0, 4.0]], [[1.0, 1.0]], [0.0], [[4.0, 6.0]],
+                     {"rtol": 1e-7}, id="column sums"),
+        pytest.param(np.random.default_rng(1).normal(size=(3, 7)), np.zeros((2, 3)),
+                     [2.5, -1.0], [[2.5] * 7, [-1.0] * 7], {"rtol": 0},
+                     id="zero kernel gives bias"),
+    ])
+    def test_examples(self, x, weight, bias, expected, tol):
+        out = numerics.pointwise_conv(Tensor(np.array(x)), Tensor(weight), Tensor(bias))
+        np.testing.assert_allclose(out.value, expected, **tol)
 
 
 class TestElementwise:
-    def test_relu(self):
-        out = numerics.relu(Tensor([[-1.0, 0.0, 2.0]]))
-        np.testing.assert_array_equal(out.value, [[0.0, 0.0, 2.0]])
-
-    def test_sigmoid_at_zero(self):
-        out = numerics.sigmoid(Tensor([[0.0]]))
-        np.testing.assert_array_equal(out.value, [[0.5]])
-
-    def test_sigmoid_stable_at_extremes(self):
-        out = numerics.sigmoid(Tensor([[-800.0, 800.0]]))
+    @pytest.mark.parametrize("op,x,expected,tol", [
+        pytest.param(numerics.relu, [[-1.0, 0.0, 2.0]], [[0.0, 0.0, 2.0]], {"rtol": 0}, id="relu"),
+        pytest.param(numerics.sigmoid, [[0.0]], [[0.5]], {"rtol": 0}, id="sigmoid at zero"),
+        pytest.param(numerics.sigmoid, [[-800.0, 800.0]], [[0.0, 1.0]],
+                     {"rtol": 1e-7, "atol": 1e-12}, id="sigmoid stable at extremes"),
+        pytest.param(lambda x: numerics.mask_mul(x, [1.0, 0.0]), [[5.0, 7.0], [3.0, 9.0]],
+                     [[5.0, 0.0], [3.0, 0.0]], {"rtol": 0}, id="mask_mul"),
+    ])
+    def test_examples(self, op, x, expected, tol):
+        out = op(Tensor(x))
         assert np.all(np.isfinite(out.value))
-        np.testing.assert_allclose(out.value, [[0.0, 1.0]], atol=1e-12)
+        np.testing.assert_allclose(out.value, expected, **tol)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_logistic_equals_the_masked_form_bit_for_bit(self, dtype):
@@ -195,10 +190,6 @@ class TestElementwise:
         assert np.array_equal(np.isnan(got), np.isnan(want))
         real = ~np.isnan(want)
         assert got[real].tobytes() == want[real].tobytes()
-
-    def test_mask_mul(self):
-        out = numerics.mask_mul(Tensor([[5.0, 7.0], [3.0, 9.0]]), [1.0, 0.0])
-        np.testing.assert_array_equal(out.value, [[5.0, 0.0], [3.0, 0.0]])
 
 
 class TestBackward:
@@ -257,20 +248,20 @@ def flat_params(value, grad=None):
 
 
 class TestAdam:
-    def test_zero_gradient_leaves_parameters_unchanged(self):
-        p = flat_params([1.0, -2.0, 3.0], np.zeros(3))
-        state = numerics.init_adam(p, lr=5e-4)
-        numerics.adam_step(p, state)
-        np.testing.assert_array_equal(p.flat, [1.0, -2.0, 3.0])
-        assert state.step_count == 1
-
-    def test_first_step_moves_by_learning_rate(self):
+    @pytest.mark.parametrize("value,grad,expected,tol", [
+        pytest.param([1.0, -2.0, 3.0], np.zeros(3), [1.0, -2.0, 3.0], {"rtol": 0},
+                     id="zero gradient leaves parameters unchanged"),
         # with g=1 everywhere the bias-corrected first step is
         # -lr * 1 / (1 + eps), i.e. almost exactly -lr
-        p = flat_params(np.zeros(4), np.ones(4))
+        pytest.param(np.zeros(4), np.ones(4), -5e-4 * np.ones(4), {"rtol": 1e-6},
+                     id="first step moves by learning rate"),
+    ])
+    def test_examples(self, value, grad, expected, tol):
+        p = flat_params(value, grad)
         state = numerics.init_adam(p, lr=5e-4)
         numerics.adam_step(p, state)
-        np.testing.assert_allclose(p.flat, -5e-4 * np.ones(4), rtol=1e-6)
+        np.testing.assert_allclose(p.flat, expected, **tol)
+        assert state.step_count == 1
 
     def test_two_identical_runs_are_bit_identical(self):
         def run():

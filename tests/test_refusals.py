@@ -438,6 +438,25 @@ RUN_CONFIGS = [
         "features_dir": str(w.root / "nowhere"), "annotations_dir": str(w.root / "nowhere"),
         "checkpoint": str(w.root / "model.adnc")}), 2,
         ERROR + "no .adnf feature files in {root}/nowhere"),
+    # outputs that collide, refused before train makes a directory or trains
+    *[row(f"checkpoint {name}", TRAIN, lambda w, ckpt=ckpt, out=out: w.set(
+        "run.json", "paths.checkpoint", str(w.root / ckpt)) or w.set(
+        "run.json", "paths.out_dir", str(w.root / out)), 2,
+        CONF + f"paths.checkpoint {{root}}/{ckpt} collides with paths.out_dir {{root}}/{out} "
+               "or its train_log.jsonl")
+      for name, ckpt, out in [("the training log", "log/train_log.jsonl", "log"),
+                              ("out_dir", "log", "log"),
+                              ("a directory above out_dir", "m.adnc", "m.adnc/log"),
+                              ("under the training log", "log/train_log.jsonl/m.adnc", "log")]],
+    row("checkpoint a directory", TRAIN, lambda w: w.root.joinpath("model.adnc").unlink()
+        or w.root.joinpath("model.adnc").mkdir(), 2, ERROR + "{checkpoint}: Is a directory"),
+    row("the training log a directory", TRAIN,
+        lambda w: (w.root / "log" / "train_log.jsonl").mkdir(parents=True), 2,
+        ERROR + "{root}/log/train_log.jsonl: Is a directory"),
+    # read before the checkpoint is overwritten, which a bad log leaves as it was
+    row("an undecodable log under train --resume", RESUME, lambda w: (w.root / "log").mkdir()
+        or w.write("log/train_log.jsonl", b"\xff\n"), 2,
+        ERROR + "{root}/log/train_log.jsonl: " + NOT_UTF8),
     *[row(f"out_dir a file under {COMMAND[argv]}", argv, lambda w: w.write("log", "")
           or w.set("run.json", "paths.out_dir", str(w.root / "log")), 2,
           ERROR + "{root}/log: File exists") for argv in (TRAIN, RESUME)],

@@ -13,7 +13,7 @@ from adnet.training import TrainConfig
 from adnet.windowing import Window
 
 from _gradcheck import end_to_end_gradient_error, gradient_draw
-from _oracles import clip_labels_per_frame, frame_labels, masked_forward
+from _oracles import clip_labels_per_frame, frame_labels, masked_forward, partitions
 
 
 @st.composite
@@ -23,32 +23,21 @@ def clip_timelines(draw):
     too, and neighbouring segments possibly of one label."""
     n = draw(st.integers(1, 32))
     clips = draw(st.integers(1, 12))
-    frames = n * (clips - 1) + draw(st.integers(1, n))
-    cuts = draw(st.sets(st.integers(1, frames - 1), max_size=8)) if frames > 1 else set()
-    bounds = [0, *sorted(cuts), frames]
-    return ([TemporalSegment(a, b, draw(st.integers(0, 1)))
-             for a, b in zip(bounds, bounds[1:])], n, clips)
+    return draw(partitions(n * (clips - 1) + draw(st.integers(1, n)))), n, clips
 
 
 class TestClipLabels:
-    def test_all_abnormal(self):
-        labels = training.clip_labels(segments_from_labels(np.ones(48, dtype=int)), 16, 3)
-        np.testing.assert_array_equal(labels, [1, 1, 1])
-
-    def test_boundary_fraction_is_abnormal(self):
-        frames = np.zeros(16, dtype=int)
-        frames[:8] = 1  # exactly half
-        assert training.clip_labels(segments_from_labels(frames), 16, 1)[0] == 1
-
-    def test_below_fraction_is_normal(self):
-        frames = np.zeros(16, dtype=int)
-        frames[:7] = 1
-        assert training.clip_labels(segments_from_labels(frames), 16, 1)[0] == 0
-
-    def test_short_tail_clip(self):
-        frames = np.array([0] * 16 + [1] * 5)  # tail clip has 5 frames, all abnormal
+    @pytest.mark.parametrize("frames,frames_per_clip,clips,labels", [
+        pytest.param(np.ones(48, dtype=int), 16, 3, [1, 1, 1], id="all abnormal"),
+        # exactly half
+        pytest.param(np.repeat([1, 0], 8), 16, 1, [1], id="boundary fraction is abnormal"),
+        pytest.param(np.repeat([1, 0], [7, 9]), 16, 1, [0], id="below fraction is normal"),
+        # tail clip has 5 frames, all abnormal
+        pytest.param(np.array([0] * 16 + [1] * 5), 16, 2, [0, 1], id="short tail clip"),
+    ])
+    def test_examples(self, frames, frames_per_clip, clips, labels):
         np.testing.assert_array_equal(
-            training.clip_labels(segments_from_labels(frames), 16, 2), [0, 1])
+            training.clip_labels(segments_from_labels(frames), frames_per_clip, clips), labels)
 
     @given(clip_timelines(), st.sampled_from([1 / 3, 0.5, 1.0]))
     @settings(max_examples=300)
@@ -67,20 +56,13 @@ class TestClipLabels:
 
 
 class TestMseLoss:
-    def test_perfect_scores(self):
-        scores = Tensor(np.array([[0.0, 1.0, 1.0]]))
-        out = training.mse_loss(scores, [0, 1, 1], [1, 1, 1])
-        assert float(out.value) == 0.0
-
-    def test_half_half(self):
-        scores = Tensor(np.array([[0.5, 0.5]]))
-        out = training.mse_loss(scores, [0, 1], [1, 1])
-        assert float(out.value) == 0.25
-
-    def test_masked_position_excluded(self):
-        scores = Tensor(np.array([[0.5, 9.0]]))
-        out = training.mse_loss(scores, [0, 0], [1, 0])
-        assert float(out.value) == 0.25
+    @pytest.mark.parametrize("scores,targets,mask,loss", [
+        pytest.param([0.0, 1.0, 1.0], [0, 1, 1], [1, 1, 1], 0.0, id="perfect scores"),
+        pytest.param([0.5, 0.5], [0, 1], [1, 1], 0.25, id="half half"),
+        pytest.param([0.5, 9.0], [0, 0], [1, 0], 0.25, id="masked position excluded"),
+    ])
+    def test_examples(self, scores, targets, mask, loss):
+        assert float(training.mse_loss(Tensor(np.array([scores])), targets, mask).value) == loss
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50)
@@ -101,25 +83,19 @@ class TestMseLoss:
 
 
 class TestAdLoss:
-    def test_single_class_window_is_zero(self):
-        out = training.ad_loss(Tensor(np.array([[0.9, 0.1]])), [0, 0], [1, 1], 0.5)
-        assert float(out.value) == 0.0
-
-    def test_zero_when_margins_nonnegative(self):
+    @pytest.mark.parametrize("scores,targets,loss", [
+        pytest.param([0.9, 0.1], [0, 0], 0.0, id="single class window is zero"),
         # abnormal at 0.95/0.9, normal at 0.1: margins are >= 0 => hinge at 0
-        scores = Tensor(np.array([[0.95, 0.9, 0.1]]))
-        out = training.ad_loss(scores, [1, 1, 0], [1, 1, 1], 0.5)
-        assert float(out.value) == 0.0
-
-    def test_hard_pair_selection(self):
+        pytest.param([0.95, 0.9, 0.1], [1, 1, 0], 0.0, id="zero when margins nonnegative"),
         # abnormal 0.6 pairs with normal 0.55 (not 0.1); normal 0.55 pairs
         # with abnormal 0.6; normal 0.1's hard abnormal is also 0.6
-        scores = Tensor(np.array([[0.6, 0.55, 0.1]]))
-        targets = [1, 0, 0]
-        out = training.ad_loss(scores, targets, [1, 1, 1], 0.5)
-        m_abn = (0.6 - 0.55) - 0.5
-        m_nrm = ((0.6 - 0.55 - 0.5) + (0.6 - 0.1 - 0.5)) / 2.0
-        assert float(out.value) == pytest.approx(max(-(m_abn + m_nrm), 0.0), abs=1e-15)
+        pytest.param([0.6, 0.55, 0.1], [1, 0, 0], pytest.approx(max(-(((0.6 - 0.55) - 0.5) + (
+            (0.6 - 0.55 - 0.5) + (0.6 - 0.1 - 0.5)) / 2.0), 0.0), abs=1e-15),
+            id="hard pair selection"),
+    ])
+    def test_examples(self, scores, targets, loss):
+        out = training.ad_loss(Tensor(np.array([scores])), targets, [1] * len(scores), 0.5)
+        assert float(out.value) == loss
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50)
@@ -165,25 +141,18 @@ class TestLossGradients:
 
 
 class TestTotalLoss:
-    def test_perfect_single_stage(self):
-        scores = [Tensor(np.array([[0.0, 1.0]]))]
-        loss = training.total_loss(scores, [0, 1], [1, 1], TrainConfig(seed=0))
-        assert float(loss.total.value) == 0.0
-
-    def test_stage_summation(self):
+    @pytest.mark.parametrize("stages,targets,mask,config,loss", [
+        pytest.param([Tensor(np.array([[0.0, 1.0]]))], [0, 1], [1, 1], TrainConfig(seed=0), 0.0,
+                     id="perfect single stage"),
         # three identical stages, each contributing 0.2
-        value = np.sqrt(0.2)
-        stage = Tensor(np.full((1, 5), value))
-        targets = np.zeros(5)
-        cfg = TrainConfig(seed=0, use_ad_loss=False)
-        loss = training.total_loss([stage] * 3, targets, np.ones(5), cfg)
-        assert float(loss.total.value) == pytest.approx(0.6, abs=1e-12)
-
-    def test_ad_term_disabled(self):
-        scores = Tensor(np.array([[0.5, 0.5]]))
-        cfg = TrainConfig(seed=0, use_ad_loss=False)
-        loss = training.total_loss([scores], [1, 0], np.ones(2), cfg)
-        assert float(loss.total.value) == 0.25
+        pytest.param([Tensor(np.full((1, 5), np.sqrt(0.2)))] * 3, np.zeros(5), np.ones(5),
+                     TrainConfig(seed=0, use_ad_loss=False), pytest.approx(0.6, abs=1e-12),
+                     id="stage summation"),
+        pytest.param([Tensor(np.array([[0.5, 0.5]]))], [1, 0], np.ones(2),
+                     TrainConfig(seed=0, use_ad_loss=False), 0.25, id="ad term disabled"),
+    ])
+    def test_examples(self, stages, targets, mask, config, loss):
+        assert float(training.total_loss(stages, targets, mask, config).total.value) == loss
 
 
 class TestEndToEndGradient:

@@ -7,18 +7,15 @@ from adnet import windowing
 
 
 class TestPlanWindows:
-    def test_exact_fit_gives_single_window(self):
-        assert windowing.plan_windows(64, 64) == [(0, 64)]
-
-    def test_two_windows(self):
-        assert windowing.plan_windows(96, 64) == [(0, 64), (32, 96)]
-
-    def test_three_windows_with_padding(self):
-        assert windowing.plan_windows(100, 64) == [(0, 64), (32, 96), (64, 128)]
-
-    def test_short_sequence_single_window(self):
-        assert windowing.plan_windows(1, 64) == [(0, 64)]
-        assert windowing.plan_windows(20, 32) == [(0, 32)]
+    @pytest.mark.parametrize("calls", [
+        pytest.param([(64, 64, [(0, 64)])], id="exact fit gives single window"),
+        pytest.param([(96, 64, [(0, 64), (32, 96)])], id="two windows"),
+        pytest.param([(100, 64, [(0, 64), (32, 96), (64, 128)])], id="three windows with padding"),
+        pytest.param([(1, 64, [(0, 64)]), (20, 32, [(0, 32)])], id="short sequence single window"),
+    ])
+    def test_examples(self, calls):
+        for num_clips, width, plan in calls:
+            assert windowing.plan_windows(num_clips, width) == plan
 
     @given(num_clips=st.integers(1, 500), width=st.sampled_from([4, 8, 32, 64]))
     @settings(max_examples=200)
@@ -47,29 +44,22 @@ class TestPlanWindows:
 
 
 class TestMaterialize:
-    def test_padding_and_mask(self):
-        feats = np.arange(8.0).reshape(2, 4)
-        windows = windowing.materialize(feats, "v", 8)
-        assert len(windows) == 1
-        win = windows[0]
-        np.testing.assert_array_equal(win.mask, [1, 1, 1, 1, 0, 0, 0, 0])
-        np.testing.assert_array_equal(win.features[:, :4], feats)
-        np.testing.assert_array_equal(win.features[:, 4:], np.zeros((2, 4)))
-        assert win.video_id == "v" and win.start_clip == 0
-
-    def test_second_window_full(self):
-        feats = np.random.default_rng(0).normal(size=(3, 96))
-        windows = windowing.materialize(feats, "v", 64)
-        assert np.all(windows[1].mask == 1)
-        np.testing.assert_array_equal(windows[1].features, feats[:, 32:96])
-
-    def test_tail_window_padded(self):
-        feats = np.random.default_rng(1).normal(size=(3, 100))
-        windows = windowing.materialize(feats, "v", 64)
-        tail = windows[-1]
-        assert tail.start_clip == 64
-        assert int(tail.mask.sum()) == 36
-        np.testing.assert_array_equal(tail.features[:, 36:], np.zeros((3, 28)))
+    @pytest.mark.parametrize("feats,width,count,index,start,real", [
+        pytest.param(np.arange(8.0).reshape(2, 4), 8, 1, 0, 0, 4, id="padding and mask"),
+        pytest.param(np.random.default_rng(0).normal(size=(3, 96)), 64, 2, 1, 32, 64,
+                     id="second window full"),
+        pytest.param(np.random.default_rng(1).normal(size=(3, 100)), 64, 3, -1, 64, 36,
+                     id="tail window padded"),
+    ])
+    def test_examples(self, feats, width, count, index, start, real):
+        windows = windowing.materialize(feats, "v", width)
+        assert len(windows) == count
+        window = windows[index]
+        assert window.video_id == "v" and window.start_clip == start
+        np.testing.assert_array_equal(window.mask, np.arange(width) < real)
+        np.testing.assert_array_equal(window.features[:, :real], feats[:, start:start + real])
+        np.testing.assert_array_equal(window.features[:, real:],
+                                      np.zeros((len(feats), width - real)))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_windows_are_read_only_views_into_one_buffer(self, dtype):
@@ -94,52 +84,39 @@ class TestMaterialize:
             assert not window.features[:, real:].any()
 
 
+def planned_pieces(num_clips, width, value):
+    """merge_scores' (start, mask, scores) of each planned window: the mask
+    over its real clips, the scores value(index) throughout."""
+    pieces = []
+    for index, (start, end) in enumerate(windowing.plan_windows(num_clips, width)):
+        mask = np.zeros(width)
+        mask[:min(end, num_clips) - start] = 1
+        pieces.append((start, mask, np.full(width, value(index))))
+    return pieces
+
+
 class TestMergeScores:
-    def test_single_window_identity(self):
-        scores = np.linspace(0.1, 0.9, 16)
-        merged = windowing.merge_scores([(0, np.ones(16), scores)], 16)
-        np.testing.assert_array_equal(merged, scores)
-
-    def test_two_window_average(self):
-        a = np.full(64, 0.2)
-        b = np.full(64, 0.4)
-        merged = windowing.merge_scores(
-            [(0, np.ones(64), a), (32, np.ones(64), b)], 96)
-        np.testing.assert_allclose(merged[:32], 0.2)
-        np.testing.assert_allclose(merged[32:64], 0.3)
-        np.testing.assert_allclose(merged[64:], 0.4)
-
-    def test_three_window_coverage_counts(self):
-        plan = windowing.plan_windows(100, 64)
-        per_window = []
-        for index, (start, end) in enumerate(plan):
-            real = min(end, 100) - start
-            mask = np.zeros(64)
-            mask[:real] = 1
-            per_window.append((start, mask, np.full(64, float(index))))
-        merged = windowing.merge_scores(per_window, 100)
-        np.testing.assert_allclose(merged[:32], 0.0)
-        np.testing.assert_allclose(merged[32:64], 0.5)   # windows 0 and 1
-        np.testing.assert_allclose(merged[64:96], 1.5)   # windows 1 and 2
-        np.testing.assert_allclose(merged[96:], 2.0)     # window 2 only
+    # tol: assert_allclose's bounds; rtol 0 is exact, 1e-7 its default
+    @pytest.mark.parametrize("pieces,num_clips,expected,tol", [
+        pytest.param([(0, np.ones(16), np.linspace(0.1, 0.9, 16))], 16,
+                     np.linspace(0.1, 0.9, 16), {"rtol": 0}, id="single window identity"),
+        pytest.param([(0, np.ones(64), np.full(64, 0.2)), (32, np.ones(64), np.full(64, 0.4))],
+                     96, np.repeat([0.2, 0.3, 0.4], 32), {"rtol": 1e-7}, id="two window average"),
+        # window 0 alone, windows 0 and 1, windows 1 and 2, window 2 alone
+        pytest.param(planned_pieces(100, 64, float), 100,
+                     np.repeat([0.0, 0.5, 1.5, 2.0], [32, 32, 32, 4]), {"rtol": 1e-7},
+                     id="three window coverage counts"),
+        pytest.param([(0, np.array([1.0, 1.0, 0.0, 0.0]), np.array([0.5, 0.5, 99.0, 99.0]))],
+                     2, [0.5, 0.5], {"rtol": 0}, id="padded positions never contribute"),
+    ])
+    def test_examples(self, pieces, num_clips, expected, tol):
+        np.testing.assert_allclose(windowing.merge_scores(pieces, num_clips), expected, **tol)
 
     @given(num_clips=st.integers(1, 300), width=st.sampled_from([4, 16, 64]),
            constant=st.floats(0.0, 1.0, allow_nan=False))
     @settings(max_examples=100)
     def test_merge_of_constant_is_constant(self, num_clips, width, constant):
-        plan = windowing.plan_windows(num_clips, width)
-        per_window = []
-        for start, end in plan:
-            real = min(end, num_clips) - start
-            mask = np.zeros(width)
-            mask[:real] = 1
-            per_window.append((start, mask, np.full(width, constant)))
-        merged = windowing.merge_scores(per_window, num_clips)
+        merged = windowing.merge_scores(
+            planned_pieces(num_clips, width, lambda _: constant), num_clips)
         assert merged.shape == (num_clips,)
         assert np.all(np.abs(merged - constant) <= 1e-15)
-
-    def test_padded_positions_never_contribute(self):
-        mask = np.array([1.0, 1.0, 0.0, 0.0])
-        scores = np.array([0.5, 0.5, 99.0, 99.0])
-        merged = windowing.merge_scores([(0, mask, scores)], 2)
-        np.testing.assert_array_equal(merged, [0.5, 0.5])

@@ -68,12 +68,16 @@ def atomic_write_bytes(path, *chunks, swap: bool = True) -> None:
     So a caller whose file holds work that cannot be remade, a checkpoint
     or the training log, passes swap=False."""
     target = Path(path)
-    tmp = target.parent / f".{target.name}.{os.urandom(6).hex()}"
+    # a name of fixed length, so that any name the file system holds can be written
+    tmp = target.parent / f".adnet.{os.urandom(6).hex()}"
     mode = _regular_file_mode(target)
     # created as open() creates a file, so the kernel applies the umask;
     # over a file, with no bit it lacks, so no user who could not read
     # the old bytes can open the temp file as the new ones are written
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666 if mode is None else mode)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666 if mode is None else mode)
+    except OSError as exc:  # the target, not the temp file, is the caller's
+        raise OSError(exc.errno, exc.strerror, str(target)) from None
     try:
         with os.fdopen(fd, "wb") as handle:
             if mode is not None:  # the bits the umask took
@@ -91,10 +95,11 @@ def atomic_write_bytes(path, *chunks, swap: bool = True) -> None:
 
 def _regular_file_mode(target) -> int | None:
     """The permission bits of target if it is a regular file (a link
-    itself, not its referent), else None."""
+    itself, not its referent), else None. Any error but a missing file
+    or directory, a name too long say, is raised naming target."""
     try:
         mode = os.lstat(target).st_mode
-    except OSError:  # no such file, which the rename reports if it must
+    except FileNotFoundError:  # which creating the temp file reports if it must
         return None
     return mode & 0o777 if stat.S_ISREG(mode) else None
 

@@ -1,19 +1,22 @@
 """Valid inputs of the command-line tests, edits of them, and the one
 runner through which every test calls the command line in-process.
 
-`Inputs` is a copy of the `pipeline` fixture's synth -> train -> infer
-round trip (tests/conftest.py) in a directory of its own, which a test
-edits into the input it needs: the `inputs` fixture gives one to a test,
-and `fresh_inputs` one to each draw of a Hypothesis test. `adnet` runs one
-command in-process and `adnet_subprocess` in a child process; both assert
-that the outcome is documented (`assert_documented`).
+`round_trip` runs synth, train, infer and eval through `adnet` as a user
+would, in a directory of its own, and returns eval's report: the
+`pipeline` fixture (tests/conftest.py) and acceptance criteria 7 and 9
+are round trips. `Inputs` is a copy of the `pipeline` fixture's round
+trip in a directory of its own, which a test edits into the input it
+needs: the `inputs` fixture gives one to a test, and `fresh_inputs` one
+to each draw of a Hypothesis test. `adnet` runs one command in-process
+and `adnet_subprocess` in a child process; both assert that the outcome
+is documented (`assert_documented`).
 
-`write_config` writes a run config, and `SMALL_SYNTH` and `SMALL_MODEL`
-are the sections of a corpus and model small enough to synth, train and
-infer in well under a second. `split_checkpoint` and `join_checkpoint`
-cut a checkpoint's bytes at the header and join them, `rewrite_header` and
-`payload_offsets` edit and locate them, and `set_at` sets or deletes a
-member of a JSON document by its path.
+`SMALL_SYNTH` and `SMALL_MODEL` are the sections of a corpus and model
+small enough to synth, train and infer in well under a second.
+`split_checkpoint` and `join_checkpoint` cut a checkpoint's bytes at the
+header and join them, `rewrite_header` and `payload_offsets` edit and
+locate them, `set_at` sets or deletes a member of a JSON document by its
+path, and `tree` reads every path under a directory.
 """
 
 import contextlib
@@ -34,11 +37,6 @@ import numpy as np
 
 from adnet import cli, io as storage
 from adnet.io import ClipFeatureSequence
-
-
-def write_config(path, doc):
-    path.write_text(json.dumps(doc))
-    return str(path)
 
 
 SMALL_SYNTH = {"num_videos": 4, "clips_min": 12, "clips_max": 20, "input_dim": 5,
@@ -118,19 +116,19 @@ class Inputs:
     value, and {end} the checkpoint's size."""
 
     def __init__(self, pipeline, root):
-        source, corpus, _ = pipeline
+        source, corpus = pipeline
         for name in ("features", "annotations"):
             shutil.copytree(corpus / name, root / name)
         shutil.copytree(source / "pred", root / "pred")
         shutil.copy(source / "model.adnc", root / "model.adnc")
-        write_config(root / "run.json", {
+        self.root = root
+        self.write("run.json", {
             "synth": SMALL_SYNTH, "model": SMALL_MODEL, "train": {"epochs": 1, "seed": 3},
             "paths": {"features_dir": str(root / "features"),
                       "annotations_dir": str(root / "annotations"),
                       "checkpoint": str(root / "model.adnc"), "out_dir": str(root / "log")}})
         raw = (root / "model.adnc").read_bytes()
         header = json.loads(split_checkpoint(raw)[1])
-        self.root = root
         self.offsets = payload_offsets(raw)
         self.names = {
             "root": root, "features": root / "features", "annotations": root / "annotations",
@@ -151,12 +149,6 @@ class Inputs:
     def argv(self, template: str) -> list:
         """The command line of template, its words filled."""
         return [self.fill(word) for word in template.split()]
-
-    def paths(self) -> dict:
-        """Every path under root, a file's with its bytes and a
-        directory's with None."""
-        return {path: path.read_bytes() if path.is_file() else None
-                for path in self.root.rglob("*")}
 
     def read(self, name) -> bytes:
         return (self.root / name).read_bytes()
@@ -280,6 +272,41 @@ def adnet(argv, members=cli.PREDICTION_MEMBERS):
     outcome = code, out.getvalue(), err.getvalue()
     assert_documented(outcome)
     return outcome
+
+
+def tree(root) -> dict:
+    """Every path under root, relative to it: a file's with its bytes and
+    a directory's with None."""
+    return {path.relative_to(root): path.read_bytes() if path.is_file() else None
+            for path in root.rglob("*")}
+
+
+def round_trip(root, sections, held_out=0) -> dict:
+    """Run adnet synth, train, infer and eval in root, each of which must
+    exit 0, and return eval's report. root/run.json holds sections (synth,
+    model and train) and paths relative to root: corpus/, model.adnc and
+    out/. The last held_out videos move to held_out/ before train; infer
+    scores them into pred/ and eval judges them, or the whole corpus when
+    none is held out."""
+    root.mkdir(exist_ok=True)
+    (root / "run.json").write_text(json.dumps({**sections, "paths": {
+        "features_dir": "corpus/features", "annotations_dir": "corpus/annotations",
+        "checkpoint": "model.adnc", "out_dir": "out"}}, indent=2) + "\n")
+
+    def run(command):
+        code, out, _ = adnet(command.split())
+        assert code == 0, command
+        return out
+    with contextlib.chdir(root):
+        run("synth --config run.json --out corpus")
+        videos = json.loads(Path("corpus/corpus.json").read_text())["videos"]
+        for video in videos[len(videos) - held_out:]:
+            for name in (f"features/{video}.adnf", f"annotations/{video}.json"):
+                os.renames(f"corpus/{name}", f"held_out/{name}")
+        scored = "held_out" if held_out else "corpus"
+        run("train --config run.json")
+        run(f"infer --checkpoint model.adnc --features {scored}/features --out pred")
+        return json.loads(run(f"eval --pred pred --gt {scored}/annotations"))
 
 
 def adnet_command(argv) -> dict:

@@ -4,31 +4,17 @@ import shutil
 
 import pytest
 
-from adnet import cli
-from _inputs import ONE_VIDEO_MANIFEST, SMALL_MODEL, SMALL_SYNTH, Inputs, write_config
+from _inputs import ONE_VIDEO_MANIFEST, SMALL_MODEL, SMALL_SYNTH, Inputs, round_trip
 
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
-    """synth -> train -> infer, shared by a module's read-only assertions:
-    (root, corpus directory, run config path)."""
+    """round_trip's synth -> train -> infer -> eval with no video held out,
+    shared by a module's read-only assertions: (root, corpus directory)."""
     root = tmp_path_factory.mktemp("pipeline")
-    corpus = root / "corpus"
-    config_path = write_config(root / "run.json", {
-        "synth": SMALL_SYNTH,
-        "model": SMALL_MODEL,
-        "train": {"epochs": 3, "seed": 3},
-        "paths": {"features_dir": str(corpus / "features"),
-                  "annotations_dir": str(corpus / "annotations"),
-                  "checkpoint": str(root / "model.adnc"),
-                  "out_dir": str(root / "out")},
-    })
-    assert cli.main(["synth", "--config", config_path, "--out", str(corpus)]) == 0
-    assert cli.main(["train", "--config", config_path]) == 0
-    assert cli.main(["infer", "--checkpoint", str(root / "model.adnc"),
-                     "--features", str(corpus / "features"),
-                     "--out", str(root / "pred")]) == 0
-    return root, corpus, config_path
+    round_trip(root, {"synth": SMALL_SYNTH, "model": SMALL_MODEL,
+                      "train": {"epochs": 3, "seed": 3}})
+    return root, root / "corpus"
 
 
 @pytest.fixture

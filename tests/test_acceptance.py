@@ -10,12 +10,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from adnet import cli, evaluation, io as storage, model, synth, training
+from adnet import evaluation, io as storage, model, synth, training
 from adnet.numerics import Tensor
 from adnet.training import TrainConfig
 from adnet.windowing import Window, materialize, merge_scores, plan_windows
 
 from _gradcheck import GRADIENT_CASES, end_to_end_gradient_error, gradient_draw, max_rel_error
+from _inputs import round_trip, tree
 from _oracles import (fragmented_prediction, optimal_counts, pairwise_auc, random_partition,
                       taped_train)
 
@@ -183,53 +184,21 @@ def test_criterion_6_loss_algebra():
               "composition holds to 1e-12", budget.check("loss algebra"))
 
 
-ACCEPTANCE_SYNTH = synth.SynthConfig(num_videos=50, clips_min=48, clips_max=96,
-                                     input_dim=16, class_mean_separation=4.0,
-                                     noise_std=1.0, seed=7)
-
-
-def _acceptance_corpus(tmp_path):
-    """Write the 50-video corpus and split it 40 train / 10 test."""
-    features_dir = tmp_path / "features"
-    annotations_dir = tmp_path / "annotations"
-    features_dir.mkdir()
-    annotations_dir.mkdir()
-    videos = synth.generate(ACCEPTANCE_SYNTH)
-    for video in videos:
-        storage.write_features(video.features,
-                               features_dir / f"{video.features.video_id}.adnf")
-        storage.write_annotations(video.manifest,
-                                  annotations_dir / f"{video.manifest.video_id}.json")
-    ids = [v.features.video_id for v in videos]
-    return features_dir, annotations_dir, ids[:40], ids[40:]
-
-
 def test_criterion_7_learnability(tmp_path):
     budget = Budget(300.0)
-    features_dir, annotations_dir, train_ids, test_ids = _acceptance_corpus(tmp_path)
-    dataset = []
-    for video_id in train_ids:
-        seq = storage.read_features(features_dir / f"{video_id}.adnf")
-        manifest = storage.read_annotations(annotations_dir / f"{video_id}.json")
-        clip_labels = training.clip_labels(manifest.segments, manifest.frames_per_clip,
-                                           seq.num_clips)
-        dataset.append((seq.features, clip_labels))
-    model_cfg = model.ADNetConfig(window_width=64, num_stages=2, num_layers=6,
-                                  input_dim=16, hidden_channels=64)
-    result = training.train(dataset, model_cfg, TrainConfig(seed=7, epochs=10))
-    preds = {}
-    gts = {}
-    for video_id in test_ids:
-        seq = storage.read_features(features_dir / f"{video_id}.adnf")
-        manifest = storage.read_annotations(annotations_dir / f"{video_id}.json")
-        preds[video_id] = model.score_sequence(result.params, seq.features)
-        gts[video_id] = manifest.segments
-    report_card = evaluation.evaluate(preds, gts, frames_per_clip=16)
-    _, _, f1_all_50 = report_card.scopes["all"][50]
+    # a separable 50-video corpus, 40 trained on and 10 held out
+    report_card = round_trip(tmp_path, {
+        "synth": {"num_videos": 50, "clips_min": 48, "clips_max": 96, "input_dim": 16,
+                  "class_mean_separation": 4.0, "noise_std": 1.0, "seed": 7},
+        "model": {"window_width": 64, "num_stages": 2, "num_layers": 6,
+                  "hidden_channels": 64},
+        "train": {"seed": 7, "epochs": 10}}, held_out=10)
+    f1_all_50 = report_card["segmental"]["all"]["f1@50"]["f1"]
+    frame_auc = report_card["frame_auc"]
     assert f1_all_50 >= 90.0, f"all-segments F1@50 = {f1_all_50:.2f} < 90"
-    assert report_card.frame_auc >= 0.95, f"frame AUC = {report_card.frame_auc:.3f} < 0.95"
+    assert frame_auc >= 0.95, f"frame AUC = {frame_auc:.3f} < 0.95"
     report(7, f"W64-S2-L6 on the separable corpus reaches F1@50 = "
-              f"{f1_all_50:.1f} and AUC = {report_card.frame_auc:.3f} "
+              f"{f1_all_50:.1f} and AUC = {frame_auc:.3f} "
               f"within 10 epochs", budget.check("learnability"))
 
 
@@ -247,50 +216,22 @@ def test_criterion_8_auc_f1_divergence():
 
 def test_criterion_9_determinism(tmp_path):
     budget = Budget(600.0)
-    outputs = []
+    sections = {"synth": {"num_videos": 6, "clips_min": 24, "clips_max": 48,
+                          "input_dim": 6, "seed": 11},
+                "model": {"window_width": 32, "num_stages": 1, "num_layers": 5,
+                          "hidden_channels": 16},
+                "train": {"epochs": 4, "seed": 11}}
+    reports, files = [], []
     for run_name in ("first", "second"):
         root = tmp_path / run_name
-        corpus = root / "corpus"
-        root.mkdir()
-        config_path = root / "run.json"
-        config_path.write_text(json.dumps({
-            "synth": {"num_videos": 6, "clips_min": 24, "clips_max": 48,
-                      "input_dim": 6, "seed": 11},
-            "model": {"window_width": 32, "num_stages": 1, "num_layers": 5,
-                      "hidden_channels": 16},
-            "train": {"epochs": 4, "seed": 11},
-            "paths": {"features_dir": str(corpus / "features"),
-                      "annotations_dir": str(corpus / "annotations"),
-                      "checkpoint": str(root / "model.adnc"),
-                      "out_dir": str(root / "out")},
-        }))
-        assert cli.main(["synth", "--config", str(config_path), "--out", str(corpus)]) == 0
-        assert cli.main(["train", "--config", str(config_path)]) == 0
-        assert cli.main(["infer", "--checkpoint", str(root / "model.adnc"),
-                         "--features", str(corpus / "features"),
-                         "--out", str(root / "pred")]) == 0
-        preds = {}
-        gts = {}
-        for doc_path in sorted((root / "pred").glob("*.json")):
-            doc = json.loads(doc_path.read_text())
-            preds[doc["video_id"]] = np.asarray(doc["clip_scores"])
-        for manifest_path in sorted((corpus / "annotations").glob("*.json")):
-            manifest = storage.read_annotations(manifest_path)
-            gts[manifest.video_id] = manifest.segments
-        report_card = evaluation.evaluate(preds, gts, frames_per_clip=16)
-        outputs.append({
-            "checkpoint": (root / "model.adnc").read_bytes(),
-            "log": (root / "out" / "train_log.jsonl").read_bytes(),
-            "preds": {p.name: p.read_bytes() for p in sorted((root / "pred").iterdir())},
-            "report": json.dumps(report_card.as_dict()),
-        })
-    first, second = outputs
-    assert first["checkpoint"] == second["checkpoint"], "checkpoints differ"
-    assert first["log"] == second["log"], "training logs differ"
-    assert first["preds"] == second["preds"], "prediction documents differ"
-    assert first["report"] == second["report"], "evaluation reports differ"
-    report(9, "two identical end-to-end runs produce bit-identical checkpoints, "
-              "predictions and evaluation reports", budget.check("determinism"))
+        reports.append(json.dumps(round_trip(root, sections)))
+        files.append(tree(root))
+    assert files[0] == files[1], "the two round trips wrote different files"
+    assert reports[0] == reports[1], "evaluation reports differ"
+    report(9, f"two identical round trips write bit-identical files and directories "
+              f"({len(files[0])}: corpus, checkpoint, log and predictions) and "
+              f"evaluation reports",
+           budget.check("determinism"))
 
 
 def test_criterion_10_training_matches_the_taped_reference(tmp_path):

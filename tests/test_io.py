@@ -150,6 +150,24 @@ class TestAtomicWrites:
         assert (target / "inside" / "file").read_bytes() == b"kept"
         assert os.listdir(tmp_path) == ["doc.json"]
 
+    @pytest.mark.parametrize("swap", [True, False], ids=["swapped", "renamed over"])
+    def test_name_of_255_bytes(self, tmp_path, swap):
+        # the longest name ext4 holds: the temp file's name does not grow with it
+        target = tmp_path / ("d" * 255)
+        for data in (b"new", b"over"):
+            storage.atomic_write_bytes(target, data, swap=swap)
+            assert target.read_bytes() == data
+            assert os.listdir(tmp_path) == [target.name]
+
+    @pytest.mark.parametrize("name", ["d" * 256, "missing/doc.json"],
+                             ids=["name of 256 bytes", "no such directory"])
+    def test_refusal_names_the_target(self, tmp_path, name):
+        target = tmp_path / name
+        with pytest.raises(OSError) as refused:
+            storage.atomic_write_bytes(target, b"new")
+        assert refused.value.filename == str(target)
+        assert os.listdir(tmp_path) == []
+
     def test_symlink_at_the_target_is_replaced_not_followed(self, tmp_path):
         referent = tmp_path / "referent"
         referent.write_bytes(b"old")

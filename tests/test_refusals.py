@@ -17,12 +17,13 @@ import json
 import shutil
 import struct
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from adnet import cli, io as storage
-from _inputs import DROP, EVAL, INFER, RESUME, SYNTH, TRAIN, adnet
+from _inputs import DROP, EVAL, INFER, RESUME, SYNTH, TRAIN, adnet, tree
 
 
 def refused(inputs, argv, edit, code, line, made):
@@ -32,14 +33,14 @@ def refused(inputs, argv, edit, code, line, made):
     fails."""
     if edit is not None:
         edit(inputs)
-    before = inputs.paths()
+    before = tree(inputs.root)
     got, out, err = adnet(inputs.argv(argv))
     assert (got, out) == (code, "")
     if code == 1:
         assert err.startswith("usage: adnet") and err.splitlines()[-1] == inputs.fill(line)
     else:
         assert err == inputs.fill(line) + "\n"
-    assert inputs.paths() == before | {inputs.root / name: None for name in made}
+    assert tree(inputs.root) == before | {Path(name): None for name in made}
 
 
 def row(name, argv, edit, code, line, made=()):
